@@ -19,7 +19,7 @@
 //!
 //! With [`ShardedFile::enable_optimistic_reads`] the read path goes one
 //! step further: each shard publishes an epoch-validated [`ReadView`]
-//! generation at every command boundary, and point gets / range
+//! generation at every batch boundary, and point gets / range
 //! collections validate against it **without touching the shard lock at
 //! all** — falling back to the lock only after a lost race. Readers then
 //! scale independently of writer lock hold times (see `exp_concurrent_reads`).
@@ -323,7 +323,7 @@ impl<V> ShardedFile<V> {
     /// Enables lock-free optimistic reads on every shard (idempotent).
     ///
     /// Each shard's file starts publishing a [`ReadView`] generation at
-    /// every command boundary; [`get`](Self::get),
+    /// every batch boundary; [`get`](Self::get),
     /// [`collect_range`](Self::collect_range),
     /// [`par_collect_range`](Self::par_collect_range) and
     /// [`par_scan`](Self::par_scan) then validate against the view first

@@ -143,6 +143,8 @@ impl<K: Key, V> DenseFile<K, V> {
             t.batch_size.record(cmds.len() as u64);
         }
         let mut out = Vec::with_capacity(cmds.len());
+        // One read-view publication for the whole batch, at its end.
+        self.hold_publication();
         // The previous command's resolved slot seeds the next command's
         // hinted descent. Always valid to carry across commands: hints are
         // revalidated (find_slot_hinted provably agrees with find_slot for
@@ -176,6 +178,7 @@ impl<K: Key, V> DenseFile<K, V> {
             observe(i, &outcome);
             out.push(outcome);
         }
+        self.release_publication();
         out
     }
 }

@@ -45,6 +45,9 @@ pub struct DenseFile<K, V> {
     /// [`DenseFile::enable_optimistic_reads`]). `None` by default, so plain
     /// files pay one branch per command for the feature.
     pub(crate) view: Option<ViewState<K, V>>,
+    /// Open [`hold_publication`](Self::hold_publication) calls; the view
+    /// publishes only when this is zero.
+    view_holds: u32,
 }
 
 impl<K: Key, V> DenseFile<K, V> {
@@ -65,6 +68,7 @@ impl<K: Key, V> DenseFile<K, V> {
             stats: OpStats::default(),
             recorder: None,
             view: None,
+            view_holds: 0,
         })
     }
 
@@ -237,18 +241,50 @@ impl<K: Key, V> DenseFile<K, V> {
 
     /// Republishes every slot mutated since the last publication into the
     /// read view. Called at the end of every command and offline pass; one
-    /// branch when the view is disabled.
+    /// branch when the view is disabled, a no-op while a
+    /// [`hold_publication`](Self::hold_publication) is open.
     #[inline]
     pub(crate) fn publish_view(&mut self) {
-        if self.view.is_none() {
+        let Some(vs) = self.view.as_mut() else {
+            return;
+        };
+        if self.view_holds > 0 {
             return;
         }
-        let dirty = self.store.take_dirty_slots();
-        if dirty.is_empty() {
-            return;
-        }
-        let vs = self.view.as_ref().expect("checked above");
-        (vs.publish)(&self.store, &dirty, &vs.inner);
+        let mut dirty = std::mem::take(&mut vs.dirty);
+        self.store.take_dirty_slots(&mut dirty);
+        let publish = vs.publish;
+        publish(vs, &self.store, &dirty);
+        vs.dirty = dirty;
+    }
+
+    /// Defers read-view publication until the matching
+    /// [`release_publication`](Self::release_publication): commands in
+    /// between still run (and mark their slots dirty), but readers keep
+    /// seeing the state before the hold. Holds nest; the outermost release
+    /// publishes every slot the held commands dirtied, once. Free when the
+    /// view is disabled.
+    ///
+    /// [`apply_batch`](Self::apply_batch) holds across its commands, so a
+    /// batch becomes visible at once. A durable layer holds across a whole
+    /// commit — execution, fsync, and any rollback — so readers never see a
+    /// command before the commit's outcome is known.
+    pub fn hold_publication(&mut self) {
+        self.view_holds += 1;
+    }
+
+    /// Closes one [`hold_publication`](Self::hold_publication); the
+    /// outermost close publishes.
+    ///
+    /// # Panics
+    ///
+    /// If no hold is open.
+    pub fn release_publication(&mut self) {
+        self.view_holds = self
+            .view_holds
+            .checked_sub(1)
+            .expect("release_publication without a matching hold");
+        self.publish_view();
     }
 
     // ------------------------------------------------------------------
@@ -736,18 +772,22 @@ impl<K: Key, V: Clone> DenseFile<K, V> {
     /// [`ReadView`] handle. Idempotent — later calls return a handle to the
     /// same view.
     ///
-    /// From this point every command (and offline pass) republishes the
-    /// slots it touched into the view at its end, which costs one clone of
-    /// each touched slot's records. Callers that never share the file
-    /// across threads should leave this off; `ShardedFile`/`DurableKv`
-    /// enable it so point gets and range scans stop queuing behind the
-    /// shard write lock.
+    /// From this point every single command and offline pass republishes
+    /// the slots it touched into the view at its end, and
+    /// [`apply_batch`](Self::apply_batch) republishes once at batch end,
+    /// over the batch's deduplicated dirty slots (see
+    /// [`hold_publication`](Self::hold_publication)). Each republished slot
+    /// costs one copy of its records into a recycled image, so the steady
+    /// state allocates nothing, and the seqlock's odd window spans only
+    /// the pointer swaps. Callers that never share the file across threads
+    /// should leave this off; `ShardedFile`/`DurableKv` enable it so point
+    /// gets and range scans stop queuing behind the shard write lock.
     pub fn enable_optimistic_reads(&mut self) -> ReadView<K, V> {
         if self.view.is_none() {
             self.store.enable_dirty_tracking();
-            let vs = ViewState::new(self.cfg);
+            let mut vs = ViewState::new(self.cfg);
             let all: Vec<u32> = (0..self.cfg.slots).collect();
-            (vs.publish)(&self.store, &all, &vs.inner);
+            (vs.publish)(&mut vs, &self.store, &all);
             self.view = Some(vs);
         }
         self.read_view().expect("view just enabled")

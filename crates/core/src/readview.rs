@@ -4,22 +4,35 @@
 //! bounds untouched) stays exactly as the paper specifies; the read path
 //! goes *around* it. A [`ReadView`] is a shared, immutable-per-generation
 //! image of every slot's records that the owning [`DenseFile`] republishes
-//! at the end of each command (and each offline pass), guarded by a
-//! seqlock-style protocol:
+//! at the end of each single command, each batch and each offline pass,
+//! guarded by a seqlock-style protocol:
 //!
 //! * one **epoch** counter for the whole view — even = stable, odd = a
 //!   publication is in progress;
 //! * one **version** counter per slot cell — even = stable, odd = that
 //!   cell's `Arc` is being swapped.
 //!
-//! Writers prepare the fresh slot clones *before* entering the odd window,
-//! so the odd span covers only `Arc` pointer swaps — a long CONTROL-2
-//! rebalance (SHIFT chains across many slots) does its page work entirely
-//! outside the window and can never livelock readers for the duration of
-//! the rebalance itself. Mid-command SHIFT states are never published at
-//! all: publication happens only at command boundaries, so every view
-//! generation is a state some prefix of the applied commands produced —
-//! the linearizability the E20 oracle checks.
+//! **Once per batch.** [`DenseFile::apply_batch`] holds publication across
+//! its commands and publishes once at the end, over the batch's
+//! deduplicated dirty slots (see [`DenseFile::hold_publication`]; holds
+//! nest, so a durable layer can hold across its whole commit). Mid-command
+//! SHIFT states and mid-batch states are never published: every view
+//! generation is the state at a batch boundary (a single command being a
+//! batch of one) — the linearizability the E20 oracle checks.
+//!
+//! **Recycled images.** The images a publication replaces are retired into
+//! a small bounded pool owned by the writer. The next publication refills
+//! a pooled image in place (field-wise `clone_from`, so `String` payload
+//! buffers are reused) when `Arc::get_mut` proves no reader still holds
+//! it, and allocates only on a pool miss. A steady-state publication
+//! therefore allocates and frees nothing.
+//!
+//! **Pointer swaps only.** The fresh images are filled *before* the epoch
+//! goes odd, and the retired ones go back to the pool (or are freed)
+//! *after* it is even again, so the odd window spans only the `Arc`
+//! pointer swaps — a long CONTROL-2 rebalance (SHIFT chains across many
+//! slots) does its page work and its copies entirely outside the window
+//! and can never livelock readers for the duration of the rebalance.
 //!
 //! Readers run [`ReadView::try_get`] / [`ReadView::try_collect_range`]
 //! without taking any file lock: load the epoch (must be even), read the
@@ -29,6 +42,7 @@
 //! fall back to the shard read lock. Outcomes are counted **unsampled** in
 //! `dsf_read_optimistic_hits` / `dsf_read_retries` / `dsf_read_fallbacks`.
 
+use std::collections::VecDeque;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -148,50 +162,99 @@ impl<K: Key, V> ViewInner<K, V> {
     }
 }
 
+/// Retired slot images the publisher keeps for refilling. A publication
+/// needs one image per dirtied slot; a served batch of up to 64 commands
+/// dirties about one slot per command, so this pool turns every such
+/// refill into a copy into buffers that already have the capacity. Bulk
+/// batches and offline passes that republish more slots overflow it: the
+/// excess is allocated fresh, and freed once retired (outside the odd
+/// window). Each pooled image holds a slot's worth of memory, so the pool
+/// stays small.
+const POOL_IMAGES: usize = 64;
+
 /// Publishes the current contents of `dirty` slots into the view.
 ///
 /// This is the only writer of the view and is always called from the thread
 /// that owns the `DenseFile` (commands already hold the shard write lock),
-/// so publications never race each other — only readers. The clones are
-/// prepared *before* the epoch goes odd; the odd window spans only the
-/// pointer swaps.
+/// so publications never race each other — only readers. The images are
+/// prepared *before* the epoch goes odd, and the images they replace are
+/// retired into the pool (or freed) *after* it is even again, so the odd
+/// window spans only the pointer swaps.
 pub(crate) fn publish_into<K: Key, V: Clone>(
+    vs: &mut ViewState<K, V>,
     store: &PagedStore<K, V>,
     dirty: &[SlotId],
-    inner: &ViewInner<K, V>,
 ) {
     if dirty.is_empty() {
         return;
     }
-    let fresh: Vec<(SlotId, SlotImage<K, V>)> = dirty
-        .iter()
-        .map(|&s| (s, Arc::new(store.peek_slot(s).to_vec())))
-        .collect();
+    let mut swaps = std::mem::take(&mut vs.swaps);
+    swaps.extend(
+        dirty
+            .iter()
+            .map(|&s| (s, refill(&mut vs.pool, store.peek_slot(s)))),
+    );
+    let inner = &*vs.inner;
     let e = inner.epoch.fetch_add(1, Ordering::AcqRel); // even → odd
     debug_assert!(e.is_multiple_of(2), "publication must start stable");
-    for (s, arc) in fresh {
-        let cell = &inner.cells[s as usize];
+    // Each fresh image goes in; the retired one comes back in its place.
+    for (s, image) in swaps.iter_mut() {
+        let cell = &inner.cells[*s as usize];
         cell.version.fetch_add(1, Ordering::AcqRel); // even → odd
-        *cell.data.lock().expect("view cell poisoned") = arc;
+        std::mem::swap(&mut *cell.data.lock().expect("view cell poisoned"), image);
         cell.version.fetch_add(1, Ordering::AcqRel); // odd → even
     }
     inner
         .records
         .store(store.total_records() as u64, Ordering::Release);
     inner.epoch.fetch_add(1, Ordering::AcqRel); // odd → even
+    for (_, retired) in swaps.drain(..) {
+        if vs.pool.len() < POOL_IMAGES {
+            vs.pool.push_back(retired);
+        }
+    }
+    vs.swaps = swaps;
+}
+
+/// A fresh image holding `records`: the oldest pooled image refilled in
+/// place when no reader still holds it (`Arc::get_mut` is the proof — a
+/// retired image is out of its cell, so no new reader can reach it), else
+/// a new allocation. A held image is dropped here; its last reader frees it.
+fn refill<K: Key, V: Clone>(
+    pool: &mut VecDeque<SlotImage<K, V>>,
+    records: &[Record<K, V>],
+) -> SlotImage<K, V> {
+    if let Some(mut image) = pool.pop_front() {
+        if let Some(buf) = Arc::get_mut(&mut image) {
+            // Exact growth: the default doubling would leave recycled
+            // images with up to twice the capacity `to_vec` gives.
+            buf.reserve_exact(records.len().saturating_sub(buf.len()));
+            records.clone_into(buf);
+            return image;
+        }
+    }
+    Arc::new(records.to_vec())
 }
 
 /// The monomorphized publisher held as a plain `fn` pointer (see
 /// [`ViewState::publish`]).
-pub(crate) type PublishFn<K, V> = fn(&PagedStore<K, V>, &[SlotId], &ViewInner<K, V>);
+pub(crate) type PublishFn<K, V> = fn(&mut ViewState<K, V>, &PagedStore<K, V>, &[SlotId]);
 
 /// The per-file view state held by `DenseFile`. Stores the monomorphized
 /// publisher as a plain `fn` pointer so command code compiled without a
 /// `V: Clone` bound can still republish (the bound is discharged once, at
 /// [`DenseFile::enable_optimistic_reads`](crate::DenseFile::enable_optimistic_reads)).
+/// Everything besides `inner` is the writer's own: reusable buffers, so a
+/// steady-state publication allocates nothing.
 pub(crate) struct ViewState<K, V> {
     pub(crate) inner: Arc<ViewInner<K, V>>,
     pub(crate) publish: PublishFn<K, V>,
+    /// The dirty-slot set being published (drained from the store).
+    pub(crate) dirty: Vec<SlotId>,
+    /// `(slot, image)` pairs: fresh images before the swaps, retired after.
+    swaps: Vec<(SlotId, SlotImage<K, V>)>,
+    /// Retired images, oldest first, at most [`POOL_IMAGES`].
+    pool: VecDeque<SlotImage<K, V>>,
 }
 
 impl<K: Key, V: Clone> ViewState<K, V> {
@@ -199,6 +262,9 @@ impl<K: Key, V: Clone> ViewState<K, V> {
         ViewState {
             inner: Arc::new(ViewInner::new(cfg)),
             publish: publish_into::<K, V>,
+            dirty: Vec::new(),
+            swaps: Vec::new(),
+            pool: VecDeque::with_capacity(POOL_IMAGES),
         }
     }
 }
@@ -489,6 +555,7 @@ impl<K: Key, V: Clone> ReadView<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::Command;
     use crate::config::DenseFileConfig;
     use crate::file::DenseFile;
 
@@ -631,6 +698,103 @@ mod tests {
             .is_empty());
         f.insert(7, 70).unwrap();
         assert_eq!(view.try_get(&7).unwrap(), Some(70));
+    }
+
+    fn epoch(view: &ReadView<u64, u64>) -> u64 {
+        view.inner.epoch.load(Ordering::Acquire)
+    }
+
+    #[test]
+    fn a_batch_publishes_once_at_its_end() {
+        let (mut f, view) = view_file(300);
+        let e0 = epoch(&view);
+        let cmds: Vec<Command<u64, u64>> = (0..60u64)
+            .map(|i| match i % 3 {
+                0 => Command::Remove(i * 40),
+                1 => Command::Insert(i * 40 + 7, i),
+                _ => Command::Insert(i * 40, i + 1_000), // replace
+            })
+            .collect();
+        f.apply_batch(&cmds);
+        assert_eq!(epoch(&view), e0 + 2, "one publication for the batch");
+        let locked: Vec<(u64, u64)> = f.iter().map(|(k, v)| (*k, *v)).collect();
+        let published = view
+            .try_collect_range(Bound::Unbounded, Bound::Unbounded)
+            .unwrap();
+        assert_eq!(published, locked);
+        assert_eq!(view.records(), f.len());
+
+        // Holds nest: nothing is visible until the outermost release.
+        let e1 = epoch(&view);
+        f.hold_publication();
+        f.apply_batch(&[Command::Insert(1, 11), Command::Insert(3, 33)]);
+        f.insert(5, 55).unwrap();
+        f.remove(&10);
+        assert_eq!(epoch(&view), e1);
+        assert_eq!(view.try_get(&1).unwrap(), None);
+        assert_eq!(view.try_get(&10).unwrap(), Some(1));
+        f.release_publication();
+        assert_eq!(epoch(&view), e1 + 2);
+        for (k, v) in [(1, Some(11)), (3, Some(33)), (5, Some(55)), (10, None)] {
+            assert_eq!(view.try_get(&k).unwrap(), v);
+        }
+        // Single commands keep their own publication each.
+        f.insert(9, 99).unwrap();
+        assert_eq!(epoch(&view), e1 + 4);
+    }
+
+    #[test]
+    fn steady_state_publication_refills_pooled_images() {
+        let (mut f, view) = view_file(300);
+        // Warm up: every slot republished a few times, so the pool holds
+        // images retired by ordinary publications.
+        for round in 1..4u64 {
+            for i in 0..300u64 {
+                f.insert(i * 10, i + round).unwrap();
+            }
+        }
+        let pooled = |f: &DenseFile<u64, u64>| f.view.as_ref().unwrap().pool.len();
+        let size = pooled(&f);
+        assert!(size > 0);
+        for i in 0..300u64 {
+            let next = Arc::as_ptr(f.view.as_ref().unwrap().pool.front().unwrap());
+            f.insert(i * 10, i).unwrap(); // dirties exactly the key's slot
+            let slot = view.route(&(i * 10)).unwrap().unwrap();
+            let CellRead::Ok(image) = view.read_cell(slot) else {
+                panic!("no writer is running");
+            };
+            assert_eq!(Arc::as_ptr(&image), next, "key {}: not refilled", i * 10);
+            assert_eq!(pooled(&f), size, "retired image went back to the pool");
+        }
+    }
+
+    #[test]
+    fn an_image_a_reader_holds_is_never_refilled() {
+        let mut f: DenseFile<u64, String> =
+            DenseFile::new(DenseFileConfig::control2(64, 8, 40)).unwrap();
+        f.bulk_load((0..300u64).map(|i| (i * 10, format!("v{i}"))))
+            .unwrap();
+        let view = f.enable_optimistic_reads();
+        let slot = view.route(&1000).unwrap().unwrap();
+        let CellRead::Ok(held) = view.read_cell(slot) else {
+            panic!("no writer is running");
+        };
+        let before: Vec<Record<u64, String>> = held.to_vec();
+        // Republish every slot many times over, cycling the whole pool,
+        // with payloads of other lengths.
+        for round in 0..40u64 {
+            for i in 0..300u64 {
+                f.insert(i * 10, format!("round {round} value {i}"))
+                    .unwrap();
+            }
+            f.apply_batch(&[Command::Insert(1001, "x".repeat(round as usize))]);
+            f.remove(&1001);
+        }
+        assert_eq!(*held, before, "a held image changed under its reader");
+        assert_eq!(
+            view.try_get(&1000).unwrap().as_deref(),
+            Some("round 39 value 100")
+        );
     }
 
     #[test]

@@ -257,8 +257,8 @@ impl<K: Key + Codec, V: Codec + Clone> ReadView<K, V> {
     ///
     /// Every cell is captured inside one epoch-validated window, so the
     /// result is byte-identical to what [`DenseFile::write_snapshot`] would
-    /// produce at that command boundary (mid-command states are never
-    /// published). Under sustained concurrent mutation the window may lose
+    /// produce at that batch boundary (mid-command and mid-batch states
+    /// are never published). Under sustained concurrent mutation the window may lose
     /// every retry; the caller then falls back to a locked snapshot.
     pub fn try_snapshot_bytes(&self) -> Result<Vec<u8>, ReadConflict> {
         let cells = self.collect_all_cells()?;

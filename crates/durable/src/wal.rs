@@ -466,6 +466,21 @@ impl<K: Key + Codec, V: Codec + Clone, F: Vfs> DurableFile<K, V, F> {
         value: V,
         durability: Durability,
     ) -> Result<Option<V>, DurableError> {
+        self.file.hold_publication();
+        let result = self.insert_held(key, value, durability);
+        self.file.release_publication();
+        result
+    }
+
+    /// [`insert_with`](Self::insert_with)'s body, run with read-view
+    /// publication held so readers see the command only once its outcome
+    /// is known.
+    fn insert_held(
+        &mut self,
+        key: K,
+        value: V,
+        durability: Durability,
+    ) -> Result<Option<V>, DurableError> {
         if self.log_poisoned() {
             return Err(DurableError::LogPoisoned);
         }
@@ -522,6 +537,15 @@ impl<K: Key + Codec, V: Codec + Clone, F: Vfs> DurableFile<K, V, F> {
         key: &K,
         durability: Durability,
     ) -> Result<Option<V>, DurableError> {
+        self.file.hold_publication();
+        let result = self.remove_held(key, durability);
+        self.file.release_publication();
+        result
+    }
+
+    /// [`remove_with`](Self::remove_with)'s body, run with read-view
+    /// publication held (see [`insert_held`](Self::insert_held)).
+    fn remove_held(&mut self, key: &K, durability: Durability) -> Result<Option<V>, DurableError> {
         if self.log_poisoned() {
             return Err(DurableError::LogPoisoned);
         }
@@ -594,8 +618,28 @@ impl<K: Key + Codec, V: Codec + Clone, F: Vfs> DurableFile<K, V, F> {
     ///
     /// On `Err` the batch was rolled back *after* the observer already saw
     /// the in-memory outcomes; callers must treat observed outcomes as
-    /// provisional until the call returns `Ok`.
+    /// provisional until the call returns `Ok`. The read view is not
+    /// provisional: it publishes the batch once, when the call returns
+    /// (see [`enable_optimistic_reads`](Self::enable_optimistic_reads)).
     pub fn apply_batch_durable_with<O>(
+        &mut self,
+        cmds: &[Command<K, V>],
+        durability: Durability,
+        observe: O,
+    ) -> Result<Vec<CommandOutcome<V>>, DurableError>
+    where
+        O: FnMut(usize, &CommandOutcome<V>, u64),
+    {
+        self.file.hold_publication();
+        let result = self.apply_batch_held(cmds, durability, observe);
+        self.file.release_publication();
+        result
+    }
+
+    /// [`apply_batch_durable_with`](Self::apply_batch_durable_with)'s body,
+    /// run with read-view publication held across execution, the commit's
+    /// syscalls and any rollback.
+    fn apply_batch_held<O>(
         &mut self,
         cmds: &[Command<K, V>],
         durability: Durability,
@@ -820,7 +864,9 @@ impl<K: Key + Codec, V: Codec + Clone, F: Vfs> DurableFile<K, V, F> {
             Some(e) => {
                 // Reverse order unwinds duplicate keys correctly and keeps
                 // every intermediate step within capacities the forward
-                // pass already fit in.
+                // pass already fit in. Readers see the undone state at
+                // once, never a half-undone window.
+                self.file.hold_publication();
                 for rec in undo.into_iter().rev() {
                     match rec {
                         UndoRec::Insert(k) => {
@@ -831,6 +877,7 @@ impl<K: Key + Codec, V: Codec + Clone, F: Vfs> DurableFile<K, V, F> {
                         }
                     }
                 }
+                self.file.release_publication();
                 self.appended_lsn = self.durable_lsn;
                 Err(e)
             }
@@ -982,13 +1029,27 @@ impl<K: Key + Codec, V: Codec + Clone, F: Vfs> DurableFile<K, V, F> {
     /// Enables lock-free optimistic reads on the in-memory file and returns
     /// its [`ReadView`] (see [`DenseFile::enable_optimistic_reads`]).
     ///
-    /// Durability is unaffected: generations publish at command boundaries
-    /// of the *in-memory* state, so an optimistic read observes exactly
-    /// what a locked read of this `DurableFile` would — including windowed
-    /// commands not yet fsynced (callers needing durable-only reads must
-    /// still gate on [`durable_lsn`](Self::durable_lsn), same as locked
-    /// reads). A failed window commit rolls the memory state back through
-    /// ordinary commands, so the view tracks the rollback too.
+    /// **Visibility contract.** The view publishes once per call — per
+    /// [`insert_with`](Self::insert_with), [`remove_with`](Self::remove_with)
+    /// or [`apply_batch_durable_with`](Self::apply_batch_durable_with) —
+    /// just before the call returns, when its outcome is known:
+    ///
+    /// * a call that returns `Ok` becomes visible at its acknowledgement
+    ///   point: after the fsync for a `Strict` command under
+    ///   [`SyncPolicy::CommitWindow`] or any command under
+    ///   [`SyncPolicy::EveryCommand`]; once its frames are buffered for a
+    ///   `Relaxed` command or under [`SyncPolicy::Manual`];
+    /// * a call that returns `Err` is never visible: its commands are
+    ///   undone before the view publishes, so a reader cannot return a key
+    ///   from a failed batch;
+    /// * a failed window commit (which undoes every command the window
+    ///   held, acknowledged `Relaxed` ones included) publishes once, after
+    ///   the whole undo.
+    ///
+    /// Reads therefore see acknowledged state, which under `Relaxed` or
+    /// `Manual` may still be ahead of stable storage; callers needing
+    /// durable-only reads must gate on [`durable_lsn`](Self::durable_lsn),
+    /// same as locked reads.
     pub fn enable_optimistic_reads(&mut self) -> ReadView<K, V> {
         self.file.enable_optimistic_reads()
     }

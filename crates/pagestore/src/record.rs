@@ -18,12 +18,28 @@ impl<T: Ord + Copy + fmt::Debug> Key for T {}
 ///
 /// The paper treats records as atomic units moved between pages; payloads
 /// are never inspected by any maintenance algorithm.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Record<K, V> {
     /// Search key; unique within a file.
     pub key: K,
     /// Opaque payload carried along with the key.
     pub value: V,
+}
+
+impl<K: Clone, V: Clone> Clone for Record<K, V> {
+    fn clone(&self) -> Self {
+        Record {
+            key: self.key.clone(),
+            value: self.value.clone(),
+        }
+    }
+
+    /// Field-wise, so refilling a record reuses the payload's heap buffer
+    /// (a `String` or `Vec` value is copied in place, not reallocated).
+    fn clone_from(&mut self, source: &Self) {
+        self.key.clone_from(&source.key);
+        self.value.clone_from(&source.value);
+    }
 }
 
 impl<K, V> Record<K, V> {
@@ -48,6 +64,15 @@ impl<K: Key, V> Record<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn clone_from_reuses_the_value_buffer() {
+        let mut dst = Record::new(1u64, String::with_capacity(64));
+        let buf = dst.value.as_ptr();
+        dst.clone_from(&Record::new(2, "refilled".to_string()));
+        assert_eq!(dst, Record::new(2, "refilled".to_string()));
+        assert_eq!(dst.value.as_ptr(), buf, "payload copied in place");
+    }
 
     #[test]
     fn record_round_trip() {

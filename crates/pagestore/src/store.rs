@@ -69,7 +69,7 @@ pub struct PagedStore<K, V> {
     /// Slots mutated since the last [`PagedStore::take_dirty_slots`] drain.
     /// `None` (the default) disables tracking so plain stores pay only one
     /// branch per mutation; the optimistic read view enables it to know
-    /// which slot snapshots to republish at command end.
+    /// which slot snapshots to republish at command or batch end.
     dirty: Option<Vec<SlotId>>,
 }
 
@@ -107,17 +107,17 @@ impl<K: Key, V> PagedStore<K, V> {
         self.dirty.is_some()
     }
 
-    /// Drains the set of slots mutated since the last drain, sorted and
-    /// deduplicated. Empty (and free) when tracking is disabled.
-    pub fn take_dirty_slots(&mut self) -> Vec<SlotId> {
-        match self.dirty.as_mut() {
-            Some(d) => {
-                let mut out = std::mem::take(d);
-                out.sort_unstable();
-                out.dedup();
-                out
-            }
-            None => Vec::new(),
+    /// Drains the set of slots mutated since the last drain into `out`,
+    /// sorted and deduplicated; `out` ends empty when tracking is disabled.
+    /// `out`'s old contents are discarded and its buffer becomes the
+    /// tracker's, so a caller that passes the same buffer back each time
+    /// drains without allocating once both buffers have grown.
+    pub fn take_dirty_slots(&mut self, out: &mut Vec<SlotId>) {
+        out.clear();
+        if let Some(d) = self.dirty.as_mut() {
+            std::mem::swap(d, out);
+            out.sort_unstable();
+            out.dedup();
         }
     }
 
@@ -731,57 +731,63 @@ mod tests {
         );
     }
 
+    fn drained(st: &mut PagedStore<u64, u32>) -> Vec<SlotId> {
+        let mut out = vec![99]; // stale contents are discarded
+        st.take_dirty_slots(&mut out);
+        out
+    }
+
     #[test]
     fn dirty_tracking_disabled_by_default_and_drains_sorted_dedup() {
         let mut st = store(4, 1, 8);
         st.insert(3, 1, 0);
         assert!(!st.dirty_tracking_enabled());
-        assert!(st.take_dirty_slots().is_empty());
+        assert!(drained(&mut st).is_empty());
 
         st.enable_dirty_tracking();
         st.insert(3, 2, 0);
         st.insert(1, 5, 0);
         st.insert(3, 3, 0); // duplicate slot
         st.remove(1, &5);
-        assert_eq!(st.take_dirty_slots(), vec![1, 3]);
+        assert_eq!(drained(&mut st), vec![1, 3]);
         // Drain resets the set.
-        assert!(st.take_dirty_slots().is_empty());
+        assert!(drained(&mut st).is_empty());
     }
 
     #[test]
     fn dirty_tracking_covers_every_mutator() {
         let mut st = store(8, 1, 8);
         st.enable_dirty_tracking();
-        st.take_dirty_slots();
+        drained(&mut st);
 
         st.insert(0, 1, 0);
         st.insert(0, 1, 9); // replace arm
-        assert_eq!(st.take_dirty_slots(), vec![0]);
+        assert_eq!(drained(&mut st), vec![0]);
 
         let idx = st.search(1, &7).unwrap_err();
         st.insert_searched(1, idx, 7, 0);
-        assert_eq!(st.take_dirty_slots(), vec![1]);
+        assert_eq!(drained(&mut st), vec![1]);
 
         st.replace_at(1, 0, 3);
-        assert_eq!(st.take_dirty_slots(), vec![1]);
+        assert_eq!(drained(&mut st), vec![1]);
 
         st.remove(0, &1);
-        assert_eq!(st.take_dirty_slots(), vec![0]);
+        assert_eq!(drained(&mut st), vec![0]);
         st.remove(0, &1); // miss: no mutation, no dirty mark
-        assert!(st.take_dirty_slots().is_empty());
+        assert!(drained(&mut st).is_empty());
 
         st.replace(2, vec![Record::new(1u64, 0u32), Record::new(2, 0)]);
-        assert_eq!(st.take_dirty_slots(), vec![2]);
+        assert_eq!(drained(&mut st), vec![2]);
 
         let recs = st.take(2, 1, End::Back);
         st.put(3, recs, End::Back);
-        assert_eq!(st.take_dirty_slots(), vec![2, 3]);
+        assert_eq!(drained(&mut st), vec![2, 3]);
 
         st.take_all(3);
-        assert_eq!(st.take_dirty_slots(), vec![3]);
+        assert_eq!(drained(&mut st), vec![3]);
 
         st.corrupt_slot_for_audit(4, vec![Record::new(9, 0)]);
-        assert_eq!(st.take_dirty_slots(), vec![4]);
+        assert_eq!(drained(&mut st), vec![4]);
     }
 
     #[test]

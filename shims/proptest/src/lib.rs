@@ -502,48 +502,69 @@ macro_rules! proptest {
 }
 
 /// Internal expansion of [`proptest!`]; not public API.
+///
+/// Each property goes through [`__proptest_fn!`](crate::__proptest_fn),
+/// which registers it as a test exactly once: callers may write their own
+/// `#[test]` (as with the real crate) or leave it to the macro.
 #[doc(hidden)]
 #[macro_export]
 macro_rules! __proptest_impl {
-    (cfg = ($cfg:expr); $($(#[$meta:meta])* fn $name:ident($($pat:pat in $strat:expr),+ $(,)?) $body:block)*) => {
+    (cfg = ($cfg:expr); $($(#[$($attr:tt)*])* fn $name:ident $args:tt $body:block)*) => {
         $(
-            $(#[$meta])*
-            #[test]
-            fn $name() {
-                let config: $crate::ProptestConfig = $cfg;
-                // Replay the checked-in regression corpus first: a pinned
-                // seed that ever failed must keep passing forever.
-                let __corpus = $crate::corpus_seeds(
-                    env!("CARGO_MANIFEST_DIR"),
-                    file!(),
-                    stringify!($name),
-                );
-                let mut __label_rng = $crate::TestRng::deterministic(concat!(module_path!(), "::", stringify!($name)));
-                let __seeds = __corpus
-                    .into_iter()
-                    .chain((0..config.cases).map(|_| __label_rng.next_u64()));
-                for (__case, __seed) in __seeds.enumerate() {
-                    let mut __reporter = $crate::SeedReporter::new(stringify!($name), __seed);
-                    let mut __rng = $crate::TestRng::from_seed(__seed);
-                    $(let $pat = $crate::Strategy::generate(&($strat), &mut __rng);)+
-                    // The IIFE gives `?` (prop_assert!) somewhere to land.
-                    #[allow(clippy::redundant_closure_call)]
-                    let __result: ::std::result::Result<(), $crate::TestCaseError> = (|| {
-                        $body
-                        Ok(())
-                    })();
-                    if let Err(e) = __result {
-                        panic!(
-                            "proptest case {} failed (pin with: cc {} {:016x}): {e}",
-                            __case + 1,
-                            stringify!($name),
-                            __seed,
-                        );
-                    }
-                    __reporter.disarm();
-                }
-            }
+            $crate::__proptest_fn! { ($cfg) [] $(#[$($attr)*])* fn $name $args $body }
         )*
+    };
+}
+
+/// One property of [`__proptest_impl!`]: munches the caller's attributes
+/// into the bracket, minus any `#[test]` (a second one would register the
+/// property twice), then emits the test with exactly one. Not public API.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __proptest_fn {
+    (($cfg:expr) [$($kept:tt)*] #[test] $($rest:tt)*) => {
+        $crate::__proptest_fn! { ($cfg) [$($kept)*] $($rest)* }
+    };
+    (($cfg:expr) [$($kept:tt)*] #[$($attr:tt)*] $($rest:tt)*) => {
+        $crate::__proptest_fn! { ($cfg) [$($kept)* #[$($attr)*]] $($rest)* }
+    };
+    (($cfg:expr) [$($kept:tt)*] fn $name:ident($($pat:pat in $strat:expr),+ $(,)?) $body:block) => {
+        $($kept)*
+        #[test]
+        fn $name() {
+            let config: $crate::ProptestConfig = $cfg;
+            // Replay the checked-in regression corpus first: a pinned
+            // seed that ever failed must keep passing forever.
+            let __corpus = $crate::corpus_seeds(
+                env!("CARGO_MANIFEST_DIR"),
+                file!(),
+                stringify!($name),
+            );
+            let mut __label_rng = $crate::TestRng::deterministic(concat!(module_path!(), "::", stringify!($name)));
+            let __seeds = __corpus
+                .into_iter()
+                .chain((0..config.cases).map(|_| __label_rng.next_u64()));
+            for (__case, __seed) in __seeds.enumerate() {
+                let mut __reporter = $crate::SeedReporter::new(stringify!($name), __seed);
+                let mut __rng = $crate::TestRng::from_seed(__seed);
+                $(let $pat = $crate::Strategy::generate(&($strat), &mut __rng);)+
+                // The IIFE gives `?` (prop_assert!) somewhere to land.
+                #[allow(clippy::redundant_closure_call)]
+                let __result: ::std::result::Result<(), $crate::TestCaseError> = (|| {
+                    $body
+                    Ok(())
+                })();
+                if let Err(e) = __result {
+                    panic!(
+                        "proptest case {} failed (pin with: cc {} {:016x}): {e}",
+                        __case + 1,
+                        stringify!($name),
+                        __seed,
+                    );
+                }
+                __reporter.disarm();
+            }
+        }
     };
 }
 
@@ -648,6 +669,33 @@ mod tests {
             prop_assert!(v.len() <= 8);
             prop_assert_eq!(*v.last().unwrap(), x as u8);
             prop_assert_ne!(v.len(), 0);
+        }
+    }
+
+    proptest! {
+        /// Written the way the real crate requires: with its own `#[test]`.
+        #[test]
+        fn a_property_with_its_own_test_attribute(x in 0u8..10) {
+            prop_assert!(x < 10);
+        }
+    }
+
+    /// Both spellings register exactly once: the macro adds `#[test]` only
+    /// when the caller did not write one. Lists this very test binary.
+    #[test]
+    fn each_property_registers_exactly_once() {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .arg("--list")
+            .output()
+            .unwrap();
+        assert!(out.status.success());
+        let listing = String::from_utf8(out.stdout).unwrap();
+        for name in [
+            "tests::the_macro_itself_runs: test",
+            "tests::a_property_with_its_own_test_attribute: test",
+        ] {
+            let n = listing.lines().filter(|l| *l == name).count();
+            assert_eq!(n, 1, "{name} registered {n} times in:\n{listing}");
         }
     }
 

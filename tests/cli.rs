@@ -537,7 +537,7 @@ fn cli_flight_example52_and_bench_gate() {
 
 #[test]
 fn cli_trace_record_replay_explain() {
-    let dir = tempdir("trace");
+    let dir = tempdir("trace-explain");
 
     // Record a small traced run against the in-memory backend (fast, no
     // scratch store on disk) and check the per-phase panel renders.
