@@ -23,9 +23,9 @@
 //!    client sustains Strict-durability inserts (fsync per group
 //!    commit). With optimistic reads on (the default), the traced Get
 //!    `lock_wait` p99 must be **exactly zero** — an optimistic hit
-//!    never stamps LockWait — while the pre-PR-10 locked mode
-//!    (`set_optimistic_reads(false)`) must show a nonzero p99 on the
-//!    same workload: reads queued behind fsync-holding writers.
+//!    never stamps LockWait — while a locked store (built without a
+//!    view) must show a nonzero p99 on the same workload: reads queued
+//!    behind fsync-holding writers.
 //!
 //! Headline metrics gated by `dsf bench-gate`: `read_scaling_ratio`
 //! (higher is better), `read_opt_vs_locked`, `serve_read_ratio`,
@@ -41,7 +41,7 @@
 use dsf_bench::{f, Table};
 use dsf_concurrent::ShardedFile;
 use dsf_core::{Command, CommandOutcome, DenseFileConfig};
-use dsf_durable::{Durability, SyncPolicy};
+use dsf_durable::{Durability, StdFs, SyncPolicy};
 use dsf_flight::BoundBudget;
 use dsf_server::{Client, DurableKv, KvService, Request, Response, Server, ServerConfig};
 use dsf_trace::Phase;
@@ -258,7 +258,7 @@ fn reader_run(
                             if a > 0 && rng.next_u64() % 2 == 0 {
                                 // Acked before the read started: must hit.
                                 let j = rng.next_u64() % a;
-                                if fx.file.get(&(orc.base + j * 8)).is_none() {
+                                if fx.file.get(orc.base + j * 8).is_none() {
                                     violations.fetch_add(1, Ordering::Relaxed);
                                 }
                             } else {
@@ -267,7 +267,7 @@ fn reader_run(
                                 // submitted by the time the read finished.
                                 let s_now = orc.submitted.load(Ordering::Acquire);
                                 let j = s_now + 1 + rng.next_u64() % 512;
-                                if fx.file.get(&(orc.base + j * 8)).is_some() {
+                                if fx.file.get(orc.base + j * 8).is_some() {
                                     let s_after = orc.submitted.load(Ordering::Acquire);
                                     if j >= s_after {
                                         violations.fetch_add(1, Ordering::Relaxed);
@@ -279,7 +279,7 @@ fn reader_run(
                             // and oracle never touch this band, so the
                             // answer is known exactly.
                             let k = fx.resident[zipf.sample(&mut rng)];
-                            if fx.file.get(&k) != Some(k) {
+                            if fx.file.get(k) != Some(k) {
                                 violations.fetch_add(1, Ordering::Relaxed);
                             }
                         }
@@ -443,9 +443,11 @@ fn served_run(optimistic: bool, with_ingest: bool, quick: bool, tag: &str) -> Se
     let dir = std::env::temp_dir().join(format!("dsf-exp-reads-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     // Fsync per group commit: in locked mode every read queues behind a
-    // writer that holds the shard Mutex across a real fsync.
+    // writer that holds the shard lock across a real fsync. The locked
+    // store never enables its view, so every read takes that lock.
     let kv = Arc::new(
-        DurableKv::create(
+        DurableKv::create_on(
+            StdFs,
             &dir,
             SRV_SHARDS,
             DenseFileConfig::control2(1 << 12, 8, 48),
@@ -453,7 +455,9 @@ fn served_run(optimistic: bool, with_ingest: bool, quick: bool, tag: &str) -> Se
         )
         .expect("create served store"),
     );
-    kv.set_optimistic_reads(optimistic);
+    if optimistic {
+        kv.enable_optimistic_reads();
+    }
 
     let stride = u64::MAX / res;
     let resident: Vec<u64> = (0..res).map(|i| i * stride).collect();
@@ -470,7 +474,7 @@ fn served_run(optimistic: bool, with_ingest: bool, quick: bool, tag: &str) -> Se
     // Incremental preload packs records into a slot prefix; reorganize so
     // the file is actually *dense* (spread layout) before measuring —
     // lock-free routing declines regions with long empty-slot runs.
-    kv.vacuum();
+    kv.vacuum_all();
 
     let server = Server::bind(
         kv.clone() as Arc<dyn KvService>,

@@ -236,7 +236,7 @@ fn run_sharded(s: Scenario, shards: u32, pages: u32, ops_len: usize) -> ShardRow
             }
             Op::Get(k) => {
                 for sh in 0..u64::from(shards) {
-                    file.get(&offset(sh, k));
+                    file.get(offset(sh, k));
                 }
             }
             Op::Scan { start, limit } => {

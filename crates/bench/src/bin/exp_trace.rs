@@ -362,6 +362,7 @@ fn main() {
         SyncPolicy::EveryCommand,
     )
     .expect("create slow store");
+    slow_kv.enable_optimistic_reads();
     let slow = drive(Arc::new(slow_kv), SHARDS as usize, slow_keys, true, 1);
     let _ = std::fs::remove_dir_all(&dir);
     dsf_trace::set_enabled(false);

@@ -37,13 +37,16 @@
 //! Readers run [`ReadView::try_get`] / [`ReadView::try_collect_range`]
 //! without taking any file lock: load the epoch (must be even), read the
 //! cell(s) they need — each cell read re-checks its version — then re-check
-//! the epoch. On conflict they retry with bounded backoff
-//! ([`MAX_ATTEMPTS`]), then give up with [`ReadConflict`] so the caller can
-//! fall back to the shard read lock. Outcomes are counted **unsampled** in
-//! `dsf_read_optimistic_hits` / `dsf_read_retries` / `dsf_read_fallbacks`.
+//! the epoch. A torn read retries with bounded backoff ([`MAX_ATTEMPTS`]);
+//! a *decline* (a layout too sparse to route or a window too wide to
+//! collect) seen under an unchanged even epoch gives up at once, since
+//! every retry against that generation would decline the same way. Either
+//! way the caller gets [`ReadConflict`] and falls back to the shard read
+//! lock. Outcomes are counted **unsampled** in `dsf_read_optimistic_hits`
+//! / `dsf_read_retries` / `dsf_read_fallbacks`.
 
 use std::collections::VecDeque;
-use std::ops::Bound;
+use std::ops::{Bound, RangeBounds};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -69,14 +72,14 @@ pub const MAX_ATTEMPTS: u32 = 6;
 /// paying O(M) per probe.
 const EMPTY_SCAN_LIMIT: u32 = 64;
 
-/// Ranges spanning more than this many slots skip the optimistic path up
-/// front: collecting S cells under one epoch window takes time linear in S,
-/// and past this width a concurrent writer publishing every command would
-/// win the race often enough that the retries are wasted work.
+/// Collections that would read more than this many slots decline:
+/// collecting S cells under one epoch window takes time linear in S, and
+/// past this width a concurrent writer publishing every command would win
+/// the race often enough that the retries are wasted work.
 const SCAN_SLOT_LIMIT: u64 = 1024;
 
-/// An optimistic read failed [`MAX_ATTEMPTS`] times (or the view declined
-/// the request up front); the caller should fall back to a locked read.
+/// An optimistic read lost [`MAX_ATTEMPTS`] races, or the view declined
+/// it; the caller should fall back to a locked read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadConflict;
 
@@ -97,7 +100,8 @@ pub(crate) struct ReadTel {
     pub hits: Arc<Counter>,
     /// `dsf_read_retries` — attempts beyond each read's first.
     pub retries: Arc<Counter>,
-    /// `dsf_read_fallbacks` — reads that gave up after [`MAX_ATTEMPTS`].
+    /// `dsf_read_fallbacks` — reads that gave up (lost [`MAX_ATTEMPTS`]
+    /// races, or were declined).
     pub fallbacks: Arc<Counter>,
 }
 
@@ -116,7 +120,7 @@ pub(crate) fn read_tel() -> &'static ReadTel {
             ),
             fallbacks: r.counter(
                 "dsf_read_fallbacks",
-                "optimistic reads that exhausted retries and fell back to a lock",
+                "optimistic reads that were declined or exhausted retries and fell back to a lock",
             ),
         }
     })
@@ -286,10 +290,15 @@ impl<K, V> Clone for ReadView<K, V> {
     }
 }
 
-/// A cell snapshot taken during one validated attempt.
-enum CellRead<K, V> {
-    Ok(Arc<Vec<Record<K, V>>>),
-    Conflict,
+/// Why one optimistic attempt produced no answer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Miss {
+    /// A publication overlapped the read: a retry may succeed.
+    Torn,
+    /// The generation's layout refuses the read (too sparse to route, too
+    /// wide to collect). Validated by an unchanged even epoch, it holds for
+    /// every retry against that generation.
+    Declined,
 }
 
 impl<K: Key, V: Clone> ReadView<K, V> {
@@ -305,26 +314,26 @@ impl<K: Key, V: Clone> ReadView<K, V> {
 
     /// Reads `slot`'s published image if its version is stable and
     /// unchanged across the mutex'd `Arc` clone.
-    fn read_cell(&self, slot: SlotId) -> CellRead<K, V> {
+    fn read_cell(&self, slot: SlotId) -> Result<SlotImage<K, V>, Miss> {
         let cell = &self.inner.cells[slot as usize];
         let v1 = cell.version.load(Ordering::Acquire);
         if !v1.is_multiple_of(2) {
-            return CellRead::Conflict;
+            return Err(Miss::Torn);
         }
         let arc = cell.data.lock().expect("view cell poisoned").clone();
         let v2 = cell.version.load(Ordering::Acquire);
         if v1 != v2 {
-            return CellRead::Conflict;
+            return Err(Miss::Torn);
         }
-        CellRead::Ok(arc)
+        Ok(arc)
     }
 
     /// Min key of `slot`'s published image (`Ok(None)` = empty slot).
-    fn read_min(&self, slot: SlotId) -> Result<Option<K>, ReadConflict> {
+    fn read_min(&self, slot: SlotId) -> Result<Option<K>, Miss> {
         let cell = &self.inner.cells[slot as usize];
         let v1 = cell.version.load(Ordering::Acquire);
         if !v1.is_multiple_of(2) {
-            return Err(ReadConflict);
+            return Err(Miss::Torn);
         }
         let min = cell
             .data
@@ -334,7 +343,7 @@ impl<K: Key, V: Clone> ReadView<K, V> {
             .map(|r| r.key);
         let v2 = cell.version.load(Ordering::Acquire);
         if v1 != v2 {
-            return Err(ReadConflict);
+            return Err(Miss::Torn);
         }
         Ok(min)
     }
@@ -342,12 +351,12 @@ impl<K: Key, V: Clone> ReadView<K, V> {
     /// The slot that would hold `key`: the last non-empty slot whose min
     /// key is ≤ `key` (global sort order confines `key` to that slot).
     /// `Ok(None)` means no such slot (key precedes everything). Walks at
-    /// most [`EMPTY_SCAN_LIMIT`] empty slots per probe.
-    fn route(&self, key: &K) -> Result<Option<SlotId>, ReadConflict> {
+    /// most [`EMPTY_SCAN_LIMIT`] empty slots per probe before declining.
+    fn route(&self, key: &K) -> Result<Option<SlotId>, Miss> {
         let slots = self.inner.cfg.slots;
         // g(s) = min key of the last non-empty slot ≤ s; monotone in s.
         // Probe: scan left from s to the first non-empty slot (bounded).
-        let probe = |s: SlotId| -> Result<Option<(SlotId, K)>, ReadConflict> {
+        let probe = |s: SlotId| -> Result<Option<(SlotId, K)>, Miss> {
             let mut i = s;
             let mut walked = 0u32;
             loop {
@@ -359,7 +368,7 @@ impl<K: Key, V: Clone> ReadView<K, V> {
                 }
                 walked += 1;
                 if walked > EMPTY_SCAN_LIMIT {
-                    return Err(ReadConflict); // too sparse: locked fallback
+                    return Err(Miss::Declined); // too sparse: locked fallback
                 }
                 i -= 1;
             }
@@ -386,18 +395,19 @@ impl<K: Key, V: Clone> ReadView<K, V> {
     }
 
     /// One validated attempt: run `f` between two matching even epoch
-    /// observations.
-    fn attempt<R>(&self, f: impl Fn(&Self) -> Result<R, ReadConflict>) -> Result<R, ReadConflict> {
+    /// observations. A changed epoch makes any outcome [`Miss::Torn`]; an
+    /// unchanged one validates `f`'s answer or its decline.
+    fn attempt<R>(&self, f: impl Fn(&Self) -> Result<R, Miss>) -> Result<R, Miss> {
         let e1 = self.inner.epoch.load(Ordering::Acquire);
         if !e1.is_multiple_of(2) {
-            return Err(ReadConflict);
+            return Err(Miss::Torn);
         }
-        let out = f(self)?;
+        let out = f(self);
         let e2 = self.inner.epoch.load(Ordering::Acquire);
         if e1 != e2 {
-            return Err(ReadConflict);
+            return Err(Miss::Torn);
         }
-        Ok(out)
+        out
     }
 
     /// Retry loop with bounded spin-only backoff. No yields: on a parallel
@@ -406,37 +416,37 @@ impl<K: Key, V: Clone> ReadView<K, V> {
     /// a full scheduler rotation behind every other runnable thread —
     /// convoying readers behind a descheduled writer. Giving up into the
     /// locked fallback instead parks FIFO on the shard lock, which donates
-    /// the CPU straight to the writer. Counts outcomes unsampled.
-    fn with_retries<R>(
-        &self,
-        f: impl Fn(&Self) -> Result<R, ReadConflict>,
-    ) -> Result<R, ReadConflict> {
-        let telemetry = dsf_telemetry::enabled();
-        for attempt in 0..MAX_ATTEMPTS {
+    /// the CPU straight to the writer. A validated decline gives up at once.
+    /// Counts outcomes unsampled: `hits + fallbacks` = reads and `retries`
+    /// = attempts − reads.
+    fn with_retries<R>(&self, f: impl Fn(&Self) -> Result<R, Miss>) -> Result<R, ReadConflict> {
+        let mut retries = 0;
+        let out = loop {
             match self.attempt(&f) {
-                Ok(r) => {
-                    if telemetry {
-                        let t = read_tel();
-                        t.hits.inc();
-                        t.retries.add(u64::from(attempt));
-                    }
-                    return Ok(r);
+                Ok(r) => break Ok(r),
+                Err(Miss::Torn) if retries + 1 < MAX_ATTEMPTS => {
+                    retries += 1;
+                    std::hint::spin_loop();
                 }
-                Err(ReadConflict) => std::hint::spin_loop(),
+                Err(_) => break Err(ReadConflict),
+            }
+        };
+        if dsf_telemetry::enabled() {
+            let t = read_tel();
+            t.retries.add(u64::from(retries));
+            match out {
+                Ok(_) => t.hits.inc(),
+                Err(_) => t.fallbacks.inc(),
             }
         }
-        if telemetry {
-            let t = read_tel();
-            t.retries.add(u64::from(MAX_ATTEMPTS - 1));
-            t.fallbacks.inc();
-        }
-        Err(ReadConflict)
+        out
     }
 
     /// Lock-free point lookup against the latest published generation.
     ///
     /// `Ok(None)` is a definitive miss; `Err(ReadConflict)` means the view
-    /// lost [`MAX_ATTEMPTS`] races and the caller should take the lock.
+    /// lost [`MAX_ATTEMPTS`] races or declined, and the caller should take
+    /// the lock.
     pub fn try_get(&self, key: &K) -> Result<Option<V>, ReadConflict> {
         self.with_retries(|view| {
             if view.records() == 0 {
@@ -445,29 +455,42 @@ impl<K: Key, V: Clone> ReadView<K, V> {
             let Some(slot) = view.route(key)? else {
                 return Ok(None);
             };
-            match view.read_cell(slot) {
-                CellRead::Ok(recs) => Ok(recs
-                    .binary_search_by(|r| r.key.cmp(key))
-                    .ok()
-                    .map(|i| recs[i].value.clone())),
-                CellRead::Conflict => Err(ReadConflict),
-            }
+            let recs = view.read_cell(slot)?;
+            Ok(recs
+                .binary_search_by(|r| r.key.cmp(key))
+                .ok()
+                .map(|i| recs[i].value.clone()))
         })
     }
 
-    /// Lock-free range collection in key order.
-    ///
-    /// Collects the cell images the range touches inside one validated
-    /// window (cheap `Arc` clones), then filters records outside it.
-    /// Declines ranges spanning more than `SCAN_SLOT_LIMIT` (1024) slots.
+    /// Lock-free range collection in key order: every record in the range
+    /// (see [`try_collect_range_limited`](Self::try_collect_range_limited)).
     pub fn try_collect_range(
         &self,
         start: Bound<K>,
         end: Bound<K>,
     ) -> Result<Vec<(K, V)>, ReadConflict> {
+        self.try_collect_range_limited(start, end, usize::MAX)
+    }
+
+    /// Lock-free collection of the first `limit` records in the range, in
+    /// key order.
+    ///
+    /// Collects the cell images the range touches inside one validated
+    /// window (cheap `Arc` clones), stopping at the first cell that brings
+    /// the in-range count to `limit`, then clones at most `limit` records
+    /// out of them. Declines when that would read more than
+    /// `SCAN_SLOT_LIMIT` (1024) slots.
+    pub fn try_collect_range_limited(
+        &self,
+        start: Bound<K>,
+        end: Bound<K>,
+        limit: usize,
+    ) -> Result<Vec<(K, V)>, ReadConflict> {
+        let range = (start.as_ref(), end.as_ref());
         let slots = self.inner.cfg.slots;
         let arcs = self.with_retries(|view| {
-            if view.records() == 0 {
+            if limit == 0 || view.records() == 0 {
                 return Ok(Vec::new());
             }
             let first = match &start {
@@ -483,41 +506,35 @@ impl<K: Key, V: Clone> ReadView<K, V> {
                     None => return Ok(Vec::new()), // range ends before all keys
                 },
             };
-            if u64::from(last.saturating_sub(first)) + 1 > SCAN_SLOT_LIMIT {
-                return Err(ReadConflict);
+            let width = u64::from(last.saturating_sub(first)) + 1;
+            // A limit the whole generation cannot fill reads every cell.
+            if width > SCAN_SLOT_LIMIT && limit as u64 > view.records() {
+                return Err(Miss::Declined);
             }
-            let mut arcs = Vec::with_capacity((last - first + 1) as usize);
+            let mut arcs = Vec::new();
+            let mut found = 0;
             for s in first..=last {
-                match view.read_cell(s) {
-                    CellRead::Ok(a) => {
-                        if !a.is_empty() {
-                            arcs.push(a);
-                        }
+                if u64::from(s - first) == SCAN_SLOT_LIMIT {
+                    return Err(Miss::Declined);
+                }
+                let a = view.read_cell(s)?;
+                if !a.is_empty() {
+                    found += a.iter().filter(|r| range.contains(&r.key)).count();
+                    arcs.push(a);
+                    if found >= limit {
+                        break;
                     }
-                    CellRead::Conflict => return Err(ReadConflict),
                 }
             }
             Ok(arcs)
         })?;
-        let in_start = |k: &K| match &start {
-            Bound::Unbounded => true,
-            Bound::Included(s) => k >= s,
-            Bound::Excluded(s) => k > s,
-        };
-        let in_end = |k: &K| match &end {
-            Bound::Unbounded => true,
-            Bound::Included(e) => k <= e,
-            Bound::Excluded(e) => k < e,
-        };
-        let mut out = Vec::new();
-        for arc in arcs {
-            for rec in arc.iter() {
-                if in_start(&rec.key) && in_end(&rec.key) {
-                    out.push((rec.key, rec.value.clone()));
-                }
-            }
-        }
-        Ok(out)
+        Ok(arcs
+            .iter()
+            .flat_map(|a| a.iter())
+            .filter(|r| range.contains(&r.key))
+            .take(limit)
+            .map(|r| (r.key, r.value.clone()))
+            .collect())
     }
 
     /// Collects every cell image under one validated window — the building
@@ -525,14 +542,9 @@ impl<K: Key, V: Clone> ReadView<K, V> {
     /// whole-file reads. `Err` after [`MAX_ATTEMPTS`] races.
     pub(crate) fn collect_all_cells(&self) -> Result<Vec<SlotImage<K, V>>, ReadConflict> {
         self.with_retries(|view| {
-            let mut arcs = Vec::with_capacity(view.inner.cfg.slots as usize);
-            for s in 0..view.inner.cfg.slots {
-                match view.read_cell(s) {
-                    CellRead::Ok(a) => arcs.push(a),
-                    CellRead::Conflict => return Err(ReadConflict),
-                }
-            }
-            Ok(arcs)
+            (0..view.inner.cfg.slots)
+                .map(|s| view.read_cell(s))
+                .collect()
         })
     }
 
@@ -674,6 +686,111 @@ mod tests {
     }
 
     #[test]
+    fn limited_collections_match_the_locked_prefix() {
+        let (mut f, view) = view_file(300);
+        for i in 0..100u64 {
+            f.insert(i * 20 + 5, 7000 + i).unwrap();
+        }
+        for start in [0u64, 5, 995, 2_450, 2_985, 2_990, 5_000] {
+            for limit in [0usize, 1, 7, 64, usize::MAX] {
+                let locked: Vec<(u64, u64)> = f
+                    .range(start..)
+                    .take(limit)
+                    .map(|(k, v)| (*k, *v))
+                    .collect();
+                let got = view
+                    .try_collect_range_limited(Bound::Included(start), Bound::Unbounded, limit)
+                    .unwrap();
+                assert_eq!(got, locked, "start {start}, limit {limit}");
+            }
+        }
+        let locked: Vec<(u64, u64)> = f.range(250..=990).take(9).map(|(k, v)| (*k, *v)).collect();
+        let got = view
+            .try_collect_range_limited(Bound::Excluded(245), Bound::Included(990), 9)
+            .unwrap();
+        assert_eq!(got, locked);
+    }
+
+    #[test]
+    fn a_limited_collection_reads_only_the_slots_it_needs() {
+        // More occupied slots than SCAN_SLOT_LIMIT: the whole range is too
+        // wide to collect, but its first 64 records sit in a few slots.
+        let mut f: DenseFile<u64, u64> =
+            DenseFile::new(DenseFileConfig::control2(4096, 8, 48)).unwrap();
+        let n = 20_000u64;
+        f.bulk_load((0..n).map(|i| (i * 3, i))).unwrap();
+        let view = f.enable_optimistic_reads();
+        assert!(u64::from(view.slots()) > SCAN_SLOT_LIMIT);
+        assert_eq!(
+            view.try_collect_range(Bound::Included(0), Bound::Unbounded),
+            Err(ReadConflict)
+        );
+        let got = view
+            .try_collect_range_limited(Bound::Included(0), Bound::Unbounded, 64)
+            .unwrap();
+        let locked: Vec<(u64, u64)> = f.iter().take(64).map(|(k, v)| (*k, *v)).collect();
+        assert_eq!(got, locked);
+        // A limit no generation can fill declines up front.
+        assert_eq!(
+            view.try_collect_range_limited(Bound::Included(0), Bound::Unbounded, n as usize + 1),
+            Err(ReadConflict)
+        );
+    }
+
+    #[test]
+    fn a_validated_decline_falls_back_at_once() {
+        let (_f, view) = view_file(50);
+        let attempts = std::cell::Cell::new(0u32);
+        let out: Result<(), ReadConflict> = view.with_retries(|_| {
+            attempts.set(attempts.get() + 1);
+            Err(Miss::Declined)
+        });
+        assert_eq!(out, Err(ReadConflict));
+        assert_eq!(attempts.get(), 1, "an unchanged epoch proves the decline");
+    }
+
+    #[test]
+    fn a_decline_under_a_moving_epoch_is_retried() {
+        let (_f, view) = view_file(50);
+        let attempts = std::cell::Cell::new(0u32);
+        let out: Result<(), ReadConflict> = view.with_retries(|v| {
+            attempts.set(attempts.get() + 1);
+            // A whole publication lands mid-attempt.
+            v.inner.epoch.fetch_add(2, Ordering::AcqRel);
+            Err(Miss::Declined)
+        });
+        assert_eq!(out, Err(ReadConflict));
+        assert_eq!(attempts.get(), MAX_ATTEMPTS, "a torn decline is a race");
+        // The same race, resolved on a retry, answers.
+        attempts.set(0);
+        let out = view.with_retries(|v| {
+            attempts.set(attempts.get() + 1);
+            if attempts.get() < 3 {
+                v.inner.epoch.fetch_add(2, Ordering::AcqRel);
+                return Err(Miss::Declined);
+            }
+            Ok(7)
+        });
+        assert_eq!(out, Ok(7));
+        assert_eq!(attempts.get(), 3);
+    }
+
+    #[test]
+    fn a_sparse_layout_declines_routing() {
+        // Incremental ingest packs records into a slot prefix; a probe
+        // landing in the empty tail walks more than EMPTY_SCAN_LIMIT slots.
+        let mut f: DenseFile<u64, u64> =
+            DenseFile::new(DenseFileConfig::control2(1024, 8, 48)).unwrap();
+        let view = f.enable_optimistic_reads();
+        for i in 0..200u64 {
+            f.insert(i, i).unwrap();
+        }
+        assert_eq!(view.route(&1_000_000), Err(Miss::Declined));
+        assert_eq!(view.try_get(&1_000_000), Err(ReadConflict));
+        assert_eq!(f.get(&1_000_000), None);
+    }
+
+    #[test]
     fn poisoned_epoch_forces_fallback() {
         let (_f, view) = view_file(50);
         view.poison_epoch_for_test();
@@ -760,7 +877,7 @@ mod tests {
             let next = Arc::as_ptr(f.view.as_ref().unwrap().pool.front().unwrap());
             f.insert(i * 10, i).unwrap(); // dirties exactly the key's slot
             let slot = view.route(&(i * 10)).unwrap().unwrap();
-            let CellRead::Ok(image) = view.read_cell(slot) else {
+            let Ok(image) = view.read_cell(slot) else {
                 panic!("no writer is running");
             };
             assert_eq!(Arc::as_ptr(&image), next, "key {}: not refilled", i * 10);
@@ -776,7 +893,7 @@ mod tests {
             .unwrap();
         let view = f.enable_optimistic_reads();
         let slot = view.route(&1000).unwrap().unwrap();
-        let CellRead::Ok(held) = view.read_cell(slot) else {
+        let Ok(held) = view.read_cell(slot) else {
             panic!("no writer is running");
         };
         let before: Vec<Record<u64, String>> = held.to_vec();

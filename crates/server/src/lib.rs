@@ -14,9 +14,10 @@
 //! * [`protocol`] — a length-prefixed binary wire format (requests,
 //!   responses, a per-request durability flag), hardened against torn,
 //!   oversized, and trailing-garbage frames.
-//! * [`service`] — [`KvService`], the facade the server fronts;
-//!   [`ShardedKv`] (in-memory `ShardedFile`) and [`DurableKv`] (one
-//!   WAL-backed `DurableFile` per shard) implement it.
+//! * [`service`] — [`KvService`], the facade the server fronts, with one
+//!   implementation over `dsf_concurrent::ShardedFile`: in memory
+//!   (`ShardedFile<String>`) or durable ([`DurableKv`], one WAL-backed
+//!   `DurableFile` per shard).
 //! * [`accumulator`] — the heart: per-shard bounded queues whose
 //!   workers drain *whatever has accumulated* (up to a window) into one
 //!   `apply_batch` call. Concurrent clients therefore ride shared
@@ -48,5 +49,5 @@ pub use accumulator::{Accumulator, Config as AccumulatorConfig, ReplySlot};
 pub use client::Client;
 pub use protocol::{Outcome, ProtocolError, Request, Response};
 pub use server::{Server, ServerConfig};
-pub use service::{DurableKv, KvService, ShardedKv};
+pub use service::{DurableKv, KvService};
 pub use tel::{ServerTel, MAX_CLIENT_LABELS};

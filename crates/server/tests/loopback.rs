@@ -3,19 +3,20 @@
 //! pipelined multi-client run must leave the store byte-identical to
 //! applying each client's stream directly, in arrival order.
 
+use dsf_concurrent::ShardedFile;
 use dsf_core::{Command, DenseFileConfig};
 use dsf_durable::Durability;
-use dsf_server::{protocol::Outcome, Client, Request, Response, Server, ServerConfig, ShardedKv};
+use dsf_server::{protocol::Outcome, Client, Request, Response, Server, ServerConfig};
 use std::sync::Arc;
 
 fn cfg() -> DenseFileConfig {
     DenseFileConfig::control2(32, 8, 48)
 }
 
-fn serve_sharded(shards: u32) -> (Server, Arc<dsf_concurrent::ShardedFile<String>>) {
-    let kv = ShardedKv::with_config(shards, cfg()).expect("backend");
-    let file = Arc::clone(kv.file());
-    let server = Server::bind(Arc::new(kv), ServerConfig::default(), "127.0.0.1:0").expect("bind");
+fn serve_sharded(shards: u32) -> (Server, Arc<ShardedFile<String>>) {
+    let file = Arc::new(ShardedFile::new(shards, cfg()).expect("backend"));
+    file.enable_optimistic_reads();
+    let server = Server::bind(file.clone(), ServerConfig::default(), "127.0.0.1:0").expect("bind");
     (server, file)
 }
 
@@ -166,7 +167,7 @@ fn pipelined_clients_equal_direct_batches() {
     // Reference: the same streams applied directly, one batch per client
     // (a client's commands all hit one shard, so within-shard order is
     // exactly the client's order — the same order the server saw).
-    let reference = dsf_concurrent::ShardedFile::<String>::new(SHARDS, cfg()).expect("reference");
+    let reference = ShardedFile::<String>::new(SHARDS, cfg()).expect("reference");
     for client in 0..u64::from(SHARDS) {
         let cmds = stream(client, stripe);
         let outcomes = reference.apply_batch(&cmds);

@@ -80,7 +80,6 @@ fn no_acked_command_lost_across_shutdown_and_restart() {
 
     // "Restart": reopen the same directory and check every acked key.
     let reopened = DurableKv::open(&root, window()).expect("reopen");
-    use dsf_server::KvService;
     for key in &acked {
         assert_eq!(
             reopened.get(*key).as_deref(),
@@ -132,7 +131,6 @@ fn racing_submits_are_acked_or_refused() {
     assert!(!acked.is_empty(), "no traffic got through before shutdown");
 
     let reopened = DurableKv::open(&root, window()).expect("reopen");
-    use dsf_server::KvService;
     for key in &acked {
         assert_eq!(
             reopened.get(*key).as_deref(),

@@ -400,9 +400,9 @@ pub fn batch_checkpoint(phase: Phase) {
 }
 
 /// Closes the batch context and returns its per-phase time; any residual
-/// since the last stamp is charged to [`Phase::Execute`] (backends with
-/// no internal stamps — the in-memory `ShardedKv` — thus attribute the
-/// whole batch to execution, which is what it was).
+/// since the last stamp is charged to [`Phase::Execute`] (after its
+/// `LockWait` stamp, an in-memory shard makes no further stamps, so the
+/// rest of its batch is attributed to execution, which is what it was).
 pub fn batch_finish() -> Option<BatchPhases> {
     BATCH.with(|b| {
         let mut st = b.get();

@@ -639,8 +639,8 @@ fn serve_metrics(args: &[String]) -> Result<String, String> {
 // ---------------------------------------------------------------------
 
 fn serve(args: &[String]) -> Result<String, String> {
-    use willard_dsf::server::{DurableKv, ServerConfig, ShardedKv};
-    use willard_dsf::{KvService, Server, SyncPolicy};
+    use willard_dsf::server::{DurableKv, ServerConfig};
+    use willard_dsf::{KvService, Server, ShardedFile, SyncPolicy};
 
     let addr = flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:4600".into());
     let shards: u32 = match flag(args, "--shards") {
@@ -663,7 +663,9 @@ fn serve(args: &[String]) -> Result<String, String> {
 
     let (service, backend): (std::sync::Arc<dyn KvService>, String) = if has_flag(args, "--memory")
     {
-        let kv = ShardedKv::with_config(shards, per_shard).map_err(|e| format!("serve: {e}"))?;
+        let kv: ShardedFile<String> =
+            ShardedFile::new(shards, per_shard).map_err(|e| format!("serve: {e}"))?;
+        kv.enable_optimistic_reads();
         (
             std::sync::Arc::new(kv),
             format!("in-memory, {shards} shards"),
@@ -1103,9 +1105,9 @@ fn trace(args: &[String]) -> Result<String, String> {
 }
 
 fn trace_record(args: &[String]) -> Result<String, String> {
-    use willard_dsf::server::{Client, DurableKv, Request, ServerConfig, ShardedKv};
+    use willard_dsf::server::{Client, DurableKv, Request, ServerConfig};
     use willard_dsf::trace;
-    use willard_dsf::{Durability, KvService, Server, SyncPolicy};
+    use willard_dsf::{Durability, KvService, Server, ShardedFile, SyncPolicy};
 
     let out = args.first().ok_or("trace record: missing <out.trace>")?;
     let clients: u64 = match flag(args, "--clients") {
@@ -1140,8 +1142,9 @@ fn trace_record(args: &[String]) -> Result<String, String> {
     // A scratch store: the run exists to record timelines, not data.
     let mut scratch: Option<std::path::PathBuf> = None;
     let (service, backend): (std::sync::Arc<dyn KvService>, &str) = if has_flag(args, "--memory") {
-        let kv =
-            ShardedKv::with_config(shards, per_shard).map_err(|e| format!("trace record: {e}"))?;
+        let kv: ShardedFile<String> =
+            ShardedFile::new(shards, per_shard).map_err(|e| format!("trace record: {e}"))?;
+        kv.enable_optimistic_reads();
         (std::sync::Arc::new(kv), "in-memory")
     } else {
         let dir = std::env::temp_dir().join(format!("dsf-trace-record-{}", std::process::id()));

@@ -18,9 +18,10 @@
 //!   ISAM-style overflow chaining, and an amortized PMA.
 //! * [`workloads`] — deterministic workload generators (uniform, burst,
 //!   hammer, hotspot, mixed).
-//! * [`concurrent`] — a range-sharded concurrent wrapper
-//!   ([`ShardedFile`]): per-stripe dense files behind reader-writer locks,
-//!   preserving the per-command bound per stripe.
+//! * [`concurrent`] — the range-sharded concurrent store
+//!   ([`ShardedFile`]): per-stripe dense files, in memory or WAL-backed,
+//!   behind reader-writer locks, preserving the per-command bound per
+//!   stripe.
 //! * [`durable`] — crash safety ([`DurableFile`]): checkpoints plus a
 //!   CRC-framed write-ahead log with torn-tail recovery.
 //! * [`telemetry`] — the observability spine: a process-wide registry of

@@ -256,4 +256,23 @@ fn global_spine_mirrors_op_stats_and_exports_valid_prometheus() {
     assert_eq!(hits.get(), h0 + n + 3);
     assert_eq!(retries.get(), r0 + m * u64::from(READ_MAX_ATTEMPTS - 1));
     assert_eq!(fallbacks.get(), f0 + m);
+
+    // A validated decline is not a race: incremental ingest packs records
+    // into a slot prefix, and a probe landing in the empty tail refuses to
+    // walk it. Every attempt against that generation would decline the
+    // same way, so the read falls back after one attempt: a fallback, no
+    // retries, and the counter identities still hold.
+    let mut sparse: DenseFile<u64, u64> =
+        DenseFile::new(DenseFileConfig::control2(1024, 8, 48)).unwrap();
+    let sview = sparse.enable_optimistic_reads();
+    for i in 0..200u64 {
+        sparse.insert(i, i).unwrap();
+    }
+    reg.enable();
+    assert!(sview.try_get(&1_000_000).is_err(), "packed layout declines");
+    reg.disable();
+    assert_eq!(sparse.get(&1_000_000), None);
+    assert_eq!(hits.get(), h0 + n + 3);
+    assert_eq!(retries.get(), r0 + m * u64::from(READ_MAX_ATTEMPTS - 1));
+    assert_eq!(fallbacks.get(), f0 + m + 1, "the decline is one fallback");
 }

@@ -584,6 +584,7 @@ fn a_served_store_never_answers_from_a_failed_strict_batch() {
         window(),
     )
     .unwrap();
+    kv.enable_optimistic_reads();
     let insert = |b: u64| -> Vec<Command<u64, String>> {
         group(0, b)
             .map(|k| Command::Insert(k, format!("batch {b}")))
