@@ -434,10 +434,7 @@ struct ServedResult {
 }
 
 fn served_run(optimistic: bool, with_ingest: bool, quick: bool, tag: &str) -> ServedResult {
-    // Enough preloaded records to keep the file *dense* (~75% of the
-    // 2×4096 slots occupied): lock-free routing declines regions with
-    // long empty-slot runs, so a sparse fixture would measure the
-    // fallback path instead of the optimistic one.
+    // Preloaded records: about 75% as many as the 2×4096 slots.
     let res: u64 = if quick { 6_000 } else { 7_000 };
     let reads: usize = if quick { 2_000 } else { 6_000 };
     let dir = std::env::temp_dir().join(format!("dsf-exp-reads-{}-{tag}", std::process::id()));
@@ -471,11 +468,6 @@ fn served_run(optimistic: bool, with_ingest: bool, quick: bool, tag: &str) -> Se
                 .expect("preload");
         }
     }
-    // Incremental preload packs records into a slot prefix; reorganize so
-    // the file is actually *dense* (spread layout) before measuring —
-    // lock-free routing declines regions with long empty-slot runs.
-    kv.vacuum_all();
-
     let server = Server::bind(
         kv.clone() as Arc<dyn KvService>,
         ServerConfig::default(),
@@ -699,8 +691,8 @@ fn main() {
     println!("opt/locked {serve_read_ratio:.2}x   under-ingest/idle {read_independence_ratio:.2}x");
 
     // The tentpole's served-layer proof, both directions. An optimistic
-    // hit stamps no LockWait phase at all, so on a dense (vacuumed)
-    // store the traced percentiles are *exactly* zero — p99 == 0 means
+    // hit stamps no LockWait phase at all, and routing declines no
+    // layout, so the traced percentiles are *exactly* zero — p99 == 0 means
     // fewer than 1% of served Gets ever touched the shard lock. Locked
     // mode on the identical workload pays a real, nonzero lock wait on
     // every single get.

@@ -36,8 +36,9 @@
 //! step further: each shard publishes an epoch-validated [`ReadView`]
 //! generation at every batch boundary, and point gets / range
 //! collections validate against it **without touching the shard lock at
-//! all** — falling back to the lock only when the view declines or loses a
-//! race. Readers then scale independently of writer lock hold times (see
+//! all**, routing by the calibrator descent locked reads use — falling
+//! back to the lock only when a read loses a race or a collection is too
+//! wide. Readers then scale independently of writer lock hold times (see
 //! `exp_concurrent_reads`).
 
 #![forbid(unsafe_code)]
@@ -60,8 +61,7 @@ use dsf_durable::{Durability, DurableError, DurableFile, StdFs, SyncPolicy, Vfs}
 
 /// One stripe of a [`ShardedFile`]: a dense file, possibly behind a
 /// write-ahead log. Every read is answered by [`file`](Shard::file);
-/// batches and maintenance go through the shard, so a logged one can log
-/// them.
+/// batches and syncs go through the shard, so a logged one can log them.
 pub trait Shard<V> {
     /// The dense file reads are answered from.
     fn file(&self) -> &DenseFile<u64, V>;
@@ -83,9 +83,6 @@ pub trait Shard<V> {
     /// Starts publishing a [`ReadView`] at every batch boundary
     /// (idempotent) and returns a handle to it.
     fn enable_optimistic_reads(&mut self) -> ReadView<u64, V>;
-
-    /// Evenly redistributes the records across the file (layout only).
-    fn vacuum(&mut self);
 
     /// Makes every applied command durable; a no-op in memory.
     fn sync(&mut self) -> Result<(), DurableError>;
@@ -112,10 +109,6 @@ impl<V: Clone> Shard<V> for DenseFile<u64, V> {
         DenseFile::enable_optimistic_reads(self)
     }
 
-    fn vacuum(&mut self) {
-        DenseFile::vacuum(self);
-    }
-
     fn sync(&mut self) -> Result<(), DurableError> {
         Ok(())
     }
@@ -140,10 +133,6 @@ impl<V: Codec + Clone, F: Vfs> Shard<V> for DurableFile<u64, V, F> {
 
     fn enable_optimistic_reads(&mut self) -> ReadView<u64, V> {
         DurableFile::enable_optimistic_reads(self)
-    }
-
-    fn vacuum(&mut self) {
-        DurableFile::vacuum(self);
     }
 
     fn sync(&mut self) -> Result<(), DurableError> {
@@ -200,7 +189,7 @@ pub struct ShardedFile<V, S = DenseFile<u64, V>> {
     /// Per-shard optimistic [`ReadView`] handles, populated by
     /// [`enable_optimistic_reads`](Self::enable_optimistic_reads). Point
     /// gets and range collections consult these first and only fall back to
-    /// the shard lock when the view declines or loses a race.
+    /// the shard lock when a read loses a race or a collection is too wide.
     views: Vec<OnceLock<ReadView<u64, V>>>,
     /// Per-shard `dsf_shard_commands_total{shard="i"}` handles, registered
     /// at construction so the hot path only bumps a relaxed atomic.
@@ -339,9 +328,9 @@ impl<V: Clone, S: Shard<V>> ShardedFile<V, S> {
     /// batch boundary; [`get`](Self::get),
     /// [`collect_range`](Self::collect_range) and
     /// [`par_collect_range`](Self::par_collect_range) then validate
-    /// against the view first and take the shard lock only when it
-    /// declines or loses a race. Takes each shard's write lock once to
-    /// seed the initial generation.
+    /// against the view first and take the shard lock only when a read
+    /// loses a race or a collection is too wide for the view. Takes each
+    /// shard's write lock once to seed the initial generation.
     pub fn enable_optimistic_reads(&self) {
         for (s, slot) in self.views.iter().enumerate() {
             if slot.get().is_none() {
@@ -365,7 +354,7 @@ impl<V: Clone, S: Shard<V>> ShardedFile<V, S> {
 
     /// Looks a key up — optimistic-first: a validated read against the
     /// shard's published [`ReadView`] generation costs no lock at all; only
-    /// a declined or lost read (or views not enabled) falls back to the
+    /// a read that loses its races (or views not enabled) falls back to the
     /// shard read lock.
     pub fn get(&self, key: u64) -> Option<V> {
         let s = self.router.shard_of(key);
@@ -521,18 +510,6 @@ impl<V: Clone, S: Shard<V>> ShardedFile<V, S> {
     /// diagnostics).
     pub fn with_shard<T>(&self, shard: usize, f: impl FnOnce(&S) -> T) -> T {
         f(&self.shards[shard].read())
-    }
-
-    /// Vacuums every shard (each under its own write lock, one at a time).
-    /// Incremental ingest packs records into a slot prefix, which defeats
-    /// lock-free routing (long empty-slot runs decline); a vacuum after
-    /// bulk ingest restores the spread layout that both scans and
-    /// optimistic reads want. Concurrent optimistic readers keep reading
-    /// the previous generation until each shard republishes.
-    pub fn vacuum_all(&self) {
-        for shard in &self.shards {
-            shard.write().vacuum();
-        }
     }
 
     /// Makes every applied command on every shard durable (closing any
@@ -1022,7 +999,6 @@ mod tests {
         for i in 0..200u64 {
             f.insert(i * (u64::MAX / 256), i).unwrap();
         }
-        f.vacuum_all();
         let mut bytes = Vec::new();
         f.write_snapshot(&mut bytes).unwrap();
         let g: ShardedFile<u64> = ShardedFile::read_snapshot(&mut bytes.as_slice()).unwrap();

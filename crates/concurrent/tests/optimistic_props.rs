@@ -301,8 +301,6 @@ proptest! {
             file.apply_shard_batch(s, &load, Durability::Relaxed, |_, _, _| {})
                 .unwrap();
         }
-        // Spread the incrementally packed shards, as a bulk load would.
-        file.vacuum_all();
         check_prefix_property(&file, reader_seed, &ops, |cmd| apply_one(&file, cmd));
         drop(file);
         std::fs::remove_dir_all(&dir).ok();

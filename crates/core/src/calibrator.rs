@@ -67,6 +67,23 @@ impl NodeId {
 
 const NO_RANGE: u32 = u32::MAX;
 
+/// Step 1's descent over `slots` leaves: into the right son `r` when
+/// `go_right(r)`, else the left, down to one slot. Ranges follow the floor
+/// split, computed on the way down, so a copy of the per-node keys (the
+/// read view's) descends exactly like [`Calibrator::find_slot`].
+pub(crate) fn descend(slots: u32, mut go_right: impl FnMut(NodeId) -> bool) -> u32 {
+    let (mut n, mut lo, mut hi) = (NodeId::ROOT, 0, slots - 1);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if go_right(n.right()) {
+            (n, lo) = (n.right(), mid + 1);
+        } else {
+            (n, hi) = (n.left(), mid);
+        }
+    }
+    lo
+}
+
 /// The calibrator tree over `slots` logical pages.
 #[derive(Debug, Clone)]
 pub struct Calibrator<K> {
@@ -148,6 +165,11 @@ impl<K: Key> Calibrator<K> {
     /// Per-slot density bounds `(d#, D#)`.
     pub fn densities(&self) -> (u64, u64) {
         (self.dmin, self.dmax)
+    }
+
+    /// Length of the per-node arrays in heap layout (index 0 unused).
+    pub(crate) fn heap_len(&self) -> usize {
+        self.lo.len()
     }
 
     /// Whether `n` is a node of this tree.
@@ -390,13 +412,9 @@ impl<K: Key> Calibrator<K> {
     /// leftmost descent when no such record exists (inserting there keeps
     /// the file sorted). Returns slot 0 for an empty file.
     pub fn find_slot(&self, key: &K) -> u32 {
-        let mut n = NodeId::ROOT;
-        while let Some((l, r)) = self.children(n) {
-            let go_right = self.count[r.0 as usize] > 0
-                && self.min_key[r.0 as usize].is_some_and(|m| m <= *key);
-            n = if go_right { r } else { l };
-        }
-        self.range(n).0
+        descend(self.slots, |r| {
+            self.count[r.0 as usize] > 0 && self.min_key[r.0 as usize].is_some_and(|m| m <= *key)
+        })
     }
 
     /// [`find_slot`](Self::find_slot) seeded with a caller-supplied `hint`

@@ -254,7 +254,7 @@ impl<K: Key, V> DenseFile<K, V> {
         let mut dirty = std::mem::take(&mut vs.dirty);
         self.store.take_dirty_slots(&mut dirty);
         let publish = vs.publish;
-        publish(vs, &self.store, &dirty);
+        publish(vs, &self.store, &self.cal, &dirty);
         vs.dirty = dirty;
     }
 
@@ -767,7 +767,7 @@ impl<K: Key, V> DenseFile<K, V> {
     }
 }
 
-impl<K: Key, V: Clone> DenseFile<K, V> {
+impl<K: Key + Into<u64>, V: Clone> DenseFile<K, V> {
     /// Turns on the optimistic read path and returns a lock-free
     /// [`ReadView`] handle. Idempotent — later calls return a handle to the
     /// same view.
@@ -779,15 +779,17 @@ impl<K: Key, V: Clone> DenseFile<K, V> {
     /// [`hold_publication`](Self::hold_publication)). Each republished slot
     /// costs one copy of its records into a recycled image, so the steady
     /// state allocates nothing, and the seqlock's odd window spans only
-    /// the pointer swaps. Callers that never share the file across threads
-    /// should leave this off; `ShardedFile`/`DurableKv` enable it so point
-    /// gets and range scans stop queuing behind the shard write lock.
+    /// the pointer swaps and the stores of the calibrator nodes reads route
+    /// by (keys need an order-preserving `u64` image, `Into<u64>`). Callers
+    /// that never share the file across threads should leave this off;
+    /// `ShardedFile`/`DurableKv` enable it so point gets and range scans
+    /// stop queuing behind the shard write lock.
     pub fn enable_optimistic_reads(&mut self) -> ReadView<K, V> {
         if self.view.is_none() {
             self.store.enable_dirty_tracking();
-            let mut vs = ViewState::new(self.cfg);
+            let mut vs = ViewState::new(self.cfg, &self.cal);
             let all: Vec<u32> = (0..self.cfg.slots).collect();
-            (vs.publish)(&mut vs, &self.store, &all);
+            (vs.publish)(&mut vs, &self.store, &self.cal, &all);
             self.view = Some(vs);
         }
         self.read_view().expect("view just enabled")

@@ -30,29 +30,36 @@
 //! **Pointer swaps only.** The fresh images are filled *before* the epoch
 //! goes odd, and the retired ones go back to the pool (or are freed)
 //! *after* it is even again, so the odd window spans only the `Arc`
-//! pointer swaps — a long CONTROL-2 rebalance (SHIFT chains across many
+//! pointer swaps and the routing-node stores — a long CONTROL-2 rebalance (SHIFT chains across many
 //! slots) does its page work and its copies entirely outside the window
 //! and can never livelock readers for the duration of the rebalance.
 //!
+//! **One router.** The view also publishes the calibrator's per-node min
+//! keys (DESIGN.md §3.1), as `u64` images (hence `K: Into<u64>`), in the
+//! same odd window. Reads route by [`Calibrator::find_slot`]'s own descent
+//! over that copy: ⌈log M⌉ atomic loads and no lock, on any layout.
+//!
 //! Readers run [`ReadView::try_get`] / [`ReadView::try_collect_range`]
-//! without taking any file lock: load the epoch (must be even), read the
-//! cell(s) they need — each cell read re-checks its version — then re-check
-//! the epoch. A torn read retries with bounded backoff ([`MAX_ATTEMPTS`]);
-//! a *decline* (a layout too sparse to route or a window too wide to
-//! collect) seen under an unchanged even epoch gives up at once, since
-//! every retry against that generation would decline the same way. Either
-//! way the caller gets [`ReadConflict`] and falls back to the shard read
-//! lock. Outcomes are counted **unsampled** in `dsf_read_optimistic_hits`
-//! / `dsf_read_retries` / `dsf_read_fallbacks`.
+//! without taking any file lock: load the epoch (must be even), route, read
+//! the cell(s) they need — each cell read re-checks its version — then
+//! re-check the epoch. A torn read retries with bounded backoff
+//! ([`MAX_ATTEMPTS`]); a *decline* (a collection of more than
+//! `SCAN_SLOT_LIMIT` occupied slots) seen under an unchanged even epoch
+//! gives up at once, since every retry against that generation would
+//! decline the same way. Either way the caller gets [`ReadConflict`] and
+//! falls back to the shard read lock. Outcomes are counted **unsampled**
+//! in `dsf_read_optimistic_hits` / `dsf_read_retries` /
+//! `dsf_read_fallbacks`.
 
 use std::collections::VecDeque;
 use std::ops::{Bound, RangeBounds};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use dsf_pagestore::{Key, PagedStore, Record, SlotId};
 use dsf_telemetry::Counter;
 
+use crate::calibrator::{descend, Calibrator, NodeId};
 use crate::config::ResolvedConfig;
 
 /// Attempts (1 initial + retries) before an optimistic read gives up.
@@ -65,21 +72,17 @@ use crate::config::ResolvedConfig;
 /// scheduler jitter; then the caller takes the lock.
 pub const MAX_ATTEMPTS: u32 = 6;
 
-/// Routing scan-left bound: how many consecutive empty slots a probe walks
-/// before declaring the region too sparse for lock-free routing. Dense
-/// files keep most slots populated, so in practice this never trips; a
-/// pathological near-empty file falls back to the locked path instead of
-/// paying O(M) per probe.
-const EMPTY_SCAN_LIMIT: u32 = 64;
-
-/// Collections that would read more than this many slots decline:
-/// collecting S cells under one epoch window takes time linear in S, and
-/// past this width a concurrent writer publishing every command would win
-/// the race often enough that the retries are wasted work.
+/// Collections that would collect more than this many occupied slots
+/// decline: collecting S cells under one epoch window takes time linear in
+/// S, and past this width a concurrent writer publishing every command
+/// would win the race often enough that the retries are wasted work. Empty
+/// slots in between are passed over uncounted, so where the records sit
+/// never decides whether a collection with a limit is answered.
 const SCAN_SLOT_LIMIT: u64 = 1024;
 
-/// An optimistic read lost [`MAX_ATTEMPTS`] races, or the view declined
-/// it; the caller should fall back to a locked read.
+/// An optimistic read lost [`MAX_ATTEMPTS`] races, or the view declined a
+/// collection too wide to read; the caller should fall back to a locked
+/// read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadConflict;
 
@@ -101,7 +104,7 @@ pub(crate) struct ReadTel {
     /// `dsf_read_retries` — attempts beyond each read's first.
     pub retries: Arc<Counter>,
     /// `dsf_read_fallbacks` — reads that gave up (lost [`MAX_ATTEMPTS`]
-    /// races, or were declined).
+    /// races, or were collections declined as too wide).
     pub fallbacks: Arc<Counter>,
 }
 
@@ -120,7 +123,7 @@ pub(crate) fn read_tel() -> &'static ReadTel {
             ),
             fallbacks: r.counter(
                 "dsf_read_fallbacks",
-                "optimistic reads that were declined or exhausted retries and fell back to a lock",
+                "optimistic reads that were declined as too wide or exhausted retries and fell back to a lock",
             ),
         }
     })
@@ -139,25 +142,64 @@ struct SlotCell<K, V> {
     data: Mutex<SlotImage<K, V>>,
 }
 
+/// One calibrator node's published min key. `min` is the key's `u64`
+/// image, or `u64::MAX` for an empty node; since `u64::MAX` is also a
+/// legal key image, `nonempty` tells the two apart.
+struct NodeKey {
+    min: AtomicU64,
+    nonempty: AtomicBool,
+}
+
+impl NodeKey {
+    /// Copies node `n`'s min key (empty: a zero count, as `find_slot`
+    /// has it). `Release` pairs with the readers' `Acquire` loads.
+    fn publish<K: Key + Into<u64>>(&self, cal: &Calibrator<K>, n: NodeId) {
+        let min = cal.min_key(n).filter(|_| cal.count(n) > 0);
+        self.min
+            .store(min.map_or(u64::MAX, Into::into), Ordering::Release);
+        self.nonempty.store(min.is_some(), Ordering::Release);
+    }
+
+    fn nonempty(&self) -> bool {
+        self.nonempty.load(Ordering::Acquire)
+    }
+
+    /// `find_slot`'s step into this right son: it holds a record ≤ `key`.
+    /// Only a probe for `u64::MAX` itself loads the flag.
+    fn reaches(&self, key: u64) -> bool {
+        let min = self.min.load(Ordering::Acquire);
+        min <= key && (min < u64::MAX || self.nonempty())
+    }
+}
+
 /// Shared state behind [`ReadView`] handles and the owning file.
 pub(crate) struct ViewInner<K, V> {
     /// View-wide publication epoch: even = stable, odd = publication in
     /// progress. Readers must observe the same even value before and after.
     epoch: AtomicU64,
     cells: Vec<SlotCell<K, V>>,
+    /// The calibrator's min keys, one per node in its heap layout (root =
+    /// 1, sons `2i` and `2i+1`), as of the published generation.
+    nodes: Vec<NodeKey>,
     /// Total records in the published generation.
     records: AtomicU64,
     pub(crate) cfg: ResolvedConfig,
 }
 
 impl<K: Key, V> ViewInner<K, V> {
-    fn new(cfg: ResolvedConfig) -> Self {
+    fn new(cfg: ResolvedConfig, heap_len: usize) -> Self {
         ViewInner {
             epoch: AtomicU64::new(0),
             cells: (0..cfg.slots)
                 .map(|_| SlotCell {
                     version: AtomicU64::new(0),
                     data: Mutex::new(Arc::new(Vec::new())),
+                })
+                .collect(),
+            nodes: (0..heap_len)
+                .map(|_| NodeKey {
+                    min: AtomicU64::new(u64::MAX),
+                    nonempty: AtomicBool::new(false),
                 })
                 .collect(),
             records: AtomicU64::new(0),
@@ -176,17 +218,19 @@ impl<K: Key, V> ViewInner<K, V> {
 /// stays small.
 const POOL_IMAGES: usize = 64;
 
-/// Publishes the current contents of `dirty` slots into the view.
+/// Publishes the current contents of `dirty` slots, and the calibrator
+/// nodes above them, into the view.
 ///
 /// This is the only writer of the view and is always called from the thread
 /// that owns the `DenseFile` (commands already hold the shard write lock),
 /// so publications never race each other — only readers. The images are
 /// prepared *before* the epoch goes odd, and the images they replace are
 /// retired into the pool (or freed) *after* it is even again, so the odd
-/// window spans only the pointer swaps.
-pub(crate) fn publish_into<K: Key, V: Clone>(
+/// window spans only the pointer swaps and the node stores.
+pub(crate) fn publish_into<K: Key + Into<u64>, V: Clone>(
     vs: &mut ViewState<K, V>,
     store: &PagedStore<K, V>,
+    cal: &Calibrator<K>,
     dirty: &[SlotId],
 ) {
     if dirty.is_empty() {
@@ -207,6 +251,18 @@ pub(crate) fn publish_into<K: Key, V: Clone>(
         cell.version.fetch_add(1, Ordering::AcqRel); // even → odd
         std::mem::swap(&mut *cell.data.lock().expect("view cell poisoned"), image);
         cell.version.fetch_add(1, Ordering::AcqRel); // odd → even
+    }
+    // Every node once when every slot is dirty, else each dirty path.
+    if dirty.len() == inner.cells.len() {
+        for (i, node) in inner.nodes.iter().enumerate().skip(1) {
+            node.publish(cal, NodeId(i as u32));
+        }
+    } else {
+        for &s in dirty {
+            for n in cal.path_to_root(s) {
+                inner.nodes[n.0 as usize].publish(cal, n);
+            }
+        }
     }
     inner
         .records
@@ -242,11 +298,13 @@ fn refill<K: Key, V: Clone>(
 
 /// The monomorphized publisher held as a plain `fn` pointer (see
 /// [`ViewState::publish`]).
-pub(crate) type PublishFn<K, V> = fn(&mut ViewState<K, V>, &PagedStore<K, V>, &[SlotId]);
+pub(crate) type PublishFn<K, V> =
+    fn(&mut ViewState<K, V>, &PagedStore<K, V>, &Calibrator<K>, &[SlotId]);
 
 /// The per-file view state held by `DenseFile`. Stores the monomorphized
-/// publisher as a plain `fn` pointer so command code compiled without a
-/// `V: Clone` bound can still republish (the bound is discharged once, at
+/// publisher as a plain `fn` pointer so command code compiled without the
+/// `V: Clone` and `K: Into<u64>` bounds can still republish (the bounds are
+/// discharged once, at
 /// [`DenseFile::enable_optimistic_reads`](crate::DenseFile::enable_optimistic_reads)).
 /// Everything besides `inner` is the writer's own: reusable buffers, so a
 /// steady-state publication allocates nothing.
@@ -261,10 +319,10 @@ pub(crate) struct ViewState<K, V> {
     pool: VecDeque<SlotImage<K, V>>,
 }
 
-impl<K: Key, V: Clone> ViewState<K, V> {
-    pub(crate) fn new(cfg: ResolvedConfig) -> Self {
+impl<K: Key + Into<u64>, V: Clone> ViewState<K, V> {
+    pub(crate) fn new(cfg: ResolvedConfig, cal: &Calibrator<K>) -> Self {
         ViewState {
-            inner: Arc::new(ViewInner::new(cfg)),
+            inner: Arc::new(ViewInner::new(cfg, cal.heap_len())),
             publish: publish_into::<K, V>,
             dirty: Vec::new(),
             swaps: Vec::new(),
@@ -295,9 +353,9 @@ impl<K, V> Clone for ReadView<K, V> {
 enum Miss {
     /// A publication overlapped the read: a retry may succeed.
     Torn,
-    /// The generation's layout refuses the read (too sparse to route, too
-    /// wide to collect). Validated by an unchanged even epoch, it holds for
-    /// every retry against that generation.
+    /// The collection is too wide to read under one epoch window.
+    /// Validated by an unchanged even epoch, it holds for every retry
+    /// against that generation.
     Declined,
 }
 
@@ -326,72 +384,6 @@ impl<K: Key, V: Clone> ReadView<K, V> {
             return Err(Miss::Torn);
         }
         Ok(arc)
-    }
-
-    /// Min key of `slot`'s published image (`Ok(None)` = empty slot).
-    fn read_min(&self, slot: SlotId) -> Result<Option<K>, Miss> {
-        let cell = &self.inner.cells[slot as usize];
-        let v1 = cell.version.load(Ordering::Acquire);
-        if !v1.is_multiple_of(2) {
-            return Err(Miss::Torn);
-        }
-        let min = cell
-            .data
-            .lock()
-            .expect("view cell poisoned")
-            .first()
-            .map(|r| r.key);
-        let v2 = cell.version.load(Ordering::Acquire);
-        if v1 != v2 {
-            return Err(Miss::Torn);
-        }
-        Ok(min)
-    }
-
-    /// The slot that would hold `key`: the last non-empty slot whose min
-    /// key is ≤ `key` (global sort order confines `key` to that slot).
-    /// `Ok(None)` means no such slot (key precedes everything). Walks at
-    /// most [`EMPTY_SCAN_LIMIT`] empty slots per probe before declining.
-    fn route(&self, key: &K) -> Result<Option<SlotId>, Miss> {
-        let slots = self.inner.cfg.slots;
-        // g(s) = min key of the last non-empty slot ≤ s; monotone in s.
-        // Probe: scan left from s to the first non-empty slot (bounded).
-        let probe = |s: SlotId| -> Result<Option<(SlotId, K)>, Miss> {
-            let mut i = s;
-            let mut walked = 0u32;
-            loop {
-                if let Some(min) = self.read_min(i)? {
-                    return Ok(Some((i, min)));
-                }
-                if i == 0 {
-                    return Ok(None);
-                }
-                walked += 1;
-                if walked > EMPTY_SCAN_LIMIT {
-                    return Err(Miss::Declined); // too sparse: locked fallback
-                }
-                i -= 1;
-            }
-        };
-        // Binary search for the greatest s with g(s) ≤ key.
-        let (mut lo, mut hi) = (0u32, slots); // candidate range [lo, hi)
-        let mut best: Option<SlotId> = None;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            match probe(mid)? {
-                Some((s, min)) if min <= *key => {
-                    best = Some(s);
-                    lo = mid + 1;
-                }
-                // min > key: the answer is strictly left of the found slot.
-                Some(_) => hi = mid,
-                // Every slot ≤ mid is empty (deletions can hollow out the
-                // file's prefix), so g(mid) = -∞: any candidate is strictly
-                // right of mid, not left.
-                None => lo = mid + 1,
-            }
-        }
-        Ok(best)
     }
 
     /// One validated attempt: run `f` between two matching even epoch
@@ -442,101 +434,6 @@ impl<K: Key, V: Clone> ReadView<K, V> {
         out
     }
 
-    /// Lock-free point lookup against the latest published generation.
-    ///
-    /// `Ok(None)` is a definitive miss; `Err(ReadConflict)` means the view
-    /// lost [`MAX_ATTEMPTS`] races or declined, and the caller should take
-    /// the lock.
-    pub fn try_get(&self, key: &K) -> Result<Option<V>, ReadConflict> {
-        self.with_retries(|view| {
-            if view.records() == 0 {
-                return Ok(None);
-            }
-            let Some(slot) = view.route(key)? else {
-                return Ok(None);
-            };
-            let recs = view.read_cell(slot)?;
-            Ok(recs
-                .binary_search_by(|r| r.key.cmp(key))
-                .ok()
-                .map(|i| recs[i].value.clone()))
-        })
-    }
-
-    /// Lock-free range collection in key order: every record in the range
-    /// (see [`try_collect_range_limited`](Self::try_collect_range_limited)).
-    pub fn try_collect_range(
-        &self,
-        start: Bound<K>,
-        end: Bound<K>,
-    ) -> Result<Vec<(K, V)>, ReadConflict> {
-        self.try_collect_range_limited(start, end, usize::MAX)
-    }
-
-    /// Lock-free collection of the first `limit` records in the range, in
-    /// key order.
-    ///
-    /// Collects the cell images the range touches inside one validated
-    /// window (cheap `Arc` clones), stopping at the first cell that brings
-    /// the in-range count to `limit`, then clones at most `limit` records
-    /// out of them. Declines when that would read more than
-    /// `SCAN_SLOT_LIMIT` (1024) slots.
-    pub fn try_collect_range_limited(
-        &self,
-        start: Bound<K>,
-        end: Bound<K>,
-        limit: usize,
-    ) -> Result<Vec<(K, V)>, ReadConflict> {
-        let range = (start.as_ref(), end.as_ref());
-        let slots = self.inner.cfg.slots;
-        let arcs = self.with_retries(|view| {
-            if limit == 0 || view.records() == 0 {
-                return Ok(Vec::new());
-            }
-            let first = match &start {
-                Bound::Unbounded => 0,
-                // Records ≥ the bound can live in the bound's own slot or
-                // any later one.
-                Bound::Included(k) | Bound::Excluded(k) => view.route(k)?.unwrap_or(0),
-            };
-            let last = match &end {
-                Bound::Unbounded => slots - 1,
-                Bound::Included(k) | Bound::Excluded(k) => match view.route(k)? {
-                    Some(s) => s,
-                    None => return Ok(Vec::new()), // range ends before all keys
-                },
-            };
-            let width = u64::from(last.saturating_sub(first)) + 1;
-            // A limit the whole generation cannot fill reads every cell.
-            if width > SCAN_SLOT_LIMIT && limit as u64 > view.records() {
-                return Err(Miss::Declined);
-            }
-            let mut arcs = Vec::new();
-            let mut found = 0;
-            for s in first..=last {
-                if u64::from(s - first) == SCAN_SLOT_LIMIT {
-                    return Err(Miss::Declined);
-                }
-                let a = view.read_cell(s)?;
-                if !a.is_empty() {
-                    found += a.iter().filter(|r| range.contains(&r.key)).count();
-                    arcs.push(a);
-                    if found >= limit {
-                        break;
-                    }
-                }
-            }
-            Ok(arcs)
-        })?;
-        Ok(arcs
-            .iter()
-            .flat_map(|a| a.iter())
-            .filter(|r| range.contains(&r.key))
-            .take(limit)
-            .map(|r| (r.key, r.value.clone()))
-            .collect())
-    }
-
     /// Collects every cell image under one validated window — the building
     /// block of [`ReadView::try_snapshot_bytes`](crate::snapshot)-style
     /// whole-file reads. `Err` after [`MAX_ATTEMPTS`] races.
@@ -561,6 +458,115 @@ impl<K: Key, V: Clone> ReadView<K, V> {
     #[doc(hidden)]
     pub fn unpoison_epoch_for_test(&self) {
         self.inner.epoch.fetch_add(1, Ordering::AcqRel);
+    }
+}
+
+impl<K: Key + Into<u64>, V: Clone> ReadView<K, V> {
+    /// The slot [`Calibrator::find_slot`] returns for the key image `key`
+    /// in the published generation: the one holding the greatest record ≤
+    /// `key`, else slot 0. A publication racing the descent can send it to
+    /// a wrong slot; the caller's epoch validation rejects that attempt.
+    fn route(&self, key: u64) -> SlotId {
+        let nodes = &self.inner.nodes;
+        descend(self.inner.cfg.slots, |r| nodes[r.0 as usize].reaches(key))
+    }
+
+    /// The first occupied slot of the published generation, by the same
+    /// descent: into the right son only when the left one is empty.
+    fn first_occupied(&self) -> SlotId {
+        let nodes = &self.inner.nodes;
+        descend(self.inner.cfg.slots, |r| {
+            !nodes[r.0 as usize - 1].nonempty()
+        })
+    }
+
+    /// Lock-free point lookup against the latest published generation.
+    ///
+    /// `Ok(None)` is a definitive miss; `Err(ReadConflict)` means the view
+    /// lost [`MAX_ATTEMPTS`] races (a get is never declined), and the
+    /// caller should take the lock.
+    pub fn try_get(&self, key: &K) -> Result<Option<V>, ReadConflict> {
+        self.with_retries(|view| {
+            let recs = view.read_cell(view.route((*key).into()))?;
+            Ok(recs
+                .binary_search_by(|r| r.key.cmp(key))
+                .ok()
+                .map(|i| recs[i].value.clone()))
+        })
+    }
+
+    /// Lock-free range collection in key order: every record in the range
+    /// (see [`try_collect_range_limited`](Self::try_collect_range_limited)).
+    pub fn try_collect_range(
+        &self,
+        start: Bound<K>,
+        end: Bound<K>,
+    ) -> Result<Vec<(K, V)>, ReadConflict> {
+        self.try_collect_range_limited(start, end, usize::MAX)
+    }
+
+    /// Lock-free collection of the first `limit` records in the range, in
+    /// key order.
+    ///
+    /// Collects the cell images the range touches inside one validated
+    /// window (cheap `Arc` clones), stopping at the first cell that brings
+    /// the in-range count to `limit`, then clones at most `limit` records
+    /// out of them. Declines when that would collect more than
+    /// `SCAN_SLOT_LIMIT` (1024) occupied slots, or when a limit the whole
+    /// generation cannot fill meets a range wider than that many slots.
+    pub fn try_collect_range_limited(
+        &self,
+        start: Bound<K>,
+        end: Bound<K>,
+        limit: usize,
+    ) -> Result<Vec<(K, V)>, ReadConflict> {
+        let range = (start.as_ref(), end.as_ref());
+        let arcs = self.with_retries(|view| {
+            if limit == 0 || view.records() == 0 {
+                return Ok(Vec::new());
+            }
+            // A bound's records start (end) in the slot it routes to. The
+            // walk spans at most the first to the last occupied slot.
+            let first = match &start {
+                Bound::Unbounded => view.first_occupied(),
+                Bound::Included(k) | Bound::Excluded(k) => {
+                    view.route((*k).into()).max(view.first_occupied())
+                }
+            };
+            let last = view.route(match &end {
+                Bound::Unbounded => u64::MAX,
+                Bound::Included(k) | Bound::Excluded(k) => (*k).into(),
+            });
+            let width = u64::from(last.saturating_sub(first)) + 1;
+            // A limit the whole generation cannot fill reads every cell.
+            if width > SCAN_SLOT_LIMIT && limit as u64 > view.records() {
+                return Err(Miss::Declined);
+            }
+            let mut arcs = Vec::new();
+            let mut found = 0;
+            for s in first..=last {
+                let a = view.read_cell(s)?;
+                if a.is_empty() {
+                    continue;
+                }
+                if arcs.len() as u64 == SCAN_SLOT_LIMIT {
+                    return Err(Miss::Declined);
+                }
+                found += a.iter().filter(|r| range.contains(&r.key)).count();
+                arcs.push(a);
+                if found >= limit {
+                    break;
+                }
+            }
+            Ok(arcs)
+        })?;
+        Ok(arcs
+            .iter()
+            .flat_map(|a| a.iter())
+            .filter(|r| range.contains(&r.key))
+            .take(limit)
+            .map(|r| (r.key, r.value.clone()))
+            .collect())
     }
 }
 
@@ -651,12 +657,9 @@ mod tests {
 
     #[test]
     fn routing_survives_a_hollowed_out_prefix() {
-        // Regression: deleting every record that precedes the file's first
-        // occupied slot leaves an empty slot prefix. route()'s binary
-        // search used to treat "every slot ≤ mid empty" as "answer is left
-        // of mid" and cut the real slot out of the candidate range, so
-        // gets for the smallest surviving keys (and ranges ending there)
-        // reported definitive misses for records the view held.
+        // Deleting every record that precedes the file's first occupied
+        // slot leaves an empty slot prefix: gets for the smallest surviving
+        // keys, and ranges ending there, must still find them.
         let (mut f, view) = view_file(300);
         // Empty the low half so the smallest survivor sits after a long
         // run of empty slots.
@@ -776,21 +779,6 @@ mod tests {
     }
 
     #[test]
-    fn a_sparse_layout_declines_routing() {
-        // Incremental ingest packs records into a slot prefix; a probe
-        // landing in the empty tail walks more than EMPTY_SCAN_LIMIT slots.
-        let mut f: DenseFile<u64, u64> =
-            DenseFile::new(DenseFileConfig::control2(1024, 8, 48)).unwrap();
-        let view = f.enable_optimistic_reads();
-        for i in 0..200u64 {
-            f.insert(i, i).unwrap();
-        }
-        assert_eq!(view.route(&1_000_000), Err(Miss::Declined));
-        assert_eq!(view.try_get(&1_000_000), Err(ReadConflict));
-        assert_eq!(f.get(&1_000_000), None);
-    }
-
-    #[test]
     fn poisoned_epoch_forces_fallback() {
         let (_f, view) = view_file(50);
         view.poison_epoch_for_test();
@@ -876,7 +864,7 @@ mod tests {
         for i in 0..300u64 {
             let next = Arc::as_ptr(f.view.as_ref().unwrap().pool.front().unwrap());
             f.insert(i * 10, i).unwrap(); // dirties exactly the key's slot
-            let slot = view.route(&(i * 10)).unwrap().unwrap();
+            let slot = view.route(i * 10);
             let Ok(image) = view.read_cell(slot) else {
                 panic!("no writer is running");
             };
@@ -892,7 +880,7 @@ mod tests {
         f.bulk_load((0..300u64).map(|i| (i * 10, format!("v{i}"))))
             .unwrap();
         let view = f.enable_optimistic_reads();
-        let slot = view.route(&1000).unwrap().unwrap();
+        let slot = view.route(1000);
         let Ok(held) = view.read_cell(slot) else {
             panic!("no writer is running");
         };

@@ -356,7 +356,7 @@ impl<K: Key, V> DenseFile<K, V> {
     }
 }
 
-impl<K: Key, V: Clone> DenseFile<K, V> {
+impl<K: Key + Into<u64>, V: Clone> DenseFile<K, V> {
     /// Range collection through the optimistic read view, falling back to
     /// the ordinary (counted) [`DenseFile::range`] scan when the view is
     /// disabled or loses its retry budget.

@@ -1050,19 +1050,11 @@ impl<K: Key + Codec, V: Codec + Clone, F: Vfs> DurableFile<K, V, F> {
     /// `Manual` may still be ahead of stable storage; callers needing
     /// durable-only reads must gate on [`durable_lsn`](Self::durable_lsn),
     /// same as locked reads.
-    pub fn enable_optimistic_reads(&mut self) -> ReadView<K, V> {
+    pub fn enable_optimistic_reads(&mut self) -> ReadView<K, V>
+    where
+        K: Into<u64>,
+    {
         self.file.enable_optimistic_reads()
-    }
-
-    /// Evenly redistributes every record across the file (see
-    /// [`DenseFile::vacuum`]). Layout maintenance only: the key/value
-    /// content is untouched, so no WAL record is needed — a crash before
-    /// the next checkpoint replays the same content into a (possibly
-    /// different) layout, which is equivalent. Republishes the read view,
-    /// so it doubles as the heaviest single publication an optimistic
-    /// reader can race.
-    pub fn vacuum(&mut self) {
-        self.file.vacuum();
     }
 }
 

@@ -43,8 +43,7 @@ fn fail_next_fsync(fs: &FaultFs) -> u64 {
 }
 
 /// A file on `fs` holding one base record between every two batches' key
-/// ranges, spread evenly so lock-free routing never meets a long run of
-/// empty slots (where the view declines to route). `BATCHES` records.
+/// ranges, loaded in one batch. `BATCHES` records.
 fn spread_file(fs: &FaultFs, policy: SyncPolicy) -> DurableFile<u64, u64, FaultFs> {
     let mut f = DurableFile::create_with(
         fs.clone(),
@@ -57,7 +56,6 @@ fn spread_file(fs: &FaultFs, policy: SyncPolicy) -> DurableFile<u64, u64, FaultF
         .map(|b| Command::Insert(b * 1_000 + 500, 0))
         .collect();
     f.apply_batch(&base).unwrap();
-    f.vacuum();
     f
 }
 

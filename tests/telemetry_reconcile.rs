@@ -257,22 +257,42 @@ fn global_spine_mirrors_op_stats_and_exports_valid_prometheus() {
     assert_eq!(retries.get(), r0 + m * u64::from(READ_MAX_ATTEMPTS - 1));
     assert_eq!(fallbacks.get(), f0 + m);
 
-    // A validated decline is not a race: incremental ingest packs records
-    // into a slot prefix, and a probe landing in the empty tail refuses to
-    // walk it. Every attempt against that generation would decline the
-    // same way, so the read falls back after one attempt: a fallback, no
-    // retries, and the counter identities still hold.
-    let mut sparse: DenseFile<u64, u64> =
+    // Layout never declines a get: incremental ingest packs records into
+    // a slot prefix, and a probe past them descends the published min keys
+    // like any other read. One attempt, one hit.
+    let mut packed: DenseFile<u64, u64> =
         DenseFile::new(DenseFileConfig::control2(1024, 8, 48)).unwrap();
-    let sview = sparse.enable_optimistic_reads();
+    let pview = packed.enable_optimistic_reads();
     for i in 0..200u64 {
-        sparse.insert(i, i).unwrap();
+        packed.insert(i, i).unwrap();
     }
     reg.enable();
-    assert!(sview.try_get(&1_000_000).is_err(), "packed layout declines");
+    assert_eq!(pview.try_get(&1_000_000), Ok(None), "packed layout routes");
     reg.disable();
-    assert_eq!(sparse.get(&1_000_000), None);
-    assert_eq!(hits.get(), h0 + n + 3);
+    assert_eq!(packed.get(&1_000_000), None);
+    assert_eq!(hits.get(), h0 + n + 4, "the packed get is one hit");
+    assert_eq!(retries.get(), r0 + m * u64::from(READ_MAX_ATTEMPTS - 1));
+    assert_eq!(fallbacks.get(), f0 + m);
+
+    // A validated decline is not a race: an unbounded collection over more
+    // occupied slots than one validated window may collect (SCAN_SLOT_LIMIT,
+    // 1024) declines the same way on every attempt against that
+    // generation, so it falls back after one attempt: a fallback, no
+    // retries, and the counter identities still hold.
+    let mut wide: DenseFile<u64, u64> =
+        DenseFile::new(DenseFileConfig::control2(4096, 8, 48)).unwrap();
+    wide.bulk_load((0..20_000u64).map(|i| (i, i))).unwrap();
+    assert!(wide.slot_counts().iter().filter(|&&c| c > 0).count() > 1024);
+    let wview = wide.enable_optimistic_reads();
+    reg.enable();
+    assert!(
+        wview
+            .try_collect_range(std::ops::Bound::Unbounded, std::ops::Bound::Unbounded)
+            .is_err(),
+        "a collection of every occupied slot declines"
+    );
+    reg.disable();
+    assert_eq!(hits.get(), h0 + n + 4);
     assert_eq!(retries.get(), r0 + m * u64::from(READ_MAX_ATTEMPTS - 1));
     assert_eq!(fallbacks.get(), f0 + m + 1, "the decline is one fallback");
 }
