@@ -1,10 +1,15 @@
 //! # E18 — serve: concurrent clients become group commits
 //!
 //! The server's claim is economic: the per-shard accumulator turns
-//! *concurrency into batch size*. While a shard worker is inside one
-//! group commit (apply + WAL append + one fsync), every request that
-//! arrives queues behind it and is drained into the *next* batch — so
-//! the more clients are talking, the more commands each fsync pays for.
+//! *concurrency into batch size*. While one connection leads a shard's
+//! group commit (apply + WAL append + one fsync) on its own thread, every
+//! request that other connections submit queues behind it, and the next
+//! leader drains them all into the *next* batch — so the more clients
+//! are talking, the more commands each fsync pays for.
+//!
+//! The cost: a connection reads nothing while its own commit is in
+//! flight, so N = 8 carries fewer commands per commit than a design
+//! whose per-connection readers keep queueing (EXPERIMENTS.md, E18).
 //!
 //! This experiment measures exactly that. A real [`Server`] listens on a
 //! loopback socket over a [`DurableKv`] (one WAL + commit window per
@@ -40,7 +45,7 @@ use std::time::Instant;
 /// numbers mean "one queued batch", not "a deep local buffer".
 const PIPELINE: usize = 4;
 /// Accumulator shards (and WALs) the store is split into; clients are
-/// assigned round-robin, so every shard worker sees traffic once N ≥ 2.
+/// assigned round-robin, so every shard sees traffic once N ≥ 2.
 const SHARDS: u32 = 2;
 
 struct Row {
@@ -96,8 +101,8 @@ fn run(clients: usize, keys_per_client: u64) -> Row {
         .map(|c| {
             std::thread::spawn(move || {
                 let mut cl = Client::connect(addr).expect("connect");
-                // Round-robin clients over stripes so every shard worker
-                // (and WAL) carries traffic; key ranges stay disjoint.
+                // Round-robin clients over stripes so every shard (and
+                // WAL) carries traffic; key ranges stay disjoint.
                 let base = (c as u64 % u64::from(SHARDS)) * stripe + (c as u64) * 1_000_000;
                 let mut sent: std::collections::VecDeque<Instant> =
                     std::collections::VecDeque::with_capacity(PIPELINE);

@@ -97,6 +97,7 @@ impl VfsFile for SlowFile {
 
 impl Vfs for SlowFs {
     type File = SlowFile;
+    type Reader = <StdFs as Vfs>::Reader;
 
     fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
         StdFs.create_dir_all(dir)
@@ -104,8 +105,8 @@ impl Vfs for SlowFs {
     fn exists(&self, path: &Path) -> bool {
         StdFs.exists(path)
     }
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        StdFs.read(path)
+    fn open_read(&self, path: &Path) -> io::Result<Self::Reader> {
+        StdFs.open_read(path)
     }
     fn create(&self, path: &Path) -> io::Result<SlowFile> {
         Ok(SlowFile {
@@ -222,7 +223,7 @@ fn drive(
         .flat_map(|h| h.join().expect("client thread"))
         .collect();
     let wall = started.elapsed().as_secs_f64();
-    // Joining the writer threads here is what makes the later ring
+    // Joining the connection threads here is what makes the later ring
     // snapshot complete: every ack's `finish_trace` has run.
     server.shutdown().expect("graceful shutdown");
 

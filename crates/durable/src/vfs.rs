@@ -32,7 +32,7 @@
 //! the difference.)
 
 use std::collections::HashMap;
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -58,14 +58,17 @@ pub trait Vfs: Clone {
     /// The writable file handle type.
     type File: VfsFile;
 
+    /// The sequential reader [`open_read`](Vfs::open_read) returns.
+    type Reader: Read;
+
     /// Creates `dir` and any missing parents.
     fn create_dir_all(&self, dir: &Path) -> io::Result<()>;
 
     /// Whether `path` names an existing file.
     fn exists(&self, path: &Path) -> bool;
 
-    /// Reads the whole file at `path`.
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
+    /// Opens the file at `path` for one buffered front-to-back read.
+    fn open_read(&self, path: &Path) -> io::Result<Self::Reader>;
 
     /// Creates (truncating if present) `path` for writing.
     fn create(&self, path: &Path) -> io::Result<Self::File>;
@@ -109,6 +112,7 @@ impl VfsFile for std::fs::File {
 
 impl Vfs for StdFs {
     type File = std::fs::File;
+    type Reader = io::BufReader<std::fs::File>;
 
     fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
         std::fs::create_dir_all(dir)
@@ -118,8 +122,8 @@ impl Vfs for StdFs {
         path.exists()
     }
 
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        std::fs::read(path)
+    fn open_read(&self, path: &Path) -> io::Result<Self::Reader> {
+        std::fs::File::open(path).map(io::BufReader::new)
     }
 
     fn create(&self, path: &Path) -> io::Result<Self::File> {
@@ -160,7 +164,8 @@ pub enum SyscallKind {
     Create,
     /// Non-truncating writable open (`Vfs::open_rw`).
     OpenRw,
-    /// Whole-file read (`Vfs::read`).
+    /// Opening a file for reading (`Vfs::open_read`); the read that
+    /// follows is not counted again.
     ReadFile,
     /// A `write` on an open handle.
     Write,
@@ -501,6 +506,8 @@ impl FaultFile {
 
 impl Vfs for FaultFs {
     type File = FaultFile;
+    /// A cursor over the file's visible bytes as of the open.
+    type Reader = io::Cursor<Vec<u8>>;
 
     fn create_dir_all(&self, _dir: &Path) -> io::Result<()> {
         Ok(())
@@ -510,7 +517,7 @@ impl Vfs for FaultFs {
         self.lock().visible.contains_key(path)
     }
 
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+    fn open_read(&self, path: &Path) -> io::Result<Self::Reader> {
         let mut st = self.lock();
         let gate = st.gate(SyscallKind::ReadFile)?;
         let n = st.syscalls;
@@ -519,6 +526,7 @@ impl Vfs for FaultFs {
                 .visible
                 .get(path)
                 .cloned()
+                .map(io::Cursor::new)
                 .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "FaultFs: no such file")),
             Gate::CrashPartial(_) => Err(FaultState::crash_err(SyscallKind::ReadFile, n)),
         }
@@ -641,7 +649,7 @@ mod tests {
         assert!(torn.len() <= 10);
         assert_eq!(torn, b"0123456789"[..torn.len()]);
         // Everything later fails until power_cycle.
-        assert!(fs.read(&p("/a")).is_err());
+        assert!(fs.open_read(&p("/a")).is_err());
         fs.power_cycle();
         assert!(!fs.crashed());
         // Nothing was ever synced: the file reverts to empty existence in

@@ -1,6 +1,6 @@
 //! The write-ahead log and recovery machinery.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
 
@@ -384,39 +384,32 @@ impl<K: Key + Codec, V: Codec + Clone, F: Vfs> DurableFile<K, V, F> {
         if !fs.exists(&ckpt_path) {
             return Err(DurableError::NotInitialized);
         }
-        let ckpt = fs.read(&ckpt_path)?;
-        if ckpt.len() < 8 {
-            return Err(DurableError::Snapshot(SnapshotError::Corrupt(
+        let mut ckpt = fs.open_read(&ckpt_path)?;
+        let mut epoch = [0u8; 8];
+        ckpt.read_exact(&mut epoch).map_err(|e| match e.kind() {
+            std::io::ErrorKind::UnexpectedEof => DurableError::Snapshot(SnapshotError::Corrupt(
                 "checkpoint shorter than its epoch header",
-            )));
-        }
-        let epoch = u64::from_le_bytes(ckpt[..8].try_into().expect("eight bytes"));
-        let mut input: &[u8] = &ckpt[8..];
-        let mut file: DenseFile<K, V> = DenseFile::read_snapshot(&mut input)?;
+            )),
+            _ => DurableError::Io(e),
+        })?;
+        let epoch = u64::from_le_bytes(epoch);
+        let mut file: DenseFile<K, V> = DenseFile::read_snapshot(&mut ckpt)?;
 
         // Replay the log's valid prefix — but only if its epoch matches the
         // checkpoint's; a stale-epoch log (crash between checkpoint rename
         // and log reset) predates this checkpoint and must be discarded.
         let wal_path = dir.join(WAL);
-        let bytes = if fs.exists(&wal_path) {
-            fs.read(&wal_path)?
+        let replayed = if fs.exists(&wal_path) {
+            replay(&mut file, fs.open_read(&wal_path)?, epoch)?
         } else {
-            Vec::new()
+            Replayed::default()
         };
-        let epoch_matches = bytes.len() >= WAL_HEADER
-            && &bytes[..8] == WAL_MAGIC
-            && bytes[8..16] == epoch.to_le_bytes();
-        let (replayed, valid_len) = if epoch_matches {
-            let (n, len) = replay(&mut file, &bytes[WAL_HEADER..], epoch);
-            (n, WAL_HEADER + len)
-        } else {
-            (0, 0)
-        };
-        crate::tel::tel().frames_replayed.add(replayed);
-        if valid_len < bytes.len() {
+        crate::tel::tel().frames_replayed.add(replayed.commands);
+        if replayed.torn {
             // A torn tail (or an entire torn/stale log) is being discarded.
             crate::tel::tel().recovery_scrubs.inc();
         }
+        let valid_len = replayed.valid_len;
         let log = if valid_len == 0 {
             // Missing, torn-header, or stale-epoch log: start it fresh.
             fresh_log(&fs, &dir, epoch)?
@@ -426,10 +419,10 @@ impl<K: Key + Codec, V: Codec + Clone, F: Vfs> DurableFile<K, V, F> {
             // otherwise a later crash could resurrect torn bytes behind
             // frames acknowledged after this open.
             let mut f = fs.open_rw(&wal_path)?;
-            f.set_len(valid_len as u64)?;
+            f.set_len(valid_len)?;
             f.sync_data()?;
             f.seek_end()?;
-            WalWriter::new(f, valid_len as u64)
+            WalWriter::new(f, valid_len)
         };
         Ok(DurableFile {
             fs,
@@ -437,7 +430,7 @@ impl<K: Key + Codec, V: Codec + Clone, F: Vfs> DurableFile<K, V, F> {
             log: Some(log),
             dir,
             policy,
-            commands_since_checkpoint: replayed,
+            commands_since_checkpoint: replayed.commands,
             epoch,
             window_frames: 0,
             window_opened: None,
@@ -1113,38 +1106,66 @@ fn fresh_log<F: Vfs>(fs: &F, dir: &Path, epoch: u64) -> Result<WalWriter<F::File
     Ok(WalWriter::new(f, WAL_HEADER as u64))
 }
 
-/// Applies every complete, checksum-valid record of `bytes` to `file`;
-/// returns `(commands replayed, valid prefix length)`. Checksums are
-/// validated under `epoch` (see [`frame_checksum`]).
+/// What [`replay`] recovered from a log.
+#[derive(Default)]
+struct Replayed {
+    /// Commands applied.
+    commands: u64,
+    /// Bytes of the valid prefix, header included (0: no usable header).
+    valid_len: u64,
+    /// Whether bytes past the valid prefix are being discarded.
+    torn: bool,
+}
+
+/// Streams the log frame by frame and applies every complete,
+/// checksum-valid record of `epoch` (see [`frame_checksum`]) to `file`,
+/// stopping at the first torn, corrupt or stale one. A torn-header or
+/// stale-epoch log replays nothing. Memory stays one frame, however long
+/// the log: each read goes through `take`, which grows the buffer only as
+/// bytes arrive, so a length past the end of the log is a torn tail and
+/// never an allocation of that size.
 fn replay<K: Key + Codec, V: Codec>(
     file: &mut DenseFile<K, V>,
-    bytes: &[u8],
+    mut log: impl Read,
     epoch: u64,
-) -> (u64, usize) {
-    let mut pos = 0usize;
-    let mut replayed = 0u64;
-    loop {
-        let rest = &bytes[pos..];
-        if rest.len() < 4 {
-            break;
-        }
-        let len = u32::from_le_bytes(rest[..4].try_into().expect("four bytes")) as usize;
-        if rest.len() < 4 + len + 8 {
-            break; // torn tail
-        }
-        let body = &rest[4..4 + len];
-        let stored =
-            u64::from_le_bytes(rest[4 + len..4 + len + 8].try_into().expect("eight bytes"));
-        if frame_checksum(epoch, body) != stored {
-            break; // corrupt (or stale-epoch) record: stop at the valid prefix
-        }
-        if !apply(file, body) {
-            break; // malformed body — treat like corruption
-        }
-        pos += 4 + len + 8;
-        replayed += 1;
+) -> std::io::Result<Replayed> {
+    let mut frame = Vec::new();
+    let got = (&mut log).take(WAL_HEADER as u64).read_to_end(&mut frame)?;
+    if got < WAL_HEADER || &frame[..8] != WAL_MAGIC || frame[8..] != epoch.to_le_bytes() {
+        return Ok(Replayed {
+            torn: got > 0,
+            ..Replayed::default()
+        });
     }
-    (replayed, pos)
+    let mut done = Replayed {
+        valid_len: WAL_HEADER as u64,
+        ..Replayed::default()
+    };
+    loop {
+        frame.clear();
+        let got = (&mut log).take(4).read_to_end(&mut frame)?;
+        if got < 4 {
+            done.torn = got > 0;
+            return Ok(done);
+        }
+        let len = u64::from(u32::from_le_bytes(
+            frame[..4].try_into().expect("four bytes"),
+        ));
+        // Body, then checksum. A torn, corrupt (or stale-epoch) or
+        // malformed record ends the valid prefix.
+        let complete = (&mut log).take(len + 8).read_to_end(&mut frame)? as u64 == len + 8;
+        let valid = complete && {
+            let (body, stored) = frame[4..].split_at(len as usize);
+            let stored = u64::from_le_bytes(stored.try_into().expect("eight bytes"));
+            frame_checksum(epoch, body) == stored && apply(file, body)
+        };
+        if !valid {
+            done.torn = true;
+            return Ok(done);
+        }
+        done.valid_len += 4 + len + 8;
+        done.commands += 1;
+    }
 }
 
 fn apply<K: Key + Codec, V: Codec>(file: &mut DenseFile<K, V>, body: &[u8]) -> bool {
@@ -1443,6 +1464,72 @@ mod tests {
         let h: DurableFile<u64, u64> = DurableFile::open(&dir, SyncPolicy::Manual).unwrap();
         assert_eq!(h.len(), recovered + 20);
         h.check_invariants().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Replay streams the log through a read buffer; a log several
+    /// buffers long must reopen to exactly the state its commands built.
+    #[test]
+    fn a_log_many_read_buffers_long_reopens_to_the_acked_state() {
+        let dir = tempdir("long");
+        let mut f: DurableFile<u64, u64> =
+            DurableFile::create(&dir, cfg(), SyncPolicy::Manual).unwrap();
+        let mut model = std::collections::BTreeMap::new();
+        for i in 0..4_000u64 {
+            let key = (i * 7919) % 200;
+            if i % 5 == 4 {
+                f.remove(&key).unwrap();
+                model.remove(&key);
+            } else {
+                f.insert(key, i).unwrap();
+                model.insert(key, i);
+            }
+        }
+        f.sync().unwrap();
+        let logged = f.commands_since_checkpoint();
+        drop(f);
+        // The std read buffer is 8 KiB.
+        let log_len = std::fs::metadata(dir.join(WAL)).unwrap().len();
+        assert!(
+            log_len >= 4 * 8 * 1024,
+            "log of {log_len} bytes is too short"
+        );
+
+        let g: DurableFile<u64, u64> = DurableFile::open(&dir, SyncPolicy::Manual).unwrap();
+        let got: Vec<(u64, u64)> = g.iter().map(|(k, v)| (*k, *v)).collect();
+        let want: Vec<(u64, u64)> = model.into_iter().collect();
+        assert_eq!(got, want);
+        assert_eq!(g.commands_since_checkpoint(), logged);
+        g.check_invariants().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A length field claiming more bytes than the log has left is a torn
+    /// tail: the frames before it replay, and the log is cut back to them.
+    #[test]
+    fn a_frame_length_past_the_end_of_the_log_is_a_torn_tail() {
+        let dir = tempdir("huge-len");
+        let mut f: DurableFile<u64, u64> =
+            DurableFile::create(&dir, cfg(), SyncPolicy::Manual).unwrap();
+        for k in 0..10u64 {
+            f.insert(k, k).unwrap();
+        }
+        f.sync().unwrap();
+        drop(f);
+        let valid = std::fs::read(dir.join(WAL)).unwrap();
+        let mut log = valid.clone();
+        log.extend_from_slice(&u32::MAX.to_le_bytes());
+        log.extend_from_slice(&[0xAB; 40]);
+        std::fs::write(dir.join(WAL), &log).unwrap();
+
+        let mut g: DurableFile<u64, u64> = DurableFile::open(&dir, SyncPolicy::Manual).unwrap();
+        assert_eq!(g.len(), 10);
+        assert_eq!(std::fs::read(dir.join(WAL)).unwrap(), valid);
+        g.insert(10, 10).unwrap();
+        g.sync().unwrap();
+        drop(g);
+        let h: DurableFile<u64, u64> = DurableFile::open(&dir, SyncPolicy::Manual).unwrap();
+        assert_eq!(h.len(), 11);
         std::fs::remove_dir_all(&dir).ok();
     }
 

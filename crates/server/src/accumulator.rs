@@ -1,17 +1,25 @@
 //! The per-shard request accumulator: concurrent clients in, group
-//! commits out.
+//! commits out, with no thread of its own.
 //!
 //! Every structural request is routed (by the service's own stripe
-//! function) to a bounded per-shard queue. One worker thread per shard
-//! drains its queue in arrival order, up to [`Config::batch_window`]
-//! commands at a time, and applies the whole batch through
-//! [`KvService::apply_batch`] — which is exactly one
-//! `DenseFile::apply_batch` group apply (PR 5) and, on the durable
-//! backend, one WAL group commit (PR 5/PR 6). The consequence is the
-//! paper-facing property the server exists to demonstrate: **the number
-//! of fsyncs per command falls with the number of concurrent clients**,
-//! because requests that arrive while the worker is busy fsyncing the
-//! previous batch coalesce into the next one.
+//! function) to its shard's queue. A connection that enqueues commands
+//! for a shard then either *leads* or *follows* (leader/follower group
+//! commit; DeWitt et al., SIGMOD 1984):
+//!
+//! * if no batch is in flight on that shard, the connection drains up to
+//!   `batch_window` queued commands — its own and other connections' —
+//!   and applies them through [`KvService::apply_batch`] on its own
+//!   thread. That is exactly one `DenseFile::apply_batch` group apply
+//!   and, on the durable backend, one WAL group commit. It then answers
+//!   every command of the batch;
+//! * otherwise it waits on the shard's condvar until a leader has
+//!   answered its commands (or the batch in flight ends and it may lead).
+//!
+//! Only one batch per shard is ever in flight, as `KvService` requires.
+//! The consequence is the paper-facing property the server exists to
+//! demonstrate: **the number of fsyncs per command falls with the number
+//! of concurrent clients**, because commands that arrive while a leader
+//! is fsyncing coalesce into the next batch.
 //!
 //! *Durability on ack* is decided per batch: a batch is applied `Strict`
 //! iff it contains at least one `Strict` request (the WAL closes the
@@ -20,135 +28,77 @@
 //! `Relaxed` requests lands in the open commit window and its acks go
 //! out before the fsync — which is what `Relaxed` means.
 //!
-//! *Backpressure*: [`Accumulator::submit`] blocks while the shard's
-//! queue holds [`Config::queue_capacity`] requests, so a burst cannot
-//! queue unboundedly — the connection thread stalls, TCP flow control
-//! pushes back on the client, and the pipeline depth stays bounded
-//! end to end.
+//! *Backpressure* needs no queue bound: a connection reads nothing from
+//! its socket while its own commands are in flight, so TCP flow control
+//! holds each client back and a shard queue never holds more than
+//! connections × `batch_window` commands.
 
-use crate::protocol::{Outcome, Response};
+use crate::protocol::Response;
 use crate::service::{wire_outcome, KvCommand, KvService};
 use crate::tel::ServerTel;
 use dsf_durable::Durability;
 use dsf_trace::{Phase, TraceCtx};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-/// Accumulator tuning.
-#[derive(Debug, Clone, Copy)]
-pub struct Config {
-    /// Most commands one batch (= one group commit) may carry.
-    pub batch_window: usize,
-    /// Most requests a shard queue may hold before `submit` blocks.
-    pub queue_capacity: usize,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            batch_window: 64,
-            queue_capacity: 256,
-        }
-    }
-}
-
-/// A one-shot reply slot: the connection's writer parks on it until the
-/// shard worker (or the read path, immediately) fulfills it.
-pub struct ReplySlot {
-    state: Mutex<Option<Response>>,
-    ready: Condvar,
-}
-
-impl ReplySlot {
-    /// Creates an unfulfilled slot.
-    pub fn new() -> Arc<ReplySlot> {
-        Arc::new(ReplySlot {
-            state: Mutex::new(None),
-            ready: Condvar::new(),
-        })
-    }
-
-    /// Creates an already-fulfilled slot (read-path responses).
-    pub fn ready(rsp: Response) -> Arc<ReplySlot> {
-        Arc::new(ReplySlot {
-            state: Mutex::new(Some(rsp)),
-            ready: Condvar::new(),
-        })
-    }
-
-    /// Fulfills the slot, waking the waiter.
-    pub fn fulfill(&self, rsp: Response) {
-        let mut st = self.state.lock().expect("reply slot poisoned");
-        *st = Some(rsp);
-        self.ready.notify_all();
-    }
-
-    /// Blocks until fulfilled and takes the response.
-    pub fn wait(&self) -> Response {
-        let mut st = self.state.lock().expect("reply slot poisoned");
-        loop {
-            if let Some(rsp) = st.take() {
-                return rsp;
-            }
-            st = self.ready.wait(st).expect("reply slot poisoned");
-        }
-    }
+/// One structural request, as a connection hands it to
+/// [`Accumulator::commit`].
+pub(crate) struct Queued {
+    pub cmd: KvCommand,
+    pub durability: Durability,
+    /// Request timeline, when tracing is on (`dsf-trace`).
+    pub trace: Option<Arc<TraceCtx>>,
 }
 
 /// One queued structural request.
 struct Pending {
-    cmd: KvCommand,
-    durability: Durability,
-    slot: Arc<ReplySlot>,
+    write: Queued,
+    /// Position in its shard's queue; its reply is filed under it.
+    ticket: u64,
     enqueued: Instant,
-    /// Request timeline, when tracing is on (`dsf-trace`).
-    trace: Option<Arc<TraceCtx>>,
 }
 
+#[derive(Default)]
+struct ShardState {
+    queue: VecDeque<Pending>,
+    /// Whether a leader is applying a batch of this shard.
+    leading: bool,
+    /// Tickets issued so far.
+    issued: u64,
+    /// Answers not yet collected by the connection that submitted them.
+    replies: HashMap<u64, Response>,
+}
+
+#[derive(Default)]
 struct ShardQueue {
-    q: Mutex<VecDeque<Pending>>,
-    /// Wakes the shard worker when work arrives or the queue closes.
-    work: Condvar,
-    /// Wakes blocked submitters when the worker frees space.
-    space: Condvar,
+    state: Mutex<ShardState>,
+    /// Signalled whenever a leader finishes a batch.
+    answered: Condvar,
 }
 
-/// The accumulator: shared by connection threads (submit side) and owned
-/// workers (drain side).
-pub struct Accumulator {
+/// The accumulator: one queue per service shard, shared by every
+/// connection thread.
+pub(crate) struct Accumulator {
     service: Arc<dyn KvService>,
-    cfg: Config,
-    queues: Vec<ShardQueue>,
-    closed: AtomicBool,
+    batch_window: usize,
+    shards: Vec<ShardQueue>,
     tel: Arc<ServerTel>,
 }
 
 impl Accumulator {
-    /// Builds the queues (one per service shard). Workers are spawned
-    /// separately via [`Accumulator::run_worker`] so the caller owns the
-    /// join handles.
-    pub fn new(service: Arc<dyn KvService>, cfg: Config, tel: Arc<ServerTel>) -> Arc<Self> {
-        assert!(cfg.batch_window >= 1, "batch window must hold a command");
-        assert!(
-            cfg.queue_capacity >= cfg.batch_window,
-            "queue must hold at least one full batch"
-        );
-        let queues = (0..service.shard_count())
-            .map(|_| ShardQueue {
-                q: Mutex::new(VecDeque::new()),
-                work: Condvar::new(),
-                space: Condvar::new(),
-            })
+    /// Builds the queues, one per service shard.
+    pub fn new(service: Arc<dyn KvService>, batch_window: usize, tel: Arc<ServerTel>) -> Self {
+        assert!(batch_window >= 1, "batch window must hold a command");
+        let shards = (0..service.shard_count())
+            .map(|_| ShardQueue::default())
             .collect();
-        Arc::new(Accumulator {
+        Accumulator {
             service,
-            cfg,
-            queues,
-            closed: AtomicBool::new(false),
+            batch_window,
+            shards,
             tel,
-        })
+        }
     }
 
     /// The service this accumulator feeds.
@@ -156,95 +106,104 @@ impl Accumulator {
         &self.service
     }
 
-    /// Enqueues one structural command for its shard, blocking while the
-    /// shard's queue is full (backpressure). Returns the slot the reply
-    /// will arrive on, or an error response if the accumulator is closed.
-    pub fn submit(
-        &self,
-        cmd: KvCommand,
-        durability: Durability,
-        trace: Option<Arc<TraceCtx>>,
-    ) -> Result<Arc<ReplySlot>, Response> {
-        if self.closed.load(Ordering::Acquire) {
-            return Err(Response::Error("server is shutting down".into()));
-        }
-        let shard = self.service.shard_of(*cmd.key());
-        let slot = ReplySlot::new();
-        let sq = &self.queues[shard];
-        let mut q = sq.q.lock().expect("shard queue poisoned");
-        while q.len() >= self.cfg.queue_capacity {
-            if self.closed.load(Ordering::Acquire) {
-                return Err(Response::Error("server is shutting down".into()));
-            }
-            q = sq.space.wait(q).expect("shard queue poisoned");
-        }
-        // Re-check under the lock: `close` takes every queue lock, so a
-        // submit that got here before `close` acquired this lock is seen
-        // and drained by the worker's final sweep.
-        if self.closed.load(Ordering::Acquire) {
-            return Err(Response::Error("server is shutting down".into()));
-        }
-        q.push_back(Pending {
-            cmd,
-            durability,
-            slot: Arc::clone(&slot),
-            enqueued: Instant::now(),
-            trace,
-        });
-        self.tel.queue_depth[shard].set(q.len() as f64);
-        drop(q);
-        sq.work.notify_one();
-        Ok(slot)
-    }
-
-    /// The shard worker loop: drain → group-apply → reply, until the
-    /// accumulator closes *and* the queue is empty. Run on a dedicated
-    /// thread per shard.
-    pub fn run_worker(&self, shard: usize) {
-        let sq = &self.queues[shard];
-        loop {
-            let batch: Vec<Pending> = {
-                let mut q = sq.q.lock().expect("shard queue poisoned");
-                loop {
-                    if !q.is_empty() {
-                        break;
-                    }
-                    if self.closed.load(Ordering::Acquire) {
-                        return; // drained and closed: worker done
-                    }
-                    q = sq.work.wait(q).expect("shard queue poisoned");
+    /// Commits `writes` (one connection's, in request order) and returns
+    /// their responses in the same order. Each write is enqueued on its
+    /// shard; the caller then leads or follows on every shard it touched
+    /// until all of its commands are answered.
+    pub fn commit(&self, writes: Vec<Queued>) -> Vec<Response> {
+        let n = writes.len();
+        // A stable sort by shard keeps each shard's writes in request order.
+        let mut routed: Vec<(usize, usize, Queued)> = writes
+            .into_iter()
+            .enumerate()
+            .map(|(i, w)| (self.service.shard_of(*w.cmd.key()), i, w))
+            .collect();
+        routed.sort_by_key(|&(shard, ..)| shard);
+        // (shard, request index, ticket), grouped by shard.
+        let mut ours: Vec<(usize, usize, u64)> = Vec::with_capacity(n);
+        let mut routed = routed.into_iter().peekable();
+        while let Some(&(shard, ..)) = routed.peek() {
+            let mut st = self.shards[shard]
+                .state
+                .lock()
+                .expect("shard queue poisoned");
+            while let Some((_, i, write)) = routed.next_if(|r| r.0 == shard) {
+                if let Some(t) = &write.trace {
+                    t.checkpoint(Phase::Submit);
                 }
-                let n = q.len().min(self.cfg.batch_window);
-                let batch = q.drain(..n).collect();
-                self.tel.queue_depth[shard].set(q.len() as f64);
-                batch
-            };
-            sq.space.notify_all();
-            self.apply(shard, batch);
+                st.issued += 1;
+                let ticket = st.issued;
+                st.queue.push_back(Pending {
+                    write,
+                    ticket,
+                    enqueued: Instant::now(),
+                });
+                ours.push((shard, i, ticket));
+            }
+            self.tel.queue_depth[shard].set(st.queue.len() as f64);
         }
+        let mut out: Vec<Option<Response>> = (0..n).map(|_| None).collect();
+        for group in ours.chunk_by(|a, b| a.0 == b.0) {
+            let (shard, _, last) = group[group.len() - 1];
+            let sq = &self.shards[shard];
+            let mut st = sq.state.lock().expect("shard queue poisoned");
+            // Batches drain in ticket order and file their answers at
+            // once, so `last` answered means all of ours are.
+            while !st.replies.contains_key(&last) {
+                if st.leading {
+                    st = sq.answered.wait(st).expect("shard queue poisoned");
+                    continue;
+                }
+                st.leading = true;
+                let take = st.queue.len().min(self.batch_window);
+                let batch: Vec<Pending> = st.queue.drain(..take).collect();
+                self.tel.queue_depth[shard].set(st.queue.len() as f64);
+                drop(st);
+                let answers = self.apply(shard, batch);
+                st = sq.state.lock().expect("shard queue poisoned");
+                st.replies.extend(answers);
+                st.leading = false;
+                sq.answered.notify_all();
+            }
+            for &(_, i, ticket) in group {
+                out[i] = st.replies.remove(&ticket);
+            }
+        }
+        out.into_iter()
+            .map(|r| r.expect("every command answered"))
+            .collect()
     }
 
-    /// Applies one drained batch and fulfills its reply slots.
-    fn apply(&self, shard: usize, batch: Vec<Pending>) {
+    /// Applies one drained batch; returns each member's answer under its
+    /// ticket.
+    fn apply(&self, shard: usize, batch: Vec<Pending>) -> Vec<(u64, Response)> {
         // One Strict passenger upgrades the whole batch: the window
         // closes once and every frame in it becomes durable together.
-        let durability = if batch.iter().any(|p| p.durability == Durability::Strict) {
+        let durability = if batch
+            .iter()
+            .any(|p| p.write.durability == Durability::Strict)
+        {
             Durability::Strict
         } else {
             Durability::Relaxed
         };
         // Dequeue = end of each member's queue wait. Batch-level phases
         // (lock wait, execute, WAL append, fsync) are captured once via
-        // the worker's thread-local batch context and then added to every
+        // the leader's thread-local batch context and then added to every
         // member's timeline: each member really did wait out the whole
         // group commit, so the attribution is exact wall-clock, not an
         // amortized share.
-        for p in &batch {
-            if let Some(t) = &p.trace {
-                t.checkpoint(Phase::QueueWait);
-            }
-        }
-        let cmds: Vec<KvCommand> = batch.iter().map(|p| p.cmd.clone()).collect();
+        let mut cmds = Vec::with_capacity(batch.len());
+        let members: Vec<_> = batch
+            .into_iter()
+            .map(|p| {
+                if let Some(t) = &p.write.trace {
+                    t.checkpoint(Phase::QueueWait);
+                }
+                cmds.push(p.write.cmd);
+                (p.ticket, p.write.trace, p.enqueued)
+            })
+            .collect();
         let mut seqs = vec![0u64; cmds.len()];
         dsf_trace::batch_begin();
         let result = self
@@ -254,102 +213,35 @@ impl Accumulator {
             });
         let batch_phases = dsf_trace::batch_finish();
         self.tel.group_commits.inc();
-        self.tel.batch_commands.record(batch.len() as u64);
-        let distribute = |p: &Pending| {
-            if let Some(t) = &p.trace {
-                if let Some(bp) = &batch_phases {
+        self.tel.batch_commands.record(cmds.len() as u64);
+        let now = Instant::now();
+        members
+            .into_iter()
+            .enumerate()
+            .map(|(i, (ticket, trace, enqueued))| {
+                if let (Some(t), Some(bp)) = (&trace, &batch_phases) {
                     t.add_batch(bp);
                 }
-            }
-        };
-        match result {
-            Ok(outcomes) => {
-                let now = Instant::now();
-                for ((p, outcome), seq) in batch.iter().zip(&outcomes).zip(&seqs) {
-                    self.tel.request_micros.record(
-                        u64::try_from(now.duration_since(p.enqueued).as_micros())
-                            .unwrap_or(u64::MAX),
-                    );
-                    distribute(p);
-                    if let Some(t) = &p.trace {
-                        t.set_seq(*seq);
+                let rsp = match &result {
+                    Ok(outcomes) => {
+                        self.tel.request_micros.record(
+                            u64::try_from(now.duration_since(enqueued).as_micros())
+                                .unwrap_or(u64::MAX),
+                        );
+                        if let Some(t) = &trace {
+                            t.set_seq(seqs[i]);
+                        }
+                        Response::Applied {
+                            outcome: wire_outcome(&outcomes[i]),
+                            seq: seqs[i],
+                        }
                     }
-                    p.slot.fulfill(Response::Applied {
-                        outcome: wire_outcome(outcome),
-                        seq: *seq,
-                    });
-                }
-            }
-            Err(msg) => {
-                // The backend rolled the batch back (or refused it);
-                // nobody gets an ack, everybody learns why.
-                for p in &batch {
-                    distribute(p);
-                    p.slot
-                        .fulfill(Response::Error(format!("batch failed: {msg}")));
-                }
-            }
-        }
+                    // The backend rolled the batch back (or refused it);
+                    // nobody gets an ack, everybody learns why.
+                    Err(msg) => Response::Error(format!("batch failed: {msg}")),
+                };
+                (ticket, rsp)
+            })
+            .collect()
     }
-
-    /// Closes the accumulator: new submits fail fast, workers drain what
-    /// is queued and exit. Does not flush the service — the server does
-    /// that once every worker has joined.
-    pub fn close(&self) {
-        self.closed.store(true, Ordering::Release);
-        for sq in &self.queues {
-            // Taking each lock fences racing submitters: after this loop,
-            // every queued request will be drained, every later submit
-            // fails fast.
-            drop(sq.q.lock().expect("shard queue poisoned"));
-            sq.work.notify_all();
-            sq.space.notify_all();
-        }
-    }
-
-    /// Whether [`close`](Self::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::Acquire)
-    }
-
-    /// Immediate (unqueued) execution of the read path, returning an
-    /// already-fulfilled slot so reads keep their place in the
-    /// connection's response order.
-    pub fn read(&self, req: ReadRequest) -> Arc<ReplySlot> {
-        let rsp = match req {
-            ReadRequest::Get { key } => Response::Value(self.service.get(key)),
-            ReadRequest::Scan { start, limit } => {
-                Response::Entries(self.service.scan(start, limit as usize))
-            }
-            ReadRequest::Count => Response::Count(self.service.len()),
-            ReadRequest::Ping => Response::Pong,
-        };
-        ReplySlot::ready(rsp)
-    }
-}
-
-/// The read-path subset of the protocol (no durability, no queueing).
-pub enum ReadRequest {
-    /// Point lookup.
-    Get {
-        /// Record key.
-        key: u64,
-    },
-    /// Range scan.
-    Scan {
-        /// First key of interest.
-        start: u64,
-        /// Maximum records returned.
-        limit: u32,
-    },
-    /// Total records.
-    Count,
-    /// Liveness probe.
-    Ping,
-}
-
-/// Maps a just-applied outcome to whether it mutated the file (used by
-/// per-client command counters).
-pub fn is_structural(outcome: &Outcome) -> bool {
-    !matches!(outcome, Outcome::NotFound | Outcome::Rejected(_))
 }

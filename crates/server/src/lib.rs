@@ -18,13 +18,16 @@
 //!   implementation over `dsf_concurrent::ShardedFile`: in memory
 //!   (`ShardedFile<String>`) or durable ([`DurableKv`], one WAL-backed
 //!   `DurableFile` per shard).
-//! * [`accumulator`] — the heart: per-shard bounded queues whose
-//!   workers drain *whatever has accumulated* (up to a window) into one
-//!   `apply_batch` call. Concurrent clients therefore ride shared
-//!   fsyncs without any client-side batching.
-//! * [`server`] / [`client`] — thread-per-connection TCP with request
-//!   pipelining and in-order responses; graceful shutdown drains every
-//!   acked command to disk.
+//! * `accumulator` — the heart: per-shard queues drained by
+//!   leader/follower group commit. The connection that finds its shard
+//!   idle applies *whatever has accumulated* (up to a window) in one
+//!   `apply_batch` call on its own thread; the others wait for its
+//!   answers. Concurrent clients therefore ride shared fsyncs without
+//!   any client-side batching, and without a thread of the server's own.
+//! * [`server`] / [`client`] — one run-to-completion thread per TCP
+//!   connection, with request pipelining, in-order execution and
+//!   in-order responses; graceful shutdown drains every acked command to
+//!   disk.
 //!
 //! Every response to a structural command carries the flight-recorder
 //! seq it executed under, so a wire-level ack can be correlated with
@@ -38,14 +41,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod accumulator;
+mod accumulator;
 pub mod client;
 pub mod protocol;
 pub mod server;
 pub mod service;
 mod tel;
 
-pub use accumulator::{Accumulator, Config as AccumulatorConfig, ReplySlot};
 pub use client::Client;
 pub use protocol::{Outcome, ProtocolError, Request, Response};
 pub use server::{Server, ServerConfig};

@@ -594,13 +594,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, ProtocolError> 
         }
         ReadOutcome::Full => {}
     }
-    let len = u32::from_le_bytes(header) as usize;
-    if len > MAX_FRAME {
-        return Err(ProtocolError::Oversized {
-            len: len as u64,
-            max: MAX_FRAME as u64,
-        });
-    }
+    let len = body_len(header)?;
     let mut body = vec![0u8; len];
     match read_exact_or_eof(r, &mut body)? {
         ReadOutcome::Full => Ok(Some(body)),
@@ -613,6 +607,19 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, ProtocolError> 
             got,
         }),
     }
+}
+
+/// The body length a frame header announces; a length over [`MAX_FRAME`]
+/// is refused before anything is allocated for it.
+pub(crate) fn body_len(header: [u8; 4]) -> Result<usize, ProtocolError> {
+    let len = u32::from_le_bytes(header) as usize;
+    if len > MAX_FRAME {
+        return Err(ProtocolError::Oversized {
+            len: len as u64,
+            max: MAX_FRAME as u64,
+        });
+    }
+    Ok(len)
 }
 
 enum ReadOutcome {

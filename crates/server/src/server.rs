@@ -1,76 +1,83 @@
-//! The TCP server: accept loop, per-connection reader/writer pairs, and
-//! the graceful-shutdown choreography.
+//! The TCP server: accept loop, one run-to-completion thread per
+//! connection, and the graceful-shutdown choreography.
 //!
 //! Threading model (no async runtime, exactly like the metrics exporter
 //! in `dsf-telemetry` this is patterned on): one non-blocking accept
-//! loop polling a stop flag, two threads per connection — a **reader**
-//! that decodes frames and routes them (structural commands into the
-//! [`Accumulator`], reads executed immediately), and a **writer** that
-//! emits responses *in request order*, parking on each request's
-//! [`ReplySlot`] until its shard worker fulfills it. The bounded channel
-//! between reader and writer is the connection's pipeline window; when
-//! it (or a shard queue) fills, the reader stalls and TCP flow control
-//! extends the backpressure to the client.
+//! loop polling a stop flag, and **one thread per connection** that
+//! reads, executes and answers its own requests. Each turn of a
+//! connection takes every complete frame already in its receive buffer
+//! (up to `batch_window`) as one *burst* and runs the burst in request
+//! order:
+//!
+//! * structural commands (`Insert`, `Remove`) collect until the next
+//!   other frame or the end of the burst, then go to the
+//!   accumulator together, where the connection leads or follows its
+//!   shards' group commits;
+//! * every other frame (`Get`, `Scan`, `Count`, `Ping`, `Flush`,
+//!   `Shutdown`) first commits the burst's earlier writes and then runs
+//!   inline, so a read pipelined behind a write on the same connection
+//!   sees that write.
+//!
+//! All of a burst's responses go out, in request order, with one flush.
+//! While it commits, a connection reads nothing from its socket, so TCP
+//! flow control extends the backpressure to the client.
 //!
 //! Graceful shutdown ([`Server::shutdown`], triggered by
 //! [`Request::Shutdown`] or by the embedding process):
 //!
-//! 1. stop accepting; 2. connection readers wind down (pending requests
-//!    keep flowing); 3. writers drain — every request that was read gets
-//!    its response; 4. the accumulator closes and shard workers drain
-//!    their queues through the normal group-apply path; 5. the service
-//!    flushes (commit windows close and fsync). Every acked command is
-//!    therefore durable before the process exits — the shutdown+restart
-//!    test pins exactly that.
+//! 1. stop accepting; 2. every connection finishes the burst it is
+//!    running — its commands committed and answered — and closes once it
+//!    has no partial frame buffered; 3. with every connection joined the
+//!    accumulator is empty, and the service flushes (commit windows
+//!    close and fsync). Every acked command is therefore durable before
+//!    the process exits — the shutdown+restart test pins exactly that.
 
-use crate::accumulator::{Accumulator, Config as AccConfig, ReadRequest, ReplySlot};
+use crate::accumulator::{Accumulator, Queued};
 use crate::protocol::{self, ProtocolError, Request, Response};
 use crate::service::KvService;
 use crate::tel::ServerTel;
 use dsf_core::Command;
 use dsf_trace::{Phase, TraceCtx};
-use std::io::{BufWriter, Read, Write};
+use std::io::{BufWriter, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Server tuning.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Accumulator window and queue bounds.
-    pub accumulator: AccConfig,
-    /// Responses a connection may have in flight before its reader
-    /// stalls (the per-connection pipeline window).
-    pub pipeline_depth: usize,
+    /// Most commands one batch (= one group commit) may carry, and most
+    /// frames a connection takes into one burst.
+    pub batch_window: usize,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        ServerConfig {
-            accumulator: AccConfig::default(),
-            pipeline_depth: 128,
-        }
+        ServerConfig { batch_window: 64 }
     }
 }
 
-/// How long an idle reader waits between stop-flag polls.
+/// How long an idle connection waits between stop-flag polls.
 const POLL: Duration = Duration::from_millis(20);
 /// Patience for the rest of a frame once its first bytes arrived.
 const FRAME_PATIENCE: Duration = Duration::from_secs(5);
+/// Initial size of a connection's receive buffer; it doubles whenever
+/// one frame needs more.
+const RECV_BUF: usize = 8 << 10;
 
 struct Inner {
-    acc: Arc<Accumulator>,
+    acc: Accumulator,
     tel: Arc<ServerTel>,
-    /// Set once: stop accepting, wind down readers.
+    batch_window: usize,
+    /// Set once: stop accepting, wind down connections.
     stop: AtomicBool,
     /// Signals the embedding process that a client asked for shutdown.
     shutdown_requested: Mutex<bool>,
     shutdown_cv: Condvar,
     conns: Mutex<Vec<JoinHandle<()>>>,
     next_client: AtomicU64,
-    pipeline_depth: usize,
 }
 
 impl Inner {
@@ -79,49 +86,60 @@ impl Inner {
         *flag = true;
         self.shutdown_cv.notify_all();
     }
+
+    /// Stops accepting and joins the accept loop and every connection.
+    /// Connections commit and answer what they read, so once this returns
+    /// nothing is queued.
+    fn wind_down(&self, accept: Option<JoinHandle<()>>) -> Result<(), String> {
+        self.stop.store(true, Ordering::Release);
+        let mut result = Ok(());
+        if let Some(h) = accept {
+            if h.join().is_err() {
+                result = Err("accept loop panicked".to_string());
+            }
+        }
+        // Also runs from `Drop`, which must not panic: a poisoned list of
+        // handles is still a list of handles.
+        let conns = std::mem::take(&mut *self.conns.lock().unwrap_or_else(|e| e.into_inner()));
+        for c in conns {
+            if c.join().is_err() {
+                result = Err("connection thread panicked".to_string());
+            }
+        }
+        result
+    }
 }
 
 /// A running `dsf serve` instance (embedded or behind the CLI).
 pub struct Server {
     inner: Arc<Inner>,
     accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
     addr: SocketAddr,
 }
 
 impl Server {
-    /// Binds `addr` (e.g. `127.0.0.1:0`), spawns the shard workers and
-    /// the accept loop, and returns immediately.
+    /// Binds `addr` (e.g. `127.0.0.1:0`), spawns the accept loop, and
+    /// returns immediately.
     pub fn bind(
         service: Arc<dyn KvService>,
         cfg: ServerConfig,
         addr: &str,
     ) -> std::io::Result<Server> {
-        let shards = service.shard_count();
-        let tel = ServerTel::new(shards);
-        let acc = Accumulator::new(service, cfg.accumulator, Arc::clone(&tel));
+        let tel = ServerTel::new(service.shard_count());
+        let acc = Accumulator::new(service, cfg.batch_window, Arc::clone(&tel));
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let inner = Arc::new(Inner {
-            acc: Arc::clone(&acc),
+            acc,
             tel,
+            batch_window: cfg.batch_window,
             stop: AtomicBool::new(false),
             shutdown_requested: Mutex::new(false),
             shutdown_cv: Condvar::new(),
             conns: Mutex::new(Vec::new()),
             next_client: AtomicU64::new(0),
-            pipeline_depth: cfg.pipeline_depth.max(1),
         });
-        let workers = (0..shards)
-            .map(|s| {
-                let acc = Arc::clone(&acc);
-                std::thread::Builder::new()
-                    .name(format!("dsf-shard-{s}"))
-                    .spawn(move || acc.run_worker(s))
-                    .expect("spawn shard worker")
-            })
-            .collect();
         let accept = {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
@@ -132,7 +150,6 @@ impl Server {
         Ok(Server {
             inner,
             accept: Some(accept),
-            workers,
             addr,
         })
     }
@@ -168,26 +185,11 @@ impl Server {
             .expect("shutdown poisoned")
     }
 
-    /// Graceful shutdown: drain connections, drain the accumulator,
-    /// flush the service (commit windows close and fsync). Blocks until
-    /// everything has wound down; no acked command is lost.
+    /// Graceful shutdown: drain connections, then flush the service
+    /// (commit windows close and fsync). Blocks until everything has
+    /// wound down; no acked command is lost.
     pub fn shutdown(mut self) -> Result<(), String> {
-        self.inner.stop.store(true, Ordering::Release);
-        if let Some(h) = self.accept.take() {
-            h.join().map_err(|_| "accept loop panicked".to_string())?;
-        }
-        // Readers notice the stop flag within one poll interval; writers
-        // drain every response that was already read. Join them all.
-        let conns = std::mem::take(&mut *self.inner.conns.lock().expect("conns poisoned"));
-        for c in conns {
-            c.join().map_err(|_| "connection thread panicked")?;
-        }
-        // Now nothing can submit: close the queues and let the shard
-        // workers drain what is left through the normal batch path.
-        self.inner.acc.close();
-        for w in self.workers.drain(..) {
-            w.join().map_err(|_| "shard worker panicked")?;
-        }
+        self.inner.wind_down(self.accept.take())?;
         // Every applied command's frame is at least buffered; close the
         // windows so even Relaxed acks are durable before we return.
         self.inner.acc.service().flush()
@@ -198,18 +200,7 @@ impl Drop for Server {
     fn drop(&mut self) {
         // Best-effort teardown for the non-graceful path (tests that
         // drop the server); the graceful path already took the handles.
-        self.inner.stop.store(true, Ordering::Release);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        let conns = std::mem::take(&mut *self.inner.conns.lock().expect("conns poisoned"));
-        for c in conns {
-            let _ = c.join();
-        }
-        self.inner.acc.close();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+        let _ = self.inner.wind_down(self.accept.take());
     }
 }
 
@@ -222,11 +213,11 @@ fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) {
                 let conn_inner = Arc::clone(inner);
                 let handle = std::thread::Builder::new()
                     .name(format!("dsf-conn-{id}"))
-                    .spawn(move || serve_connection(&conn_inner, stream, id))
+                    .spawn(move || serve_connection(&conn_inner, &stream, id))
                     .expect("spawn connection thread");
                 inner.conns.lock().expect("conns poisoned").push(handle);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(10));
             }
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
@@ -234,189 +225,25 @@ fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) {
     }
 }
 
-/// What the reader hands the writer, in request order.
-enum WriterItem {
-    /// Wait for the slot, write its response. The trace context (when
-    /// tracing is on) rides along so the writer can stamp the final
-    /// ack-write phase and publish the finished timeline.
-    Reply(Arc<ReplySlot>, Option<Arc<TraceCtx>>),
-    /// Barrier: flush the service, then ack.
-    Flush,
-    /// Ack the shutdown request, then signal the embedding process.
-    Shutdown,
-}
+/// A decoded request and its timeline (when tracing is on).
+type Traced = (Request, Option<Arc<TraceCtx>>);
+/// A response and the timeline it completes.
+type Answered = (Response, Option<Arc<TraceCtx>>);
 
-fn serve_connection(inner: &Arc<Inner>, stream: TcpStream, client: u64) {
+fn serve_connection(inner: &Inner, stream: &TcpStream, client: u64) {
     let _ = stream.set_nodelay(true);
-    let write_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
+    let _ = stream.set_read_timeout(Some(POLL));
+    let mut conn = Connection {
+        inner,
+        client,
+        recv: RecvBuf::new(),
+        out: BufWriter::new(stream),
+        commands: inner.tel.client_commands(client),
     };
-    let (tx, rx) = mpsc::sync_channel::<WriterItem>(inner.pipeline_depth);
-    let writer_inner = Arc::clone(inner);
-    let writer = std::thread::Builder::new()
-        .name(format!("dsf-conn-{client}-w"))
-        .spawn(move || write_loop(&writer_inner, write_half, &rx, client))
-        .expect("spawn connection writer");
-
-    read_loop(inner, stream, &tx, client);
-
-    drop(tx); // writer drains the queue, then exits
-    let _ = writer.join();
-}
-
-/// The reader half: decode frames, route them, preserve order.
-fn read_loop(
-    inner: &Arc<Inner>,
-    mut stream: TcpStream,
-    tx: &mpsc::SyncSender<WriterItem>,
-    client: u64,
-) {
     loop {
-        let (req, wire_id, started) = match read_request_patient(&mut stream, inner) {
-            Ok(Some(x)) => x,
-            Ok(None) => return, // clean EOF or stop-flag wind-down
-            Err(err) => {
-                // Framing cannot recover from corrupt input: answer with
-                // the error (best effort, in order) and close.
-                inner.tel.protocol_errors.inc();
-                let slot = ReplySlot::ready(Response::Error(format!("protocol error: {err}")));
-                let _ = tx.send(WriterItem::Reply(slot, None));
-                return;
-            }
-        };
-        inner.tel.requests.inc();
-        // Timeline starts at the frame header (`started`); a client that
-        // did not send a trace id gets a server-assigned fallback id.
-        // `started == 0` means tracing was off when the header arrived —
-        // skip the timeline rather than mis-time its first phase.
-        let trace = (started != 0)
-            .then(|| {
-                let id = if wire_id != 0 {
-                    wire_id
-                } else {
-                    dsf_trace::fallback_id()
-                };
-                TraceCtx::begin_at(id, client, req.tag(), started)
-            })
-            .flatten();
-        if let Some(t) = &trace {
-            t.checkpoint(Phase::WireDecode);
-        }
-        // Submit covers shard-queue backpressure; the immediate read path
-        // executes inline, so its service time lands on Execute.
-        let traced_reply = |slot: Arc<ReplySlot>, phase: Phase| {
-            if let Some(t) = &trace {
-                t.checkpoint(phase);
-            }
-            WriterItem::Reply(slot, trace.clone())
-        };
-        // Reads execute inline; the thread-local batch context captures any
-        // LockWait the backend's lock-fallback path stamps (an optimistic
-        // hit stamps none), so a served Get's timeline shows exactly how
-        // long it queued behind the write path.
-        let traced_read = |req: ReadRequest| {
-            dsf_trace::batch_begin();
-            let slot = inner.acc.read(req);
-            let phases = dsf_trace::batch_finish();
-            if let (Some(bp), Some(t)) = (&phases, &trace) {
-                t.add_batch(bp);
-            }
-            traced_reply(slot, Phase::Execute)
-        };
-        let item = match req {
-            Request::Insert {
-                key,
-                value,
-                durability,
-            } => match inner
-                .acc
-                .submit(Command::Insert(key, value), durability, trace.clone())
-            {
-                Ok(slot) => traced_reply(slot, Phase::Submit),
-                Err(rsp) => WriterItem::Reply(ReplySlot::ready(rsp), None),
-            },
-            Request::Remove { key, durability } => {
-                match inner
-                    .acc
-                    .submit(Command::Remove(key), durability, trace.clone())
-                {
-                    Ok(slot) => traced_reply(slot, Phase::Submit),
-                    Err(rsp) => WriterItem::Reply(ReplySlot::ready(rsp), None),
-                }
-            }
-            Request::Get { key } => traced_read(ReadRequest::Get { key }),
-            Request::Scan { start, limit } => traced_read(ReadRequest::Scan { start, limit }),
-            Request::Ping => traced_reply(inner.acc.read(ReadRequest::Ping), Phase::Execute),
-            Request::Count => traced_reply(inner.acc.read(ReadRequest::Count), Phase::Execute),
-            Request::Flush => WriterItem::Flush,
-            Request::Shutdown => WriterItem::Shutdown,
-        };
-        let is_shutdown = matches!(item, WriterItem::Shutdown);
-        if tx.send(item).is_err() {
-            return; // writer died (client gone)
-        }
-        if is_shutdown {
-            return; // ack is written by the writer; stop reading
-        }
-    }
-}
-
-/// The writer half: responses out, strictly in request order.
-fn write_loop(inner: &Arc<Inner>, stream: TcpStream, rx: &mpsc::Receiver<WriterItem>, client: u64) {
-    let commands = inner.tel.client_commands(client);
-    let mut w = BufWriter::new(stream);
-    while let Ok(item) = rx.recv() {
-        let write_one = |w: &mut BufWriter<TcpStream>, item: WriterItem| -> bool {
-            let (rsp, trace) = match item {
-                WriterItem::Reply(slot, trace) => (slot.wait(), trace),
-                WriterItem::Flush => (
-                    match inner.acc.service().flush() {
-                        Ok(()) => Response::Flushed,
-                        Err(e) => Response::Error(format!("flush failed: {e}")),
-                    },
-                    None,
-                ),
-                WriterItem::Shutdown => (Response::ShuttingDown, None),
-            };
-            if matches!(rsp, Response::Applied { .. }) {
-                commands.inc();
-            }
-            let shutdown = matches!(rsp, Response::ShuttingDown);
-            if protocol::write_response(w, &rsp).is_err() {
-                return false;
-            }
-            // The response is in the (buffered) socket: the timeline is
-            // complete — stamp ack-write and publish it.
-            if let Some(t) = trace {
-                inner.tel.finish_trace(&t);
-            }
-            if shutdown {
-                let _ = w.flush();
-                inner.request_shutdown();
-            }
-            true
-        };
-        if !write_one(&mut w, item) {
+        let burst = conn.read_burst(stream);
+        if burst.is_empty() || !conn.run_burst(burst) {
             break;
-        }
-        // Greedily drain whatever else is ready before paying the flush.
-        let mut alive = true;
-        while let Ok(next) = rx.try_recv() {
-            if !write_one(&mut w, next) {
-                alive = false;
-                break;
-            }
-        }
-        if !alive || w.flush().is_err() {
-            break;
-        }
-    }
-    // If the socket died early, keep draining so reply slots are
-    // consumed and the reader unblocks; the responses go nowhere.
-    while let Ok(item) = rx.recv() {
-        if let WriterItem::Reply(slot, _) = item {
-            let _ = slot.wait();
         }
     }
     // The connection is gone: release its per-client exposition label
@@ -424,78 +251,286 @@ fn write_loop(inner: &Arc<Inner>, stream: TcpStream, rx: &mpsc::Receiver<WriterI
     inner.tel.retire_client(client);
 }
 
-/// Reads one request frame, polling the stop flag while the connection
-/// is idle. `Ok(None)` on clean EOF *or* when the server is stopping and
-/// no frame has started; once a frame's header begins arriving it is
-/// read to completion (bounded by [`FRAME_PATIENCE`]).
-///
-/// Returns `(request, wire trace id or 0, timeline start)`: the start is
-/// stamped the moment the frame header completes, so an idle connection's
-/// poll wait never counts against the request and the first phase a
-/// timeline sees is the body read + decode (wire-decode).
-fn read_request_patient(
-    stream: &mut TcpStream,
-    inner: &Inner,
-) -> Result<Option<(Request, u64, u64)>, ProtocolError> {
-    let mut header = [0u8; 4];
-    let mut filled = 0usize;
-    let _ = stream.set_read_timeout(Some(POLL));
-    while filled < header.len() {
-        match stream.read(&mut header[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    Ok(None)
-                } else {
-                    Err(ProtocolError::Torn {
-                        needed: header.len() - filled,
-                        got: filled,
-                    })
+struct Connection<'a> {
+    inner: &'a Inner,
+    client: u64,
+    recv: RecvBuf,
+    out: BufWriter<&'a TcpStream>,
+    commands: Arc<dsf_telemetry::Counter>,
+}
+
+impl Connection<'_> {
+    /// Blocks until the receive buffer holds at least one complete frame,
+    /// and returns up to `batch_window` of them. A frame that cannot be
+    /// read or decoded ends the burst as an `Err`. Empty on clean EOF, or
+    /// when the server is stopping and no frame has started.
+    fn read_burst(&mut self, stream: &TcpStream) -> Vec<Result<Traced, ProtocolError>> {
+        let mut burst = Vec::new();
+        loop {
+            while burst.len() < self.inner.batch_window {
+                let frame = match self.recv.next_frame() {
+                    Ok(Some(body)) => Request::decode_traced(body),
+                    Ok(None) => break,
+                    Err(e) => Err(e),
+                };
+                let failed = frame.is_err();
+                burst.push(frame.map(|(req, id)| {
+                    let trace = open_trace(id, self.client, req.tag(), self.recv.arrived);
+                    (req, trace)
+                }));
+                if failed {
+                    return burst;
                 }
             }
-            Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
+            if !burst.is_empty()
+                || (self.recv.is_empty() && self.inner.stop.load(Ordering::Acquire))
             {
-                if filled == 0 && inner.stop.load(Ordering::Acquire) {
-                    return Ok(None);
+                return burst;
+            }
+            let err = match self.recv.fill(stream) {
+                Ok(0) if self.recv.is_empty() => return burst,
+                Ok(0) => self.recv.torn(),
+                Ok(_) => continue,
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                    ) =>
+                {
+                    if self
+                        .recv
+                        .started
+                        .is_none_or(|t| t.elapsed() <= FRAME_PATIENCE)
+                    {
+                        continue;
+                    }
+                    ProtocolError::Io(ErrorKind::TimedOut)
                 }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
+                Err(e) => e.into(),
+            };
+            burst.push(Err(err));
+            return burst;
         }
     }
-    let started = if dsf_trace::enabled() {
-        dsf_trace::now_nanos()
+
+    /// Runs one burst in request order and writes every response with one
+    /// flush. Returns whether the connection stays open.
+    fn run_burst(&mut self, burst: Vec<Result<Traced, ProtocolError>>) -> bool {
+        let mut writes: Vec<Queued> = Vec::new();
+        // Responses in request order; the queued `writes` come next.
+        let mut answered = Vec::with_capacity(burst.len());
+        let mut open = true;
+        let mut shutdown = false;
+        for item in burst {
+            let (req, trace) = match item {
+                Ok(traced) => traced,
+                Err(err) => {
+                    // Framing cannot recover from corrupt input: answer
+                    // with the error (in order) and close.
+                    self.inner.tel.protocol_errors.inc();
+                    self.commit(&mut writes, &mut answered);
+                    answered.push((Response::Error(format!("protocol error: {err}")), None));
+                    open = false;
+                    break;
+                }
+            };
+            self.inner.tel.requests.inc();
+            let (cmd, durability) = match req {
+                Request::Insert {
+                    key,
+                    value,
+                    durability,
+                } => (Command::Insert(key, value), durability),
+                Request::Remove { key, durability } => (Command::Remove(key), durability),
+                req => {
+                    self.commit(&mut writes, &mut answered);
+                    shutdown = matches!(req, Request::Shutdown);
+                    answered.push((self.run_inline(req, trace.as_deref()), trace));
+                    if shutdown {
+                        // Stop reading; the ack goes out below.
+                        open = false;
+                        break;
+                    }
+                    continue;
+                }
+            };
+            writes.push(Queued {
+                cmd,
+                durability,
+                trace,
+            });
+        }
+        self.commit(&mut writes, &mut answered);
+        let mut alive = true;
+        for (rsp, trace) in answered {
+            if matches!(rsp, Response::Applied { .. }) {
+                self.commands.inc();
+            }
+            if protocol::write_response(&mut self.out, &rsp).is_err() {
+                alive = false;
+                break;
+            }
+            // The response is in the (buffered) socket: the timeline is
+            // complete — stamp ack-write and publish it.
+            if let Some(t) = trace {
+                self.inner.tel.finish_trace(&t);
+            }
+        }
+        alive = alive && self.out.flush().is_ok();
+        if shutdown {
+            self.inner.request_shutdown();
+        }
+        open && alive
+    }
+
+    /// Runs a request that is not a write, on this thread. Waiting behind
+    /// the burst's earlier requests is its queue wait; the thread-local
+    /// batch context captures any LockWait the backend's lock-fallback
+    /// read path stamps (an optimistic hit stamps none).
+    fn run_inline(&self, req: Request, trace: Option<&TraceCtx>) -> Response {
+        if let Some(t) = trace {
+            t.checkpoint(Phase::QueueWait);
+        }
+        dsf_trace::batch_begin();
+        let service = self.inner.acc.service();
+        let rsp = match req {
+            Request::Get { key } => Response::Value(service.get(key)),
+            Request::Scan { start, limit } => {
+                Response::Entries(service.scan(start, limit as usize))
+            }
+            Request::Count => Response::Count(service.len()),
+            Request::Ping => Response::Pong,
+            Request::Flush => match service.flush() {
+                Ok(()) => Response::Flushed,
+                Err(e) => Response::Error(format!("flush failed: {e}")),
+            },
+            Request::Shutdown => Response::ShuttingDown,
+            Request::Insert { .. } | Request::Remove { .. } => {
+                unreachable!("writes go through the accumulator")
+            }
+        };
+        let phases = dsf_trace::batch_finish();
+        if let Some(t) = trace {
+            if let Some(bp) = &phases {
+                t.add_batch(bp);
+            }
+            t.checkpoint(Phase::Execute);
+        }
+        rsp
+    }
+
+    /// Commits the queued `writes` and appends their responses to
+    /// `answered`, in request order.
+    fn commit(&self, writes: &mut Vec<Queued>, answered: &mut Vec<Answered>) {
+        if writes.is_empty() {
+            return;
+        }
+        let traces: Vec<_> = writes.iter().map(|w| w.trace.clone()).collect();
+        let responses = self.inner.acc.commit(std::mem::take(writes));
+        answered.extend(responses.into_iter().zip(traces));
+    }
+}
+
+/// Opens a request's timeline at `arrived` (the stamp of the read that
+/// brought its frame in); a client that sent no trace id gets a
+/// server-assigned fallback id. `arrived == 0` means tracing was off
+/// when the frame arrived — skip the timeline rather than mis-time its
+/// first phase.
+fn open_trace(wire_id: u64, client: u64, kind: u8, arrived: u64) -> Option<Arc<TraceCtx>> {
+    if arrived == 0 {
+        return None;
+    }
+    let id = if wire_id != 0 {
+        wire_id
     } else {
-        0
+        dsf_trace::fallback_id()
     };
-    let len = u32::from_le_bytes(header) as usize;
-    if len > protocol::MAX_FRAME {
-        return Err(ProtocolError::Oversized {
-            len: len as u64,
-            max: protocol::MAX_FRAME as u64,
-        });
-    }
-    // The frame has started: give the body a firm deadline instead of
-    // the poll cadence, then decode.
-    let _ = stream.set_read_timeout(Some(FRAME_PATIENCE));
-    let mut body = vec![0u8; len];
-    let mut filled = 0usize;
-    while filled < body.len() {
-        match stream.read(&mut body[filled..]) {
-            Ok(0) => {
-                return Err(ProtocolError::Torn {
-                    needed: len - filled,
-                    got: filled,
-                })
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
+    let trace = TraceCtx::begin_at(id, client, kind, arrived)?;
+    trace.checkpoint(Phase::WireDecode);
+    Some(trace)
+}
+
+/// A connection's receive buffer: `buf[start..end]` has been read but
+/// not yet parsed into frames.
+struct RecvBuf {
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    /// When the partial frame at `start` was first seen incomplete.
+    started: Option<Instant>,
+    /// Trace stamp of the last read (0 while tracing is off).
+    arrived: u64,
+}
+
+impl RecvBuf {
+    fn new() -> Self {
+        RecvBuf {
+            buf: vec![0; RECV_BUF],
+            start: 0,
+            end: 0,
+            started: None,
+            arrived: 0,
         }
     }
-    Request::decode_traced(&body).map(|(req, id)| Some((req, id, started)))
+
+    fn is_empty(&self) -> bool {
+        self.start == self.end
+    }
+
+    /// The body length the buffered frame's header announces, once the
+    /// header is in. An oversized one is refused before its body is read.
+    fn frame_len(&self) -> Result<Option<usize>, ProtocolError> {
+        match self.buf[self.start..self.end].first_chunk::<4>() {
+            Some(header) => protocol::body_len(*header).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    /// The body of the next complete frame, consuming it; `None` until
+    /// the whole frame has arrived.
+    fn next_frame(&mut self) -> Result<Option<&[u8]>, ProtocolError> {
+        match self.frame_len()? {
+            Some(len) if self.end - self.start >= 4 + len => {
+                self.started = None;
+                let body = self.start + 4..self.start + 4 + len;
+                self.start = body.end;
+                Ok(Some(&self.buf[body]))
+            }
+            _ => {
+                if !self.is_empty() {
+                    self.started.get_or_insert_with(Instant::now);
+                }
+                Ok(None)
+            }
+        }
+    }
+
+    /// One `read` into the free tail of the buffer, after moving the
+    /// unparsed bytes (less than one frame) to the front, and doubling the
+    /// buffer when they fill it.
+    fn fill(&mut self, mut stream: &TcpStream) -> std::io::Result<usize> {
+        self.buf.copy_within(self.start..self.end, 0);
+        (self.start, self.end) = (0, self.end - self.start);
+        if self.end == self.buf.len() {
+            self.buf.resize(self.buf.len() * 2, 0);
+        }
+        let n = stream.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        self.arrived = if dsf_trace::enabled() {
+            dsf_trace::now_nanos()
+        } else {
+            0
+        };
+        Ok(n)
+    }
+
+    /// The error for a stream that ended inside the buffered frame.
+    fn torn(&self) -> ProtocolError {
+        let got = self.end - self.start;
+        let len = self.frame_len().ok().flatten().unwrap_or(0);
+        ProtocolError::Torn {
+            needed: 4 + len - got,
+            got,
+        }
+    }
 }

@@ -2,9 +2,10 @@
 //!
 //! The network layer never touches a file directly: every backend is a
 //! `KvService`, a sharded, internally synchronized key→value store whose
-//! write path is *batched by construction* — the accumulator hands each
-//! shard worker a whole batch, and the service applies it on the worker's
-//! thread under one shard write-lock acquisition.
+//! write path is *batched by construction* — the connection that leads a
+//! shard's group commit hands the service a whole batch, and the service
+//! applies it on that connection's thread under one shard write-lock
+//! acquisition.
 //!
 //! There is one implementation, over [`ShardedFile`], for either shard
 //! type:
@@ -45,7 +46,7 @@ pub type DurableKv<F = StdFs> = ShardedFile<String, DurableFile<u64, String, F>>
 /// A sharded key→value store the server can front. Implementations are
 /// internally synchronized: `apply_batch` takes `&self` and may be called
 /// concurrently for *different* shards (the accumulator guarantees one
-/// in-flight batch per shard).
+/// in-flight batch per shard, whichever connection leads it).
 pub trait KvService: Send + Sync + 'static {
     /// Number of independent shards (accumulator queues).
     fn shard_count(&self) -> usize;

@@ -29,13 +29,14 @@ pub struct ServerTel {
     /// `dsf_server_request_micros` — enqueue→reply latency of
     /// structural requests, server side.
     pub request_micros: Arc<Histogram>,
-    /// `dsf_server_queue_depth{shard=…}` — live accumulator depth.
+    /// `dsf_server_queue_depth{shard=…}` — commands queued on the shard
+    /// and not yet drained by a leader.
     pub queue_depth: Vec<Arc<Gauge>>,
     /// `dsf_server_protocol_errors_total` — frames that failed to parse.
     pub protocol_errors: Arc<Counter>,
     /// `dsf_trace_phase_micros{phase=…}` — per-phase request-trace time,
-    /// indexed by `Phase as usize`. Fed from finished timelines in the
-    /// writer thread ([`ServerTel::finish_trace`]), so the exposition
+    /// indexed by `Phase as usize`. Fed from finished timelines on the
+    /// connection thread ([`ServerTel::finish_trace`]), so the exposition
     /// carries the same attribution the trace ring does.
     pub phase_micros: Vec<Arc<Histogram>>,
     /// Connection ids currently holding a live per-client label
@@ -100,7 +101,7 @@ impl ServerTel {
     /// [`MAX_CLIENT_LABELS`] connections hold live labels, so churning
     /// clients cannot grow the exposition without bound. Labels are
     /// released by [`ServerTel::retire_client`] when the connection's
-    /// writer exits.
+    /// thread exits.
     pub fn client_commands(&self, client: u64) -> Arc<Counter> {
         let help = "structural commands acked, per client connection";
         let mut live = self.client_labels.lock().unwrap_or_else(|e| e.into_inner());
@@ -133,7 +134,8 @@ impl ServerTel {
         }
     }
 
-    /// Finalizes a request timeline from the writer thread: stamps the
+    /// Finalizes a request timeline on the connection thread, once its
+    /// response is written: stamps the
     /// ack-write checkpoint, folds the per-phase times into the
     /// `dsf_trace_phase_micros` histograms, and pushes the record into
     /// the global trace ring.

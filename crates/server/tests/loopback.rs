@@ -100,6 +100,75 @@ fn single_connection_preserves_order() {
     server.shutdown().expect("shutdown");
 }
 
+/// A connection's requests run in request order: a read pipelined
+/// behind a write on the same connection, without waiting for the
+/// write's ack, sees that write.
+#[test]
+fn a_pipelined_read_sees_the_write_before_it() {
+    const ROUNDS: u64 = 64;
+    let (server, _file) = serve_sharded(2);
+    let mut c = Client::connect(server.local_addr()).expect("connect");
+    for j in (0..2 * ROUNDS).step_by(2) {
+        c.send(&Request::Insert {
+            key: j,
+            value: format!("even{j}"),
+            durability: Durability::Relaxed,
+        })
+        .unwrap();
+    }
+    for _ in 0..ROUNDS {
+        assert!(matches!(c.recv().unwrap(), Response::Applied { .. }));
+    }
+    for r in 0..ROUNDS {
+        let (j, k) = (2 * r, 2 * r + 1);
+        let reqs = [
+            Request::Insert {
+                key: k,
+                value: format!("odd{k}"),
+                durability: Durability::Relaxed,
+            },
+            Request::Get { key: k },
+            Request::Remove {
+                key: j,
+                durability: Durability::Relaxed,
+            },
+            Request::Scan { start: j, limit: 1 },
+        ];
+        for req in &reqs {
+            c.send(req).unwrap();
+        }
+        assert!(matches!(
+            c.recv().unwrap(),
+            Response::Applied {
+                outcome: Outcome::Inserted,
+                ..
+            }
+        ));
+        match c.recv().unwrap() {
+            Response::Value(v) => assert_eq!(v, Some(format!("odd{k}")), "get({k}) after insert"),
+            other => panic!("unexpected response: {other:?}"),
+        }
+        assert!(matches!(
+            c.recv().unwrap(),
+            Response::Applied {
+                outcome: Outcome::Removed(_),
+                ..
+            }
+        ));
+        match c.recv().unwrap() {
+            Response::Entries(e) => {
+                assert_eq!(
+                    e,
+                    vec![(k, format!("odd{k}"))],
+                    "scan from {j} after remove"
+                )
+            }
+            other => panic!("unexpected response: {other:?}"),
+        }
+    }
+    server.shutdown().expect("shutdown");
+}
+
 /// The acceptance-criteria equivalence run: N pipelined clients, each on
 /// its own shard (so per-shard arrival order is that client's send
 /// order), must produce (a) per-key outcomes identical to applying each

@@ -92,42 +92,59 @@ fn no_acked_command_lost_across_shutdown_and_restart() {
 }
 
 /// Submits that race the shutdown are either acked (and then durable) or
-/// refused with an error — never silently dropped.
+/// refused with an error — never silently dropped. With one client, and
+/// with four clients on one shard, whose connections lead and follow
+/// each other's group commits while the shutdown winds them down.
 #[test]
 fn racing_submits_are_acked_or_refused() {
-    let root = tempdir("race");
+    for clients in [1, 4] {
+        race_shutdown(clients);
+    }
+}
+
+fn race_shutdown(clients: u64) {
+    let root = tempdir(&format!("race-{clients}"));
     let kv = DurableKv::create(&root, 2, cfg(), window()).expect("create");
     let server = Server::bind(Arc::new(kv), ServerConfig::default(), "127.0.0.1:0").expect("bind");
     let addr = server.local_addr();
 
-    let writer = std::thread::spawn(move || {
-        let mut c = Client::connect(addr).expect("connect");
-        let mut acked = Vec::new();
-        for key in 0..2_000u64 {
-            if c.send(&Request::Insert {
-                key,
-                value: format!("v{key}"),
-                durability: Durability::Relaxed,
-            })
-            .is_err()
-            {
-                break; // connection torn down by shutdown: fine
-            }
-            match c.recv() {
-                Ok(Response::Applied { outcome, .. }) => {
-                    assert!(matches!(outcome, Outcome::Inserted));
-                    acked.push(key);
+    // All keys land in shard 0, within its capacity.
+    let per_client = 2_000 / clients;
+    let writers: Vec<_> = (0..clients)
+        .map(|client| {
+            std::thread::spawn(move || {
+                let mut c = Client::connect(addr).expect("connect");
+                let mut acked = Vec::new();
+                for key in client * per_client..(client + 1) * per_client {
+                    if c.send(&Request::Insert {
+                        key,
+                        value: format!("v{key}"),
+                        durability: Durability::Relaxed,
+                    })
+                    .is_err()
+                    {
+                        break; // connection torn down by shutdown: fine
+                    }
+                    match c.recv() {
+                        Ok(Response::Applied { outcome, .. }) => {
+                            assert!(matches!(outcome, Outcome::Inserted));
+                            acked.push(key);
+                        }
+                        Ok(Response::Error(_)) | Err(_) => break, // refused: fine
+                        Ok(other) => panic!("unexpected: {other:?}"),
+                    }
                 }
-                Ok(Response::Error(_)) | Err(_) => break, // refused: fine
-                Ok(other) => panic!("unexpected: {other:?}"),
-            }
-        }
-        acked
-    });
+                acked
+            })
+        })
+        .collect();
     // Let some traffic through, then pull the plug mid-stream.
     std::thread::sleep(std::time::Duration::from_millis(50));
     server.shutdown().expect("graceful shutdown");
-    let acked = writer.join().unwrap();
+    let acked: Vec<u64> = writers
+        .into_iter()
+        .flat_map(|w| w.join().unwrap())
+        .collect();
     assert!(!acked.is_empty(), "no traffic got through before shutdown");
 
     let reopened = DurableKv::open(&root, window()).expect("reopen");

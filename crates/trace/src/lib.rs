@@ -5,8 +5,8 @@
 //! the process do?"*. Neither answers the question a tail-latency hunt
 //! starts from: **where did the p99 request actually spend its time?**
 //! Since the network front-end (PR 8) a command lives a multi-stage life
-//! — client socket → server reader → per-shard accumulator → group apply
-//! → WAL append → commit-window close → fsync → ack — and this crate
+//! — client socket → connection thread → per-shard accumulator → group
+//! apply → WAL append → commit-window close → fsync → ack — and this crate
 //! records that life as a *phase timeline* per request.
 //!
 //! ## Model
@@ -21,9 +21,11 @@
 //!
 //! Work done *per batch* (lock wait, group apply, WAL append, fsync) is
 //! captured by a thread-local batch context ([`batch_begin`] /
-//! [`batch_checkpoint`] / [`batch_finish`]) on the shard worker and then
-//! added to every member's context — each member really did wait for the
-//! whole batch, so the attribution is exact, not amortized.
+//! [`batch_checkpoint`] / [`batch_finish`]) on the thread that leads the
+//! batch — the connection that found its shard idle — and then added to
+//! every member's context, including the commands other connections
+//! queued into it. Each member really did wait for the whole batch, so
+//! the attribution is exact, not amortized.
 //!
 //! Finished timelines land in a bounded, drop-counting [`TraceRing`]
 //! (the wall-clock sibling of `dsf-telemetry`'s `SpanRing`): pushes are
@@ -68,15 +70,20 @@ pub const FALLBACK_ID_BIT: u64 = 1 << 63;
 /// a finished timeline belongs to exactly one phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Reading the frame body off the socket and decoding it (starts
-    /// when the frame header has arrived).
+    /// Decoding the frame. Starts when the read that brought the whole
+    /// frame in returned, so it includes serving any earlier frames that
+    /// read brought in.
     WireDecode = 0,
-    /// Enqueueing into the shard accumulator, including any
-    /// backpressure wait while the shard queue is full.
+    /// From decode to the enqueue into the shard accumulator: the
+    /// burst's earlier requests run first.
     Submit = 1,
-    /// Sitting in the shard queue until the worker drained the batch.
+    /// Sitting in the shard queue until a leader drained the command
+    /// (near 0 when the request's own connection leads). For a request
+    /// that runs inline (a read, `Flush`, `Shutdown`): waiting for the
+    /// burst's earlier requests.
     QueueWait = 2,
-    /// The shard worker waiting for the shard's file lock.
+    /// The batch's leader waiting for the shard's file lock (or an
+    /// inline read falling back to it).
     LockWait = 3,
     /// In-memory command execution (the `DenseFile` group apply; on the
     /// in-memory backend this also absorbs the whole batch).
@@ -86,7 +93,8 @@ pub enum Phase {
     /// The fsync (commit-window close or strict group commit).
     Fsync = 6,
     /// From batch completion to the response written on the socket
-    /// (reply-slot handoff + serialization + the write).
+    /// (waking a follower, the burst's later requests, serialization and
+    /// the buffered write).
     AckWrite = 7,
 }
 
@@ -262,13 +270,14 @@ pub fn snapshot_log() -> TraceLog {
 // The per-request context.
 // ---------------------------------------------------------------------
 
-/// A live request's trace context, carried (as an `Arc`) from the
-/// connection reader through the accumulator to the connection writer.
+/// A live request's trace context, carried (as an `Arc`) from its
+/// connection thread through the accumulator, to the batch's leader, and
+/// back.
 ///
 /// Interior mutability is all relaxed atomics: the context is only ever
-/// touched by one thread at a time (reader → shard worker → writer), and
-/// each handoff happens through a lock or channel that orders the
-/// accesses.
+/// touched by one thread at a time (its connection → the leader that
+/// drains it → its connection), and each handoff happens through the
+/// shard queue's lock, which orders the accesses.
 pub struct TraceCtx {
     id: u64,
     client: u64,
@@ -324,7 +333,7 @@ impl TraceCtx {
     }
 
     /// Snapshots the timeline into an immutable record (taken by the
-    /// connection writer after the final [`Phase::AckWrite`] stamp).
+    /// connection thread after the final [`Phase::AckWrite`] stamp).
     pub fn to_record(&self) -> TraceRecord {
         TraceRecord {
             id: self.id,
@@ -343,7 +352,7 @@ impl TraceCtx {
 }
 
 // ---------------------------------------------------------------------
-// The per-batch context (thread-local on the shard worker).
+// The per-batch context (thread-local on the batch's leader).
 // ---------------------------------------------------------------------
 
 /// Per-phase nanoseconds of one applied batch ([`batch_finish`]).
@@ -366,7 +375,7 @@ thread_local! {
     };
 }
 
-/// Opens the calling thread's batch context (the shard worker, just
+/// Opens the calling thread's batch context (the batch's leader, just
 /// before `apply_batch`). Stamps below the accumulator — the shard lock,
 /// the WAL, the fsync — land here via [`batch_checkpoint`].
 pub fn batch_begin() {

@@ -2,7 +2,7 @@
 //!
 //! The design goal is the same as `dsf-telemetry`'s `SpanRing` — keep
 //! the newest N records, count what was lost, never grow — with one
-//! stricter requirement: a push happens on the connection writer's ack
+//! stricter requirement: a push happens on the connection thread's ack
 //! path and must **never block**. The ring is therefore striped: an
 //! atomic cursor picks a slot, the slot's own lock is only ever
 //! `try_lock`ed on push, and a contended slot counts a drop instead of

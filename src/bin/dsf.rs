@@ -704,7 +704,7 @@ fn serve(args: &[String]) -> Result<String, String> {
 
     let mut cfg = ServerConfig::default();
     if let Some(b) = flag(args, "--batch-window") {
-        cfg.accumulator.batch_window = parse(&b, "--batch-window")?;
+        cfg.batch_window = parse(&b, "--batch-window")?;
     }
     let server = Server::bind(service, cfg, &addr)
         .map_err(|e| format!("serve: cannot bind `{addr}`: {e}"))?;
