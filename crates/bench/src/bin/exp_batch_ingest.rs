@@ -40,7 +40,6 @@ use std::time::Instant;
 
 use dsf_core::{Command, CommandOutcome, DenseFile, DenseFileConfig, DsfError};
 use dsf_durable::{DurableFile, SyncPolicy};
-use dsf_flight::BoundBudget;
 use dsf_pagestore::{AccessEvent, BufferPool, MemBackend};
 
 /// Commands per batch — the pipeline's unit of amortization.
@@ -203,12 +202,7 @@ fn phase_flight_attribution() {
         }
     }
     let rc = f.config();
-    let budget = BoundBudget {
-        j: u64::from(rc.j),
-        k: u64::from(rc.k),
-        log_slots: u64::from(rc.log_slots),
-        gap: rc.slot_max - rc.slot_min,
-    };
+    let budget = rc.flight_budget();
     let log = dsf_flight::snapshot_log(budget);
     dsf_flight::disable();
 

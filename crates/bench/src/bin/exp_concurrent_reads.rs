@@ -42,7 +42,6 @@ use dsf_bench::{f, Table};
 use dsf_concurrent::ShardedFile;
 use dsf_core::{Command, CommandOutcome, DenseFileConfig};
 use dsf_durable::{Durability, StdFs, SyncPolicy};
-use dsf_flight::BoundBudget;
 use dsf_server::{Client, DurableKv, KvService, Request, Response, Server, ServerConfig};
 use dsf_trace::Phase;
 use dsf_workloads::{mixed_ops, Op, Zipf};
@@ -372,12 +371,7 @@ fn scaling_phase(quick: bool) -> ScalingResult {
 
     // Flight artifact: the ingest the readers raced, page-charge audited.
     let rc = fx.file.with_shard(0, |f| *f.config());
-    let budget = BoundBudget {
-        j: u64::from(rc.j),
-        k: u64::from(rc.k),
-        log_slots: u64::from(rc.log_slots),
-        gap: rc.slot_max - rc.slot_min,
-    };
+    let budget = rc.flight_budget();
     dsf_flight::save("BENCH_reads.flight", budget).expect("write flight artifact");
     dsf_flight::disable();
 
@@ -433,6 +427,17 @@ struct ServedResult {
     get_timelines: usize,
 }
 
+/// Every served shard's configuration.
+fn served_config() -> DenseFileConfig {
+    DenseFileConfig::control2(1 << 12, 8, 48)
+}
+
+/// The flight recorder's contents, audited against the served config.
+fn served_log() -> dsf_flight::FlightLog {
+    let rc = served_config().resolve().expect("valid config");
+    dsf_flight::snapshot_log(rc.flight_budget())
+}
+
 fn served_run(optimistic: bool, with_ingest: bool, quick: bool, tag: &str) -> ServedResult {
     // Preloaded records: about 75% as many as the 2×4096 slots.
     let res: u64 = if quick { 6_000 } else { 7_000 };
@@ -447,7 +452,7 @@ fn served_run(optimistic: bool, with_ingest: bool, quick: bool, tag: &str) -> Se
             StdFs,
             &dir,
             SRV_SHARDS,
-            DenseFileConfig::control2(1 << 12, 8, 48),
+            served_config(),
             SyncPolicy::EveryCommand,
         )
         .expect("create served store"),
@@ -475,8 +480,8 @@ fn served_run(optimistic: bool, with_ingest: bool, quick: bool, tag: &str) -> Se
     )
     .expect("bind");
     let addr = server.local_addr();
-    dsf_trace::set_enabled(true);
-    dsf_trace::ring().clear();
+    dsf_flight::clear();
+    dsf_flight::enable();
 
     let stop = Arc::new(AtomicBool::new(false));
     let ingest = with_ingest.then(|| {
@@ -546,20 +551,19 @@ fn served_run(optimistic: bool, with_ingest: bool, quick: bool, tag: &str) -> Se
         assert!(acked > 0, "ingest client must have landed Strict inserts");
     }
     server.shutdown().expect("graceful shutdown");
-    dsf_trace::set_enabled(false);
+    dsf_flight::disable();
 
-    let log = dsf_trace::snapshot_log();
+    let log = served_log();
     let get_tag = Request::Get { key: 0 }.tag();
     let mut lock_waits: Vec<u64> = log
-        .records
-        .iter()
+        .requests()
         .filter(|r| r.kind == get_tag)
         .map(|r| r.phases[Phase::LockWait as usize])
         .collect();
     lock_waits.sort_unstable();
     assert!(
         lock_waits.len() >= reads / 2,
-        "trace ring must retain most Get timelines ({} of {reads})",
+        "the flight ring must retain most Get timelines ({} of {reads})",
         lock_waits.len(),
     );
     let _ = std::fs::remove_dir_all(&dir);
@@ -721,9 +725,8 @@ fn main() {
          ingest: {read_independence_ratio:.2}x (floor {independence_floor}x)"
     );
 
-    // Trace artifact: the served runs' aggregate phase report.
-    let log = dsf_trace::snapshot_log();
-    let report = dsf_trace::TraceReport::build(&log.records, log.dropped, 3);
+    // Trace artifact: the last served run's aggregate phase report.
+    let report = dsf_trace::TraceReport::from_log(&served_log(), 3);
     std::fs::write("reads_trace_report.txt", report.render_text()).expect("write trace artifact");
 
     let mut t = Table::new(["run", "reads/s", "lock_wait p99 us", "note"]);

@@ -89,12 +89,7 @@ fn run_at_scale(s: Scenario, pages: u32, ops_len: usize) -> ScaleRow {
     file.bulk_load(plan.backbone.iter().map(|&k| (k, k)))
         .expect("backbone fits");
 
-    let budget = BoundBudget {
-        j: u64::from(rc.j),
-        k: u64::from(rc.k),
-        log_slots: u64::from(rc.log_slots),
-        gap: rc.slot_max - rc.slot_min,
-    };
+    let budget = rc.flight_budget();
     dsf_flight::clear();
     dsf_flight::enable();
 
@@ -191,12 +186,7 @@ fn run_sharded(s: Scenario, shards: u32, pages: u32, ops_len: usize) -> ShardRow
         assert_eq!(file.shard_of(offset(sh, plan.backbone[0])), sh as usize);
     }
 
-    let budget = BoundBudget {
-        j: u64::from(rc.j),
-        k: u64::from(rc.k),
-        log_slots: u64::from(rc.log_slots),
-        gap: rc.slot_max - rc.slot_min,
-    };
+    let budget = rc.flight_budget();
     dsf_flight::clear();
     dsf_flight::enable();
 

@@ -79,7 +79,6 @@ fn main() {
     // rep's global counters describe exactly one workload pass.
     let (on_secs, on_stats) = best_of(reps, pages, || {
         reg.reset();
-        dsf_telemetry::spans().clear();
         reg.enable();
     });
     reg.disable();
@@ -113,7 +112,7 @@ fn main() {
         off_secs * 1e3
     );
     println!(
-        "  enabled   {:>8.1} ms  (counters + histograms + spans)",
+        "  enabled   {:>8.1} ms  (counters + histograms)",
         on_secs * 1e3
     );
     println!("  overhead  {ratio:>8.3}×");

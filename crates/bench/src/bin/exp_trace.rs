@@ -1,19 +1,22 @@
 //! # E19 — trace: wire-to-fsync waterfalls with tail-latency attribution
 //!
 //! `dsf-trace` promises three things, and this experiment hard-asserts
-//! all of them against a real loopback server:
+//! all of them against a real loopback server. Timelines are read back
+//! from the flight recorder, the one recorder tracing turns on, whose
+//! log also holds every command's page cost:
 //!
 //! 1. **Reconciliation** — a timeline is built by telescoping checkpoints
 //!    (`sum(phases) == ack − start` by construction), so the meaningful
 //!    claim is *containment*: every server-side timeline total must fit
 //!    inside the latency the client measured for that same trace id.
 //!    The join is exact — the client propagates the id on the wire and
-//!    the server records it — and must cover 100% of traced requests.
-//! 2. **Bounded overhead** — full sampling (every request traced, every
-//!    phase stamped) must not move the client-perceived p50 by more than
-//!    [`OVERHEAD_BOUND`] vs the identical workload with tracing off.
-//!    Strict-durability latency is fsync-dominated; stamping eight
-//!    monotonic timestamps is noise, and this keeps it that way.
+//!    the server records it — and must cover 100% of traced requests;
+//!    each timeline's seq must also name a command in the same log.
+//! 2. **Bounded overhead** — the recorder on (every request traced, every
+//!    phase stamped, every command's flight frames recorded) must not
+//!    move the client-perceived p50 by more than [`OVERHEAD_BOUND`] vs
+//!    the identical workload with it off. Strict-durability latency is
+//!    fsync-dominated, and this keeps the recording cost noise.
 //! 3. **Attribution** — when the disk is genuinely slow, the waterfalls
 //!    must say so. A [`Vfs`] wrapper that sleeps inside `sync_data`
 //!    simulates a degraded device; the aggregate report and the p99
@@ -30,6 +33,7 @@
 use dsf_bench::{f, Table};
 use dsf_core::DenseFileConfig;
 use dsf_durable::{Durability, StdFs, SyncPolicy, Vfs, VfsFile};
+use dsf_flight::FlightLog;
 use dsf_server::{
     protocol::Outcome, Client, DurableKv, KvService, Request, Response, Server, ServerConfig,
 };
@@ -44,10 +48,11 @@ use std::time::{Duration, Instant};
 const PIPELINE: usize = 4;
 /// Accumulator shards (and WALs).
 const SHARDS: u32 = 2;
-/// Hard ceiling on traced-p50 / untraced-p50. Full sampling stamps eight
-/// monotonic clock reads and one ring push per request against a
-/// latency floor set by a 2ms commit window — generous headroom for CI
-/// runner noise while still catching any accidentally heavy stamp path.
+/// Hard ceiling on traced-p50 / untraced-p50. The recorder stamps eight
+/// monotonic clock reads per request and pushes its timeline and its
+/// command's frames into the flight ring, against a latency floor set by
+/// a 2ms commit window — generous headroom for CI runner noise while
+/// still catching any accidentally heavy stamp path.
 const OVERHEAD_BOUND: f64 = 1.5;
 /// Injected `sync_data` latency for the degraded-disk phase.
 const SLOW_FSYNC: Duration = Duration::from_millis(3);
@@ -223,7 +228,7 @@ fn drive(
         .flat_map(|h| h.join().expect("client thread"))
         .collect();
     let wall = started.elapsed().as_secs_f64();
-    // Joining the connection threads here is what makes the later ring
+    // Joining the connection threads here is what makes the later flight
     // snapshot complete: every ack's `finish_trace` has run.
     server.shutdown().expect("graceful shutdown");
 
@@ -241,13 +246,25 @@ fn drive(
     }
 }
 
+/// Every shard's configuration.
+fn shard_config() -> DenseFileConfig {
+    DenseFileConfig::control2(1 << 14, 8, 48)
+}
+
+/// Stops the flight recorder and snapshots what it holds.
+fn stop_and_snapshot() -> FlightLog {
+    dsf_flight::disable();
+    let rc = shard_config().resolve().expect("valid config");
+    dsf_flight::snapshot_log(rc.flight_budget())
+}
+
 /// A fresh StdFs-backed store in a scratch dir (removed by the caller).
 fn std_store(dir: &Path) -> DurableKv {
     let _ = std::fs::remove_dir_all(dir);
     DurableKv::create(
         dir,
         SHARDS,
-        DenseFileConfig::control2(1 << 14, 8, 48),
+        shard_config(),
         SyncPolicy::CommitWindow {
             max_frames: 64,
             max_micros: 2_000,
@@ -270,13 +287,13 @@ fn main() {
     let slow_keys = if quick { 60 } else { 150 };
 
     // -- Phase 1: tracing off — the latency baseline. ------------------
-    dsf_trace::set_enabled(false);
-    dsf_trace::ring().clear();
+    dsf_flight::disable();
+    dsf_flight::clear();
     let dir = tempdir("off");
     let off = drive(Arc::new(std_store(&dir)), clients, keys, false, PIPELINE);
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(
-        dsf_trace::ring().total(),
+        dsf_flight::ring().total(),
         0,
         "disabled tracing must record nothing"
     );
@@ -289,14 +306,15 @@ fn main() {
         percentile(&off.lat_us, 0.99),
     );
 
-    // -- Phase 2: full sampling — overhead + reconciliation. -----------
-    dsf_trace::set_enabled(true);
-    dsf_trace::ring().clear();
+    // -- Phase 2: the recorder on — overhead + reconciliation. ---------
+    dsf_flight::clear();
+    dsf_flight::enable();
     let dir = tempdir("on");
     let on = drive(Arc::new(std_store(&dir)), clients, keys, true, PIPELINE);
     let _ = std::fs::remove_dir_all(&dir);
-    dsf_trace::set_enabled(false);
-    let log = dsf_trace::snapshot_log();
+    let log = stop_and_snapshot();
+    let records: Vec<_> = log.requests().collect();
+    let attr = log.replay();
     let p50_on = percentile(&on.lat_us, 0.50);
     let p99_on = percentile(&on.lat_us, 0.99);
     println!(
@@ -307,23 +325,29 @@ fn main() {
         p99_on,
     );
 
-    assert_eq!(log.dropped, 0, "the ring must retain every timeline");
+    assert_eq!(log.dropped, 0, "the flight ring must retain every frame");
     let overhead = p50_on as f64 / p50_off.max(1) as f64;
     assert!(
         overhead <= OVERHEAD_BOUND,
-        "full-sampling overhead out of bounds: p50 {p50_on}us traced vs {p50_off}us untraced \
+        "recording overhead out of bounds: p50 {p50_on}us traced vs {p50_off}us untraced \
          ({overhead:.3}x > {OVERHEAD_BOUND}x)"
     );
 
     // Join every client-measured latency to its server-side timeline by
     // trace id: coverage must be total, containment must never fail.
+    // Each timeline's seq must name a command whose page cost the same
+    // log holds: the join `dsf explain` makes.
+    let by_id: std::collections::HashMap<u64, _> = records.iter().map(|r| (r.id, *r)).collect();
     let mut covered = 0u64;
     for &(id, client_ns) in &on.by_id {
-        let rec = log
-            .records
-            .iter()
-            .find(|r| r.id == id)
+        let rec = by_id
+            .get(&id)
             .unwrap_or_else(|| panic!("no timeline for trace id {id:#x}"));
+        assert!(
+            attr.find(rec.seq).is_some(),
+            "timeline {id:#x} names seq {}, which is no command in the log",
+            rec.seq
+        );
         covered += 1;
         assert!(
             rec.total() <= client_ns,
@@ -337,7 +361,7 @@ fn main() {
         (coverage - 1.0).abs() < f64::EPSILON,
         "every traced request must yield a joinable timeline"
     );
-    let report = TraceReport::build(&log.records, log.dropped, 3);
+    let report = TraceReport::from_log(&log, 3);
     println!(
         "\nreconciliation: {covered}/{} timelines joined, every phase sum contained in \
          its client-measured e2e; overhead {overhead:.3}x (bound {OVERHEAD_BOUND}x)\n",
@@ -351,24 +375,22 @@ fn main() {
     // microsecond the slow device costs lands on the request that paid
     // it — the *direct* attribution claim, rather than the head-of-line
     // shadow a slow fsync also casts on queue_wait under pipelining.
-    dsf_trace::set_enabled(true);
-    dsf_trace::ring().clear();
+    dsf_flight::clear();
+    dsf_flight::enable();
     let dir = tempdir("slow");
     let _ = std::fs::remove_dir_all(&dir);
     let slow_kv = DurableKv::create_on(
         SlowFs { sleep: SLOW_FSYNC },
         &dir,
         SHARDS,
-        DenseFileConfig::control2(1 << 14, 8, 48),
+        shard_config(),
         SyncPolicy::EveryCommand,
     )
     .expect("create slow store");
     slow_kv.enable_optimistic_reads();
     let slow = drive(Arc::new(slow_kv), SHARDS as usize, slow_keys, true, 1);
     let _ = std::fs::remove_dir_all(&dir);
-    dsf_trace::set_enabled(false);
-    let slow_log = dsf_trace::snapshot_log();
-    let slow_report = TraceReport::build(&slow_log.records, slow_log.dropped, 3);
+    let slow_report = TraceReport::from_log(&stop_and_snapshot(), 3);
 
     let (dom, share) = slow_report
         .dominant_phase()

@@ -229,6 +229,16 @@ impl ResolvedConfig {
     pub fn capacity(&self) -> u64 {
         self.slot_min * u64::from(self.slots)
     }
+
+    /// The page-bound audit budget a flight log of this file carries.
+    pub fn flight_budget(&self) -> dsf_flight::BoundBudget {
+        dsf_flight::BoundBudget {
+            j: u64::from(self.j),
+            k: u64::from(self.k),
+            log_slots: u64::from(self.log_slots),
+            gap: self.slot_max - self.slot_min,
+        }
+    }
 }
 
 /// Configuration errors.

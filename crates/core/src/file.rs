@@ -169,7 +169,7 @@ impl<K: Key, V> DenseFile<K, V> {
     pub(crate) fn emit_flag_stable(&mut self, moment: Moment) {
         // Flight moment snapshots are a separate opt-in on top of the
         // recorder itself (each costs O(M)); they power the Figure-4-style
-        // per-moment table in `dsf flight explain --seq`.
+        // per-moment table in `dsf explain --seq`.
         if dsf_flight::moments_enabled() {
             let code = match moment {
                 Moment::AfterStep3 => 0,
@@ -365,7 +365,7 @@ impl<K: Key, V> DenseFile<K, V> {
                     self.flight_end(f, accesses);
                 }
                 if let Some(pre) = pre {
-                    self.tel_post(pre, CommandKind::Insert, slot, accesses);
+                    self.tel_post(pre, CommandKind::Insert, accesses);
                 }
                 self.publish_view();
                 Ok((None, slot))
@@ -415,7 +415,7 @@ impl<K: Key, V> DenseFile<K, V> {
             self.flight_end(f, accesses);
         }
         if let Some(pre) = pre {
-            self.tel_post(pre, CommandKind::Delete, slot, accesses);
+            self.tel_post(pre, CommandKind::Delete, accesses);
         }
         self.publish_view();
         (Some(old), Some(slot))
@@ -453,29 +453,12 @@ impl<K: Key, V> DenseFile<K, V> {
 
     /// Pre-command counter snapshot; `None` (one branch, nothing else)
     /// while the global telemetry spine is disabled.
-    ///
-    /// `start` is `Some` only for the 1-in-[`crate::tel::SPAN_SAMPLE_EVERY`]
-    /// commands that will push a span: the other commands skip the
-    /// `Instant::now` pair as well as the span-ring mutex, which is most of
-    /// the enabled-path overhead (counter deltas are plain relaxed adds).
-    ///
-    /// The clock counts *completed structural* commands: this only peeks,
-    /// and [`tel_post`](Self::tel_post) — never reached by replaces and
-    /// misses — advances it. A non-structural attempt therefore consumes no
-    /// sampled slot; the next structural command sees the same tick and
-    /// still pushes its span (exactly `ceil(commands / N)` spans total).
     #[inline]
     fn tel_pre(&self) -> Option<TelPre> {
         if !dsf_telemetry::enabled() {
             return None;
         }
-        let t = crate::tel::tel();
-        let sampled = t
-            .span_clock
-            .load(std::sync::atomic::Ordering::Relaxed)
-            .is_multiple_of(crate::tel::SPAN_SAMPLE_EVERY);
         Some(TelPre {
-            start: sampled.then(std::time::Instant::now),
             shifts: self.stats.shifts,
             records_shifted: self.stats.records_shifted,
             activations: self.stats.activations,
@@ -487,20 +470,16 @@ impl<K: Key, V> DenseFile<K, V> {
 
     /// Publishes one finished command to the global spine: the access
     /// histogram observation, per-kind command counters, maintenance-event
-    /// deltas since `pre`, the cheap gauges, and a [`dsf_telemetry::Span`].
-    fn tel_post(&self, pre: TelPre, kind: CommandKind, slot: u32, accesses: u64) {
+    /// deltas since `pre`, and the cheap gauges. The command's own story
+    /// (pages per phase, SHIFT steps, wall time) is the flight recorder's.
+    fn tel_post(&self, pre: TelPre, kind: CommandKind, accesses: u64) {
         let t = crate::tel::tel();
-        // Commit the sampling tick peeked in `tel_pre` — only structural
-        // commands reach this point, so only they consume sampled slots.
-        t.span_clock
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         t.cmd_hist.record(accesses);
         match kind {
             CommandKind::Insert => t.inserts.inc(),
             CommandKind::Delete => t.deletes.inc(),
         }
-        let shift_steps = self.stats.shifts - pre.shifts;
-        t.shifts.add(shift_steps);
+        t.shifts.add(self.stats.shifts - pre.shifts);
         t.shift_records
             .add(self.stats.records_shifted - pre.records_shifted);
         t.activations.add(self.stats.activations - pre.activations);
@@ -511,19 +490,6 @@ impl<K: Key, V> DenseFile<K, V> {
             .add(self.stats.redistributions - pre.redistributions);
         t.warning_flags.set(f64::from(self.cal.warned_total()));
         t.records.set(self.len() as f64);
-        if let Some(start) = pre.start {
-            dsf_telemetry::spans().push(dsf_telemetry::Span {
-                kind: match kind {
-                    CommandKind::Insert => "insert",
-                    CommandKind::Delete => "delete",
-                },
-                target: u64::from(slot),
-                pages: accesses,
-                shift_steps,
-                wal_frames: 0,
-                micros: u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX),
-            });
-        }
     }
 
     /// Recomputes the `O(M)` telemetry gauges — above all
@@ -815,8 +781,6 @@ impl<K: Key + Into<u64>, V: Clone> DenseFile<K, V> {
 /// Pre-command snapshot of the maintenance counters, captured only while
 /// the global telemetry spine is enabled (see [`DenseFile::insert`]).
 struct TelPre {
-    /// `Some` only when this command was sampled for a span.
-    start: Option<std::time::Instant>,
     shifts: u64,
     records_shifted: u64,
     activations: u64,

@@ -77,5 +77,4 @@ pub use readview::{ReadConflict, ReadView, MAX_ATTEMPTS as READ_MAX_ATTEMPTS};
 pub use scan::{Scan, ScanRev};
 pub use snapshot::{Codec, SnapshotError};
 pub use stats::{AccessHistogram, OpStats};
-pub use tel::SPAN_SAMPLE_EVERY;
 pub use trace::{CommandKind, Moment, StepEvent, StepRecorder};

@@ -1,16 +1,16 @@
-//! Optimistic lock-free reads: a published, versioned snapshot of the file.
+//! Optimistic lock-free reads: a published, epoch-validated snapshot of the
+//! file.
 //!
 //! The write path's density machinery ("Online List Labeling" keeps its page
 //! bounds untouched) stays exactly as the paper specifies; the read path
 //! goes *around* it. A [`ReadView`] is a shared, immutable-per-generation
 //! image of every slot's records that the owning [`DenseFile`] republishes
 //! at the end of each single command, each batch and each offline pass,
-//! guarded by a seqlock-style protocol:
-//!
-//! * one **epoch** counter for the whole view — even = stable, odd = a
-//!   publication is in progress;
-//! * one **version** counter per slot cell — even = stable, odd = that
-//!   cell's `Arc` is being swapped.
+//! guarded by a seqlock-style protocol: one **epoch** counter for the whole
+//! view — even = stable, odd = a publication is in progress. Every cell
+//! swap happens inside the odd window, and each cell is a mutex around its
+//! `Arc`, so a reader's cell lock is ordered against the swap: a reader
+//! that saw a swapped (or half-published) cell also sees the epoch moved.
 //!
 //! **Once per batch.** [`DenseFile::apply_batch`] holds publication across
 //! its commands and publishes once at the end, over the batch's
@@ -41,9 +41,8 @@
 //!
 //! Readers run [`ReadView::try_get`] / [`ReadView::try_collect_range`]
 //! without taking any file lock: load the epoch (must be even), route, read
-//! the cell(s) they need — each cell read re-checks its version — then
-//! re-check the epoch. A torn read retries with bounded backoff
-//! ([`MAX_ATTEMPTS`]); a *decline* (a collection of more than
+//! the cell(s) they need, then re-check the epoch. A torn read retries with
+//! bounded backoff ([`MAX_ATTEMPTS`]); a *decline* (a collection of more than
 //! `SCAN_SLOT_LIMIT` occupied slots) seen under an unchanged even epoch
 //! gives up at once, since every retry against that generation would
 //! decline the same way. Either way the caller gets [`ReadConflict`] and
@@ -133,14 +132,10 @@ pub(crate) fn read_tel() -> &'static ReadTel {
 /// validated reader walks it without copying.
 pub(crate) type SlotImage<K, V> = Arc<Vec<Record<K, V>>>;
 
-/// One slot's published image. The `version` brackets every swap of `data`
-/// (odd while swapping); the mutex makes the `Arc` clone itself atomic, so
-/// the version exists to let a *multi-cell* reader detect that a cell
-/// changed under it mid-operation.
-struct SlotCell<K, V> {
-    version: AtomicU64,
-    data: Mutex<SlotImage<K, V>>,
-}
+/// One slot's published image. The mutex makes the `Arc` clone atomic
+/// against a swap; the view's epoch, not the cell, tells a reader that a
+/// publication overlapped it (see [`ReadView::read_cell`]).
+type SlotCell<K, V> = Mutex<SlotImage<K, V>>;
 
 /// One calibrator node's published min key. `min` is the key's `u64`
 /// image, or `u64::MAX` for an empty node; since `u64::MAX` is also a
@@ -191,10 +186,7 @@ impl<K: Key, V> ViewInner<K, V> {
         ViewInner {
             epoch: AtomicU64::new(0),
             cells: (0..cfg.slots)
-                .map(|_| SlotCell {
-                    version: AtomicU64::new(0),
-                    data: Mutex::new(Arc::new(Vec::new())),
-                })
+                .map(|_| Mutex::new(Arc::new(Vec::new())))
                 .collect(),
             nodes: (0..heap_len)
                 .map(|_| NodeKey {
@@ -247,10 +239,8 @@ pub(crate) fn publish_into<K: Key + Into<u64>, V: Clone>(
     debug_assert!(e.is_multiple_of(2), "publication must start stable");
     // Each fresh image goes in; the retired one comes back in its place.
     for (s, image) in swaps.iter_mut() {
-        let cell = &inner.cells[*s as usize];
-        cell.version.fetch_add(1, Ordering::AcqRel); // even → odd
-        std::mem::swap(&mut *cell.data.lock().expect("view cell poisoned"), image);
-        cell.version.fetch_add(1, Ordering::AcqRel); // odd → even
+        let mut cell = inner.cells[*s as usize].lock().expect("view cell poisoned");
+        std::mem::swap(&mut *cell, image);
     }
     // Every node once when every slot is dirty, else each dirty path.
     if dirty.len() == inner.cells.len() {
@@ -370,20 +360,16 @@ impl<K: Key, V: Clone> ReadView<K, V> {
         self.inner.cfg.slots
     }
 
-    /// Reads `slot`'s published image if its version is stable and
-    /// unchanged across the mutex'd `Arc` clone.
-    fn read_cell(&self, slot: SlotId) -> Result<SlotImage<K, V>, Miss> {
-        let cell = &self.inner.cells[slot as usize];
-        let v1 = cell.version.load(Ordering::Acquire);
-        if !v1.is_multiple_of(2) {
-            return Err(Miss::Torn);
-        }
-        let arc = cell.data.lock().expect("view cell poisoned").clone();
-        let v2 = cell.version.load(Ordering::Acquire);
-        if v1 != v2 {
-            return Err(Miss::Torn);
-        }
-        Ok(arc)
+    /// Clones `slot`'s published image. Called only inside an
+    /// [`attempt`](Self::attempt): the cell lock orders this clone against
+    /// the publisher's swap, which happens inside the odd epoch window, so
+    /// a clone that overlapped a publication fails the attempt's closing
+    /// epoch check.
+    fn read_cell(&self, slot: SlotId) -> SlotImage<K, V> {
+        self.inner.cells[slot as usize]
+            .lock()
+            .expect("view cell poisoned")
+            .clone()
     }
 
     /// One validated attempt: run `f` between two matching even epoch
@@ -439,9 +425,9 @@ impl<K: Key, V: Clone> ReadView<K, V> {
     /// whole-file reads. `Err` after [`MAX_ATTEMPTS`] races.
     pub(crate) fn collect_all_cells(&self) -> Result<Vec<SlotImage<K, V>>, ReadConflict> {
         self.with_retries(|view| {
-            (0..view.inner.cfg.slots)
+            Ok((0..view.inner.cfg.slots)
                 .map(|s| view.read_cell(s))
-                .collect()
+                .collect())
         })
     }
 
@@ -487,7 +473,7 @@ impl<K: Key + Into<u64>, V: Clone> ReadView<K, V> {
     /// caller should take the lock.
     pub fn try_get(&self, key: &K) -> Result<Option<V>, ReadConflict> {
         self.with_retries(|view| {
-            let recs = view.read_cell(view.route((*key).into()))?;
+            let recs = view.read_cell(view.route((*key).into()));
             Ok(recs
                 .binary_search_by(|r| r.key.cmp(key))
                 .ok()
@@ -545,7 +531,7 @@ impl<K: Key + Into<u64>, V: Clone> ReadView<K, V> {
             let mut arcs = Vec::new();
             let mut found = 0;
             for s in first..=last {
-                let a = view.read_cell(s)?;
+                let a = view.read_cell(s);
                 if a.is_empty() {
                     continue;
                 }
@@ -865,9 +851,7 @@ mod tests {
             let next = Arc::as_ptr(f.view.as_ref().unwrap().pool.front().unwrap());
             f.insert(i * 10, i).unwrap(); // dirties exactly the key's slot
             let slot = view.route(i * 10);
-            let Ok(image) = view.read_cell(slot) else {
-                panic!("no writer is running");
-            };
+            let image = view.read_cell(slot);
             assert_eq!(Arc::as_ptr(&image), next, "key {}: not refilled", i * 10);
             assert_eq!(pooled(&f), size, "retired image went back to the pool");
         }
@@ -881,9 +865,7 @@ mod tests {
             .unwrap();
         let view = f.enable_optimistic_reads();
         let slot = view.route(1000);
-        let Ok(held) = view.read_cell(slot) else {
-            panic!("no writer is running");
-        };
+        let held = view.read_cell(slot);
         let before: Vec<Record<u64, String>> = held.to_vec();
         // Republish every slot many times over, cycling the whole pool,
         // with payloads of other lengths.

@@ -9,17 +9,9 @@
 //! enabled and publish the deltas at command end. While the registry is
 //! disabled — the default — the entire hook is one branch per command.
 
-use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, OnceLock};
 
 use dsf_telemetry::{Counter, Gauge, Histogram};
-
-/// One command in every `SPAN_SAMPLE_EVERY` pushes a span into the global
-/// [`SpanRing`](dsf_telemetry::SpanRing) (and pays the `Instant::now`
-/// timestamping); the rest skip both. Counters and histograms still see
-/// *every* command — sampling only thins the example spans, mirroring the
-/// lock-wait sampling in `dsf-concurrent`.
-pub const SPAN_SAMPLE_EVERY: u64 = 8;
 
 pub(crate) struct CoreTel {
     /// `dsf_command_page_accesses` — per-command page accesses, bucketed
@@ -63,11 +55,6 @@ pub(crate) struct CoreTel {
     /// `dsf_batch_size` — histogram of batch lengths per `apply_batch`
     /// call.
     pub batch_size: Arc<Histogram>,
-    /// Monotonic *completed structural command* clock driving the
-    /// 1-in-[`SPAN_SAMPLE_EVERY`] span sampling: peeked pre-command,
-    /// advanced post-command, so replaces and misses (which bail out
-    /// before the post hook) never consume a sampled slot.
-    pub span_clock: AtomicU64,
 }
 
 pub(crate) fn tel() -> &'static CoreTel {
@@ -115,7 +102,6 @@ pub(crate) fn tel() -> &'static CoreTel {
                 "commands submitted via apply_batch (incl. replaces/misses)",
             ),
             batch_size: r.histogram("dsf_batch_size", "commands per apply_batch call"),
-            span_clock: AtomicU64::new(0),
         }
     })
 }

@@ -479,7 +479,6 @@ impl<K: Key + Codec, V: Codec + Clone, F: Vfs> DurableFile<K, V, F> {
         }
         // Apply in memory first: only effective commands reach the log, and
         // a capacity rejection leaves both state and log untouched.
-        let span_tok = dsf_telemetry::spans().push_token();
         let old = self.file.insert(key, value.clone())?;
         let mut body = vec![OP_INSERT];
         key.encode(&mut body);
@@ -490,9 +489,6 @@ impl<K: Key + Codec, V: Codec + Clone, F: Vfs> DurableFile<K, V, F> {
                 None => UndoRec::Insert(key),
             };
             self.window_append(&body, undo);
-            // Spans are sampled 1-in-N inside `DenseFile`; stamp the WAL
-            // frame only onto a span this very command pushed.
-            dsf_telemetry::spans().amend_pushed_since(span_tok, |s| s.wal_frames += 1);
             // A failed window close has already undone this command (with
             // the rest of the window): the error is the acknowledgement.
             self.maybe_close_window(durability)?;
@@ -511,8 +507,6 @@ impl<K: Key + Codec, V: Codec + Clone, F: Vfs> DurableFile<K, V, F> {
             }
             return Err(e);
         }
-        // See above: only a span this very command pushed is stamped.
-        dsf_telemetry::spans().amend_pushed_since(span_tok, |s| s.wal_frames += 1);
         Ok(old)
     }
 
@@ -542,14 +536,12 @@ impl<K: Key + Codec, V: Codec + Clone, F: Vfs> DurableFile<K, V, F> {
         if self.log_poisoned() {
             return Err(DurableError::LogPoisoned);
         }
-        let span_tok = dsf_telemetry::spans().push_token();
         let old = self.file.remove(key);
         if let Some(v) = old {
             let mut body = vec![OP_REMOVE];
             key.encode(&mut body);
             if self.windowed() {
                 self.window_append(&body, UndoRec::Remove(*key, v.clone()));
-                dsf_telemetry::spans().amend_pushed_since(span_tok, |s| s.wal_frames += 1);
                 self.maybe_close_window(durability)?;
                 return Ok(Some(v));
             }
@@ -557,9 +549,6 @@ impl<K: Key + Codec, V: Codec + Clone, F: Vfs> DurableFile<K, V, F> {
                 let _ = self.file.insert(*key, v);
                 return Err(e);
             }
-            // See `insert_with`: only a span pushed by this command is
-            // stamped.
-            dsf_telemetry::spans().amend_pushed_since(span_tok, |s| s.wal_frames += 1);
             return Ok(Some(v));
         }
         Ok(None)
@@ -652,8 +641,6 @@ impl<K: Key + Codec, V: Codec + Clone, F: Vfs> DurableFile<K, V, F> {
         let log = self.log.as_mut().ok_or(DurableError::LogPoisoned)?;
         let base = log.written;
         let mut frames = 0u64;
-        let spans = dsf_telemetry::spans();
-        let mut span_tok = spans.push_token();
         // In-memory application and frame buffering interleave so the
         // flight recorder attributes each WAL frame to the command that
         // produced it; no syscall happens until the group flush below.
@@ -672,12 +659,8 @@ impl<K: Key + Codec, V: Codec + Clone, F: Vfs> DurableFile<K, V, F> {
                     b
                 }
                 // Misses and rejections log nothing (as in the
-                // single-command path); re-arm the span token so a later
-                // command cannot stamp this command's span.
-                _ => {
-                    span_tok = spans.push_token();
-                    return;
-                }
+                // single-command path).
+                _ => return,
             };
             let mut frame = Vec::with_capacity(body.len() + 12);
             (body.len() as u32).encode(&mut frame);
@@ -686,10 +669,6 @@ impl<K: Key + Codec, V: Codec + Clone, F: Vfs> DurableFile<K, V, F> {
             log.append(&frame);
             frames += 1;
             dsf_flight::record_wal_frame(frame.len() as u64);
-            // Stamp the span this very command pushed (if it was sampled),
-            // then re-arm the token for the next command.
-            spans.amend_pushed_since(span_tok, |s| s.wal_frames += 1);
-            span_tok = spans.push_token();
         });
         // Batch timeline: the pass above is pure in-memory execution (the
         // frame bytes only reached the log's buffer); syscalls start next.
@@ -905,9 +884,7 @@ impl<K: Key + Codec, V: Codec + Clone, F: Vfs> DurableFile<K, V, F> {
         if policy == SyncPolicy::EveryCommand {
             self.durable_lsn = self.appended_lsn;
         }
-        // The flight frame lands on the just-ended command's seq (flight
-        // records every command, unsampled). Span stamping is the caller's
-        // job: only it knows whether this command pushed a span.
+        // The flight frame lands on the just-ended command's seq.
         dsf_flight::record_wal_frame(frame.len() as u64);
         Ok(())
     }

@@ -115,6 +115,39 @@ impl AccessKind {
     }
 }
 
+/// Number of wall-clock phases in a served request's timeline (the
+/// `dsf-trace` waterfall, wire decode through ack write).
+pub const REQUEST_PHASES: usize = 8;
+
+/// A served request's finished wall-clock timeline: the payload of a
+/// [`FlightEvent::Request`] frame. `dsf-trace` builds it (its `Phase`
+/// enum names the slots of `phases`) and records it once the response is
+/// written.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RequestTimeline {
+    /// Trace id (client-assigned, or server-assigned with the top bit set).
+    pub id: u64,
+    /// Server connection id the request arrived on.
+    pub client: u64,
+    /// The command seq the request ran as (0 = no structural command),
+    /// which joins the timeline to that command's page cost.
+    pub seq: u64,
+    /// Wire tag of the request.
+    pub kind: u8,
+    /// Nanoseconds from the trace epoch to the frame header's arrival.
+    pub started: u64,
+    /// Nanoseconds spent in each phase, in waterfall order.
+    pub phases: [u64; REQUEST_PHASES],
+}
+
+impl RequestTimeline {
+    /// End-to-end nanoseconds: the phase sum (saturating, since a log is
+    /// untrusted input).
+    pub fn total(&self) -> u64 {
+        self.phases.iter().fold(0u64, |a, &n| a.saturating_add(n))
+    }
+}
+
 /// One recorded event. Every variant carries the command sequence number
 /// (`seq`) it belongs to — the single identity threaded through dsf-core,
 /// dsf-pagestore, dsf-durable and dsf-concurrent.
@@ -240,6 +273,10 @@ pub enum FlightEvent {
         /// Pages written back.
         pages: u64,
     },
+    /// A served request's wall-clock timeline, recorded by the server when
+    /// its response was written. Its `seq` joins it to the command's page
+    /// cost; replay leaves page attribution to the command frames.
+    Request(RequestTimeline),
 }
 
 const TAG_COMMAND_BEGIN: u8 = 0;
@@ -255,6 +292,7 @@ const TAG_FSYNC: u8 = 9;
 const TAG_LOCK_WAIT: u8 = 10;
 const TAG_MOMENT: u8 = 11;
 const TAG_WRITEBACK: u8 = 12;
+const TAG_REQUEST: u8 = 13;
 
 /// Appends `v` as a LEB128 varint.
 pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -271,11 +309,20 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 
 /// Reads one LEB128 varint from `buf[*pos..]`, advancing `pos`.
 pub fn get_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
+    varint_from(|| {
+        let byte = *buf.get(*pos)?;
+        *pos += 1;
+        Some(byte)
+    })
+}
+
+/// Reads one LEB128 varint from a byte source (`None` when it runs dry
+/// or the encoding is over-long).
+pub(crate) fn varint_from(mut next: impl FnMut() -> Option<u8>) -> Option<u64> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
-        let byte = *buf.get(*pos)?;
-        *pos += 1;
+        let byte = next()?;
         if shift >= 64 {
             return None; // over-long encoding
         }
@@ -291,6 +338,7 @@ impl FlightEvent {
     /// The event's command sequence number.
     pub fn seq(&self) -> u64 {
         match *self {
+            FlightEvent::Request(ref r) => r.seq,
             FlightEvent::CommandBegin { seq, .. }
             | FlightEvent::CommandEnd { seq, .. }
             | FlightEvent::CommandCancel { seq }
@@ -310,13 +358,17 @@ impl FlightEvent {
     /// Encodes the event as one self-delimiting frame (length prefix +
     /// tag + payload) appended to `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        let mut payload = Vec::with_capacity(16);
+        // One placeholder byte for the length: every payload but a long
+        // moment snapshot or a request timeline is under 128 bytes.
+        let start = out.len();
+        out.push(0);
+        let payload = &mut *out;
         match self {
             FlightEvent::CommandBegin { seq, kind, target } => {
                 payload.push(TAG_COMMAND_BEGIN);
-                put_varint(&mut payload, *seq);
-                put_varint(&mut payload, kind.code());
-                put_varint(&mut payload, *target);
+                put_varint(payload, *seq);
+                put_varint(payload, kind.code());
+                put_varint(payload, *target);
             }
             FlightEvent::CommandEnd {
                 seq,
@@ -325,14 +377,14 @@ impl FlightEvent {
                 micros,
             } => {
                 payload.push(TAG_COMMAND_END);
-                put_varint(&mut payload, *seq);
-                put_varint(&mut payload, *accesses);
-                put_varint(&mut payload, *shift_steps);
-                put_varint(&mut payload, *micros);
+                put_varint(payload, *seq);
+                put_varint(payload, *accesses);
+                put_varint(payload, *shift_steps);
+                put_varint(payload, *micros);
             }
             FlightEvent::CommandCancel { seq } => {
                 payload.push(TAG_COMMAND_CANCEL);
-                put_varint(&mut payload, *seq);
+                put_varint(payload, *seq);
             }
             FlightEvent::Access {
                 seq,
@@ -341,10 +393,10 @@ impl FlightEvent {
                 pages,
             } => {
                 payload.push(TAG_ACCESS);
-                put_varint(&mut payload, *seq);
-                put_varint(&mut payload, phase.index() as u64);
-                put_varint(&mut payload, kind.code());
-                put_varint(&mut payload, *pages);
+                put_varint(payload, *seq);
+                put_varint(payload, phase.index() as u64);
+                put_varint(payload, kind.code());
+                put_varint(payload, *pages);
             }
             FlightEvent::Shift {
                 seq,
@@ -354,17 +406,17 @@ impl FlightEvent {
                 moved,
             } => {
                 payload.push(TAG_SHIFT);
-                put_varint(&mut payload, *seq);
-                put_varint(&mut payload, *node);
-                put_varint(&mut payload, *source);
-                put_varint(&mut payload, *dest);
-                put_varint(&mut payload, *moved);
+                put_varint(payload, *seq);
+                put_varint(payload, *node);
+                put_varint(payload, *source);
+                put_varint(payload, *dest);
+                put_varint(payload, *moved);
             }
             FlightEvent::Activate { seq, node, dest } => {
                 payload.push(TAG_ACTIVATE);
-                put_varint(&mut payload, *seq);
-                put_varint(&mut payload, *node);
-                put_varint(&mut payload, *dest);
+                put_varint(payload, *seq);
+                put_varint(payload, *node);
+                put_varint(payload, *dest);
             }
             FlightEvent::Rollback {
                 seq,
@@ -372,30 +424,30 @@ impl FlightEvent {
                 new_dest,
             } => {
                 payload.push(TAG_ROLLBACK);
-                put_varint(&mut payload, *seq);
-                put_varint(&mut payload, *node);
-                put_varint(&mut payload, *new_dest);
+                put_varint(payload, *seq);
+                put_varint(payload, *node);
+                put_varint(payload, *new_dest);
             }
             FlightEvent::FlagLowered { seq, node } => {
                 payload.push(TAG_FLAG_LOWERED);
-                put_varint(&mut payload, *seq);
-                put_varint(&mut payload, *node);
+                put_varint(payload, *seq);
+                put_varint(payload, *node);
             }
             FlightEvent::WalFrame { seq, bytes } => {
                 payload.push(TAG_WAL_FRAME);
-                put_varint(&mut payload, *seq);
-                put_varint(&mut payload, *bytes);
+                put_varint(payload, *seq);
+                put_varint(payload, *bytes);
             }
             FlightEvent::Fsync { seq, micros } => {
                 payload.push(TAG_FSYNC);
-                put_varint(&mut payload, *seq);
-                put_varint(&mut payload, *micros);
+                put_varint(payload, *seq);
+                put_varint(payload, *micros);
             }
             FlightEvent::LockWait { seq, shard, micros } => {
                 payload.push(TAG_LOCK_WAIT);
-                put_varint(&mut payload, *seq);
-                put_varint(&mut payload, *shard);
-                put_varint(&mut payload, *micros);
+                put_varint(payload, *seq);
+                put_varint(payload, *shard);
+                put_varint(payload, *micros);
             }
             FlightEvent::Moment {
                 seq,
@@ -403,21 +455,36 @@ impl FlightEvent {
                 counts,
             } => {
                 payload.push(TAG_MOMENT);
-                put_varint(&mut payload, *seq);
-                put_varint(&mut payload, u64::from(*moment));
-                put_varint(&mut payload, counts.len() as u64);
+                put_varint(payload, *seq);
+                put_varint(payload, u64::from(*moment));
+                put_varint(payload, counts.len() as u64);
                 for &c in counts {
-                    put_varint(&mut payload, c);
+                    put_varint(payload, c);
                 }
             }
             FlightEvent::Writeback { seq, pages } => {
                 payload.push(TAG_WRITEBACK);
-                put_varint(&mut payload, *seq);
-                put_varint(&mut payload, *pages);
+                put_varint(payload, *seq);
+                put_varint(payload, *pages);
+            }
+            FlightEvent::Request(r) => {
+                payload.push(TAG_REQUEST);
+                for v in [r.seq, r.id, r.client, u64::from(r.kind), r.started] {
+                    put_varint(payload, v);
+                }
+                for &n in &r.phases {
+                    put_varint(payload, n);
+                }
             }
         }
-        put_varint(out, payload.len() as u64);
-        out.extend_from_slice(&payload);
+        let len = out.len() - start - 1;
+        if len < 0x80 {
+            out[start] = len as u8;
+        } else {
+            let mut prefix = Vec::with_capacity(2);
+            put_varint(&mut prefix, len as u64);
+            out.splice(start..=start, prefix);
+        }
     }
 
     /// Decodes one frame payload (the bytes *after* the length prefix).
@@ -501,6 +568,23 @@ impl FlightEvent {
                 seq: v()?,
                 pages: v()?,
             },
+            TAG_REQUEST => {
+                let (seq, id, client) = (v()?, v()?, v()?);
+                let kind = u8::try_from(v()?).ok()?;
+                let started = v()?;
+                let mut phases = [0u64; REQUEST_PHASES];
+                for n in &mut phases {
+                    *n = v()?;
+                }
+                FlightEvent::Request(RequestTimeline {
+                    id,
+                    client,
+                    seq,
+                    kind,
+                    started,
+                    phases,
+                })
+            }
             _ => return None,
         };
         Some(ev)
@@ -619,6 +703,14 @@ mod tests {
                 micros: 44,
             },
             FlightEvent::CommandCancel { seq: 4 },
+            FlightEvent::Request(RequestTimeline {
+                id: 1 << 63 | 5,
+                client: 2,
+                seq: 1,
+                kind: 0x01,
+                started: 9_000,
+                phases: [1, 2, 3, 4, 5, 6, u64::MAX, 0],
+            }),
         ];
         let mut buf = Vec::new();
         for e in &events {

@@ -12,6 +12,10 @@
 //!   algorithm [`Phase`] that caused it;
 //! * **dsf-durable** records WAL frames and fsyncs;
 //! * **dsf-concurrent** records shard-lock waits;
+//! * **dsf-server** records each served request's wall-clock timeline
+//!   (`dsf-trace`'s eight phases, wire decode through ack write) as one
+//!   [`FlightEvent::Request`] frame carrying the seq of the command it
+//!   ran as;
 //!
 //! all under a single monotonically increasing **command sequence number**
 //! threaded through the stack via a thread-local (each command runs on one
@@ -19,6 +23,8 @@
 //! frames in a bounded, drop-counting byte ring ([`FlightRing`]); a
 //! snapshot persists to a [`FlightLog`] (`.flight` file) and replays into
 //! per-command [`Attribution`] with J-budget and page-bound auditing.
+//! One log therefore answers both "why was request X slow?" and "why did
+//! its command touch 224 pages?" (`dsf explain`).
 //!
 //! Like the step trace and the telemetry spine, the recorder is **off by
 //! default**: every instrumentation site is a single relaxed-load branch
@@ -51,7 +57,8 @@ mod replay;
 mod ring;
 
 pub use codec::{
-    decode_frames, get_varint, put_varint, AccessKind, CommandKind, FlightEvent, Phase, PHASES,
+    decode_frames, get_varint, put_varint, AccessKind, CommandKind, FlightEvent, Phase,
+    RequestTimeline, PHASES, REQUEST_PHASES,
 };
 pub use log::{FlightLog, FLIGHT_MAGIC, FLIGHT_VERSION};
 pub use replay::{Attribution, AuditReport, BoundBudget, CommandCost, ShiftTrace, Violation};
@@ -61,8 +68,9 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::OnceLock;
 
-/// Default byte budget of the global ring (~100k events).
-pub const DEFAULT_FLIGHT_CAPACITY: usize = 1 << 20;
+/// Default byte budget of the global ring: on the order of a million
+/// command events, or ~100k served requests with their commands' frames.
+pub const DEFAULT_FLIGHT_CAPACITY: usize = 1 << 23;
 
 struct Globals {
     ring: FlightRing,
@@ -357,6 +365,15 @@ pub fn record_writeback(seq: u64, pages: u64) {
         return;
     }
     globals().ring.push(&FlightEvent::Writeback { seq, pages });
+}
+
+/// Records a served request's finished timeline (no-op while disabled).
+/// The timeline names its own seq: it is recorded on the connection
+/// thread after the response is written, outside any command.
+pub fn record_request(timeline: RequestTimeline) {
+    if enabled() {
+        globals().ring.push(&FlightEvent::Request(timeline));
+    }
 }
 
 /// Records a shard write-lock wait for the *upcoming* command (the seq

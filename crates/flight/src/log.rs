@@ -11,14 +11,14 @@
 //! <frames...>                     exactly payload_len bytes of frames
 //! ```
 //!
-//! Embedding the budget means `dsf flight replay`/`explain` audit with the
+//! Embedding the budget means `dsf flight replay` and `dsf explain` audit with the
 //! *recording* file's configuration — no flags to mis-remember later.
 
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::path::Path;
 
-use crate::codec::{decode_frames, put_varint, read_varint, FlightEvent};
+use crate::codec::{decode_frames, put_varint, read_varint, FlightEvent, RequestTimeline};
 use crate::replay::{Attribution, BoundBudget};
 
 /// 8-byte magic opening every `.flight` file.
@@ -45,6 +45,14 @@ impl FlightLog {
     /// Replays the log into per-command attribution.
     pub fn replay(&self) -> Attribution {
         Attribution::replay(self)
+    }
+
+    /// The served requests' timelines, oldest first.
+    pub fn requests(&self) -> impl Iterator<Item = &RequestTimeline> {
+        self.events.iter().filter_map(|ev| match ev {
+            FlightEvent::Request(r) => Some(r),
+            _ => None,
+        })
     }
 
     /// Serializes the log into the `.flight` byte format.
@@ -101,8 +109,16 @@ impl FlightLog {
         let dropped = read_varint(r)?;
         let total = read_varint(r)?;
         let payload_len = read_varint(r)?;
-        let mut frames = vec![0u8; usize::try_from(payload_len).map_err(io::Error::other)?];
-        r.read_exact(&mut frames)?;
+        // Read through `take` rather than pre-sizing a buffer from the
+        // header: a corrupt length must not become a huge allocation.
+        let mut frames = Vec::new();
+        r.take(payload_len).read_to_end(&mut frames)?;
+        if frames.len() as u64 != payload_len {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "truncated .flight payload",
+            ));
+        }
         Ok(FlightLog {
             budget,
             total,
@@ -154,6 +170,17 @@ mod tests {
         assert_eq!(back.total, 3);
         assert_eq!(back.dropped, 1);
         assert_eq!(back.events, log.events);
+    }
+
+    #[test]
+    fn corrupt_payload_length_is_an_error_not_an_allocation() {
+        let mut bytes = FLIGHT_MAGIC.to_vec();
+        for v in [FLIGHT_VERSION, 3, 1, 3, 9, 0, 1, u64::MAX] {
+            put_varint(&mut bytes, v);
+        }
+        bytes.extend_from_slice(&[2, 2, 9]); // one short frame
+        let err = FlightLog::from_reader(&mut bytes.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

@@ -231,8 +231,10 @@ impl Attribution {
         let mut by_seq: BTreeMap<u64, CommandCost> = BTreeMap::new();
         for ev in &log.events {
             let seq = ev.seq();
-            if seq == 0 {
-                continue; // events recorded outside any command
+            // Events recorded outside any command carry no page cost, and
+            // a request timeline only points at the command that holds it.
+            if seq == 0 || matches!(ev, FlightEvent::Request(_)) {
+                continue;
             }
             let c = by_seq.entry(seq).or_insert_with(|| CommandCost::new(seq));
             match ev {
@@ -300,6 +302,7 @@ impl Attribution {
                 FlightEvent::Writeback { pages, .. } => {
                     c.writeback_pages = c.writeback_pages.saturating_add(*pages)
                 }
+                FlightEvent::Request(_) => {}
             }
         }
         let mut commands = Vec::with_capacity(by_seq.len());

@@ -5,19 +5,21 @@
 //! `1 MiB` holds on the order of 100k events regardless of how bursty the
 //! per-command event mix is. When a push would overflow the budget, whole
 //! frames are evicted from the front (oldest first) and counted as
-//! dropped — the same contract as `dsf_telemetry::SpanRing`, one level
-//! down the stack.
+//! dropped, so memory stays bounded under any load.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-use crate::codec::{decode_frames, get_varint, FlightEvent};
+use crate::codec::{decode_frames, varint_from, FlightEvent};
 
 #[derive(Debug, Default)]
 struct Inner {
     buf: VecDeque<u8>,
     dropped: u64,
     total: u64,
+    /// Scratch for the frame being pushed, reused so a push allocates
+    /// nothing.
+    frame: Vec<u8>,
 }
 
 /// A bounded ring of encoded [`FlightEvent`] frames.
@@ -45,38 +47,44 @@ impl FlightRing {
     /// Encodes and stores one event, evicting (and counting) the oldest
     /// frames when the byte budget would overflow.
     pub fn push(&self, event: &FlightEvent) {
-        let mut frame = Vec::with_capacity(24);
-        event.encode(&mut frame);
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut guard = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let inner = &mut *guard;
+        inner.frame.clear();
+        event.encode(&mut inner.frame);
         inner.total += 1;
-        if frame.len() > self.capacity {
+        let len = inner.frame.len();
+        if len > self.capacity {
             // A single frame larger than the whole ring can never be
             // retained; count it dropped rather than wedging the buffer.
             inner.dropped += 1;
             return;
         }
-        if inner.buf.len() + frame.len() > self.capacity {
-            Self::evict_front(&mut inner, frame.len(), self.capacity);
+        if inner.buf.len() + len > self.capacity {
+            Self::evict_front(inner, len, self.capacity);
         }
-        inner.buf.extend(frame);
+        inner.buf.extend(&inner.frame);
     }
 
     /// Evicts whole frames from the front until `incoming` more bytes fit
-    /// under `capacity` — one `make_contiguous` and one `drain` for the
-    /// whole batch, so a push that must displace many frames stays linear
-    /// in the evicted bytes rather than quadratic in the buffer.
+    /// under `capacity` — one `drain` for the whole batch, with the frame
+    /// lengths read in place, so a push into a full ring costs the bytes it
+    /// evicts, not a rotation of the whole buffer.
     fn evict_front(inner: &mut Inner, incoming: usize, capacity: usize) {
         let retained = inner.buf.len();
-        let head = inner.buf.make_contiguous();
         let mut skip = 0usize;
         let mut evicted = 0u64;
-        while retained - skip + incoming > capacity && skip < head.len() {
+        while retained - skip + incoming > capacity && skip < retained {
             let mut pos = skip;
-            skip = match get_varint(head, &mut pos) {
-                Some(len) => (pos + len as usize).min(head.len()),
+            let len = varint_from(|| {
+                let byte = inner.buf.get(pos).copied();
+                pos += 1;
+                byte
+            });
+            skip = match len {
+                Some(len) => pos.saturating_add(len as usize).min(retained),
                 // Unreachable for frames written by `push`, but never loop
                 // forever on a buffer we cannot parse.
-                None => head.len(),
+                None => retained,
             };
             evicted += 1;
         }

@@ -137,7 +137,6 @@ fn worker_loop<B: PageBackend>(shared: &Shared<B>) {
         // Execute outside the state lock so disjoint writes overlap with
         // submissions; the unwind guard turns a backend panic into a sticky
         // error instead of a wedged queue.
-        let wb_start = dsf_trace::enabled().then(std::time::Instant::now);
         let result = catch_unwind(AssertUnwindSafe(|| {
             shared.backend().write_run(req.first_page, &req.data)
         }));
@@ -152,12 +151,6 @@ fn worker_loop<B: PageBackend>(shared: &Shared<B>) {
         match result {
             Ok(Ok(())) => {
                 tel().writeback_pages.add(req.pages);
-                // Writeback is asynchronous to every request, so it is
-                // charged to the global trace tally, not a timeline.
-                if let Some(t0) = wb_start {
-                    let nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    dsf_trace::record_writeback(nanos, req.pages);
-                }
             }
             Ok(Err(e)) => st.failed.push((req, e)),
             Err(panic) => {

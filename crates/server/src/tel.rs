@@ -37,7 +37,7 @@ pub struct ServerTel {
     /// `dsf_trace_phase_micros{phase=…}` — per-phase request-trace time,
     /// indexed by `Phase as usize`. Fed from finished timelines on the
     /// connection thread ([`ServerTel::finish_trace`]), so the exposition
-    /// carries the same attribution the trace ring does.
+    /// carries the same attribution the flight log does.
     pub phase_micros: Vec<Arc<Histogram>>,
     /// Connection ids currently holding a live per-client label
     /// (see [`MAX_CLIENT_LABELS`]).
@@ -137,19 +137,19 @@ impl ServerTel {
     /// Finalizes a request timeline on the connection thread, once its
     /// response is written: stamps the
     /// ack-write checkpoint, folds the per-phase times into the
-    /// `dsf_trace_phase_micros` histograms, and pushes the record into
-    /// the global trace ring.
+    /// `dsf_trace_phase_micros` histograms, and records the timeline as
+    /// one `Request` frame in the flight recorder.
     pub fn finish_trace(&self, ctx: &dsf_trace::TraceCtx) {
         ctx.checkpoint(Phase::AckWrite);
-        let rec = ctx.to_record();
+        let timeline = ctx.to_timeline();
         if dsf_telemetry::enabled() {
             for p in Phase::ALL {
-                let nanos = rec.phases[p as usize];
+                let nanos = timeline.phases[p as usize];
                 if nanos > 0 {
                     self.phase_micros[p as usize].record(nanos / 1_000);
                 }
             }
         }
-        dsf_trace::ring().push(rec);
+        dsf_flight::record_request(timeline);
     }
 }

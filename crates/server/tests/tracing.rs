@@ -6,6 +6,7 @@
 //!
 //! Tracing and telemetry are process-global, so every test here
 //! serializes on one lock (tests within this binary run in parallel).
+//! Timelines land in the flight recorder, whose switch is tracing's.
 
 use dsf_core::DenseFileConfig;
 use dsf_durable::{Durability, SyncPolicy};
@@ -20,6 +21,17 @@ fn lock() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Snapshots the global flight recorder (the audit budget is irrelevant
+/// to these tests).
+fn snapshot() -> dsf_flight::FlightLog {
+    dsf_flight::snapshot_log(dsf_flight::BoundBudget {
+        j: 1,
+        k: 1,
+        log_slots: 1,
+        gap: 1,
+    })
+}
+
 fn tempdir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("dsf-trace-test-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -29,8 +41,8 @@ fn tempdir(tag: &str) -> std::path::PathBuf {
 #[test]
 fn traced_requests_yield_reconciling_waterfalls() {
     let _g = lock();
-    dsf_trace::set_enabled(true);
-    dsf_trace::ring().clear();
+    dsf_flight::clear();
+    dsf_flight::enable();
     let dir = tempdir("waterfall");
     let kv = DurableKv::create(
         &dir,
@@ -73,12 +85,13 @@ fn traced_requests_yield_reconciling_waterfalls() {
     ));
     drop(c);
     server.shutdown().expect("shutdown");
-    dsf_trace::set_enabled(false);
+    dsf_flight::disable();
 
-    let log = dsf_trace::snapshot_log();
+    let log = snapshot();
+    let attr = log.replay();
+    let records: Vec<_> = log.requests().collect();
     for id in &ids {
-        let rec = log
-            .records
+        let rec = records
             .iter()
             .find(|r| r.id == *id)
             .unwrap_or_else(|| panic!("timeline for trace id {id:#x} missing"));
@@ -87,18 +100,23 @@ fn traced_requests_yield_reconciling_waterfalls() {
         // non-degenerate and the durable phases actually registered.
         assert!(rec.total() > 0, "empty timeline for {id:#x}");
         assert_eq!(rec.kind, 0x01, "insert tag propagated");
-        // (rec.seq stays 0 here: the flight recorder is off, and its
-        // seqs only flow into timelines when it is sampling.)
+        // The timeline names the command it ran as, and the same log
+        // holds that command's page cost.
+        assert!(
+            attr.find(rec.seq).is_some(),
+            "timeline {id:#x} joins no command (seq {})",
+            rec.seq
+        );
     }
     assert!(
-        log.records
+        records
             .iter()
             .any(|r| r.id & FALLBACK_ID_BIT != 0 && r.total() > 0),
         "legacy frame got a fallback-id timeline"
     );
     // Strict batches fsync before ack: the fsync and WAL-append phases
     // must carry time somewhere across the run.
-    let phase_total = |p: Phase| -> u64 { log.records.iter().map(|r| r.phases[p as usize]).sum() };
+    let phase_total = |p: Phase| -> u64 { records.iter().map(|r| r.phases[p as usize]).sum() };
     assert!(phase_total(Phase::Fsync) > 0, "no fsync time attributed");
     assert!(
         phase_total(Phase::WalAppend) > 0,
@@ -114,8 +132,8 @@ fn traced_requests_yield_reconciling_waterfalls() {
 #[test]
 fn tracing_off_records_nothing() {
     let _g = lock();
-    dsf_trace::set_enabled(false);
-    dsf_trace::ring().clear();
+    dsf_flight::disable();
+    dsf_flight::clear();
     let dir = tempdir("off");
     let kv = DurableKv::create(
         &dir,
@@ -145,9 +163,9 @@ fn tracing_off_records_nothing() {
     drop(c);
     server.shutdown().expect("shutdown");
     assert_eq!(
-        dsf_trace::snapshot_log().records.len(),
+        snapshot().events.len(),
         0,
-        "disabled tracing must leave the ring empty"
+        "disabled tracing must leave the flight ring empty"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,8 +4,8 @@
 //! The workspace is offline (no registry access), so the HTTP side is a
 //! deliberately tiny `std::net` server: it understands exactly enough of
 //! HTTP/1.1 to answer `GET /metrics` (Prometheus text format 0.0.4),
-//! `GET /json` (a machine-diffable snapshot), and `GET /spans` (the recent
-//! span ring). One request per connection, `Connection: close`.
+//! and `GET /json` (a machine-diffable snapshot). One request per
+//! connection, `Connection: close`.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -176,23 +176,16 @@ impl Registry {
 /// Routes one request path against the **global** spine.
 fn respond_to(path: &str) -> (u16, &'static str, String) {
     match path {
-        "/metrics" => {
-            crate::refresh_span_gauges();
-            (
-                200,
-                "text/plain; version=0.0.4; charset=utf-8",
-                crate::global().render_prometheus(),
-            )
-        }
-        "/json" => {
-            crate::refresh_span_gauges();
-            (200, "application/json", crate::global().render_json())
-        }
-        "/spans" => (200, "application/json", crate::spans().render_json(256)),
+        "/metrics" => (
+            200,
+            "text/plain; version=0.0.4; charset=utf-8",
+            crate::global().render_prometheus(),
+        ),
+        "/json" => (200, "application/json", crate::global().render_json()),
         "/" => (
             200,
             "text/plain; charset=utf-8",
-            "dsf-telemetry: /metrics (Prometheus), /json, /spans\n".to_string(),
+            "dsf-telemetry: /metrics (Prometheus), /json\n".to_string(),
         ),
         _ => (404, "text/plain; charset=utf-8", "not found\n".to_string()),
     }

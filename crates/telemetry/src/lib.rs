@@ -12,9 +12,6 @@
 //!   allocation, and a **single branch no-op while disabled** (the same
 //!   discipline as `DenseFile::enable_step_trace`). Registration is the
 //!   cold path and takes a lock; recording never does.
-//! * [`SpanRing`] — a bounded ring buffer of structured per-command
-//!   [`Span`]s (command kind, pages touched, shift steps run, WAL frames
-//!   appended) with drop counting, so memory stays bounded under any load.
 //! * [`export`] — Prometheus text exposition served over a tiny
 //!   `std::net` HTTP listener (no dependencies; the workspace is offline),
 //!   a JSON snapshot writer the bench harness diffs across runs, and an
@@ -25,9 +22,15 @@
 //! The library crates (`dsf-pagestore`, `dsf-core`, `dsf-durable`,
 //! `dsf-concurrent`) record into one process-wide registry reached through
 //! [`global`], which starts **disabled**: until [`Registry::enable`] is
-//! called, every instrument is an inert branch and the system measures at
-//! its PR-2 baseline. Tools that want live metrics (`dsf serve-metrics`,
-//! `dsf top`, `exp_telemetry`) enable it explicitly.
+//! called, every instrument is an inert branch. Tools that want live
+//! metrics (`dsf serve-metrics`, `dsf top`, `exp_telemetry`) enable it
+//! explicitly.
+//!
+//! Metrics aggregate; they do not attribute. *Which* command touched 224
+//! pages, and where a slow request spent its time, is the flight
+//! recorder's job (`dsf-flight`): it records every command and every
+//! served request's timeline exactly, so this crate keeps no per-command
+//! ring of its own.
 //!
 //! ```
 //! use dsf_telemetry as tel;
@@ -46,35 +49,16 @@
 
 pub mod export;
 mod registry;
-mod span;
 
 pub use export::{parse_exposition, serve, ExpositionSummary, MetricsListener, MetricsServer};
 pub use registry::{Counter, Gauge, Histogram, Registry, HISTOGRAM_BUCKETS};
-pub use span::{Span, SpanRing};
 
 use std::sync::OnceLock;
 
-/// Default capacity of the [`spans`] ring (per-command spans retained).
-pub const DEFAULT_SPAN_CAPACITY: usize = 1024;
-
-fn cell() -> &'static (Registry, SpanRing) {
-    static CELL: OnceLock<(Registry, SpanRing)> = OnceLock::new();
-    CELL.get_or_init(|| {
-        let reg = Registry::new();
-        let ring = SpanRing::with_flag(DEFAULT_SPAN_CAPACITY, reg.enabled_flag());
-        (reg, ring)
-    })
-}
-
 /// The process-wide registry every dsf crate records into. Starts disabled.
 pub fn global() -> &'static Registry {
-    &cell().0
-}
-
-/// The process-wide span ring. Shares the on/off switch of [`global`], so
-/// enabling the registry also starts span capture.
-pub fn spans() -> &'static SpanRing {
-    &cell().1
+    static REGISTRY: OnceLock<Registry> = OnceLock::new();
+    REGISTRY.get_or_init(Registry::new)
 }
 
 /// Whether the global spine is currently recording — the one branch every
@@ -84,53 +68,18 @@ pub fn enabled() -> bool {
     global().is_enabled()
 }
 
-/// Publishes the global span ring's own health as gauges
-/// (`dsf_span_ring_dropped`, `dsf_span_ring_capacity`), so a scrape can
-/// tell how lossy the retained spans are without a side channel.
-///
-/// Exporters call this at scrape/refresh time (like the `O(M)` file
-/// gauges); it is not a per-push hook. No-op while the spine is disabled.
-pub fn refresh_span_gauges() {
-    if !enabled() {
-        return;
-    }
-    let r = global();
-    r.gauge(
-        "dsf_span_ring_dropped",
-        "spans evicted from the global span ring",
-    )
-    .set(spans().dropped() as f64);
-    r.gauge(
-        "dsf_span_ring_capacity",
-        "span slots in the global span ring",
-    )
-    .set(spans().capacity() as f64);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn global_spine_shares_one_switch() {
-        // Note: the global registry is process-wide; this test only toggles
-        // it briefly and restores the disabled state.
+    fn global_spine_starts_disabled_and_toggles() {
+        // The global registry is process-wide; this test only toggles it
+        // briefly and restores the disabled state.
         assert!(!enabled());
         global().enable();
         assert!(enabled());
-        spans().push(Span {
-            kind: "test",
-            target: 1,
-            pages: 2,
-            shift_steps: 0,
-            wal_frames: 0,
-            micros: 5,
-        });
-        let (recorded, dropped) = spans().snapshot();
-        assert_eq!(dropped, 0);
-        assert!(recorded.iter().any(|s| s.kind == "test"));
         global().disable();
-        spans().clear();
         assert!(!enabled());
     }
 }

@@ -248,12 +248,6 @@ impl Registry {
         self.on.load(Relaxed)
     }
 
-    /// The shared on/off flag, for wiring sibling structures (the span
-    /// ring) to the same switch.
-    pub fn enabled_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.on)
-    }
-
     fn register(
         &self,
         name: &str,

@@ -27,17 +27,20 @@
 //! queued into it. Each member really did wait for the whole batch, so
 //! the attribution is exact, not amortized.
 //!
-//! Finished timelines land in a bounded, drop-counting [`TraceRing`]
-//! (the wall-clock sibling of `dsf-telemetry`'s `SpanRing`): pushes are
-//! non-blocking (`try_lock` per slot; contention counts a drop, never
-//! stalls the ack path). [`TraceReport`] folds a ring snapshot into
-//! per-phase statistics and p99 *exemplars* — the N slowest requests
-//! with full waterfalls — exportable as Chrome `trace_event` JSON
-//! ([`TraceReport::to_chrome_json`]) for `chrome://tracing` / Perfetto.
+//! A finished timeline is recorded into the flight recorder
+//! (`dsf-flight`) as one `Request` frame carrying the seq of the command
+//! the request ran as ([`TraceCtx::set_seq`]), so one `.flight` log holds
+//! both the wall-clock waterfall and the page-level cost of the same
+//! command, and `dsf explain` joins them. The flight recorder's switch is
+//! this crate's switch too ([`enabled`]). [`TraceReport`] folds a log's
+//! timelines into per-phase statistics and p99 *exemplars* — the N
+//! slowest requests with full waterfalls — exportable as Chrome
+//! `trace_event` JSON ([`TraceReport::to_chrome_json`]) for
+//! `chrome://tracing` / Perfetto.
 //!
 //! Deferred page writeback runs on background workers *after* acks and
-//! is deliberately **outside** the per-request telescoping; it is
-//! recorded globally ([`record_writeback`]) and reported alongside.
+//! is deliberately **outside** the per-request telescoping; the flight
+//! recorder charges it to the command that dirtied the pages instead.
 //!
 //! Everything is disabled by default; the cost while off is one relaxed
 //! atomic load per would-be stamp.
@@ -46,21 +49,17 @@
 #![warn(missing_docs)]
 
 mod report;
-mod ring;
 
+pub use dsf_flight::RequestTimeline;
 pub use report::{PhaseStat, TraceReport};
-pub use ring::TraceRing;
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Number of request phases ([`Phase`] variants).
-pub const PHASE_COUNT: usize = 8;
-
-/// Default capacity of the global [`TraceRing`].
-pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
+pub const PHASE_COUNT: usize = dsf_flight::REQUEST_PHASES;
 
 /// Trace ids with this bit set were assigned by the server (the client
 /// sent no id — an old client, or tracing off on its side).
@@ -129,47 +128,20 @@ impl Phase {
     pub fn from_index(i: usize) -> Option<Phase> {
         Phase::ALL.get(i).copied()
     }
-}
 
-/// A finished, immutable phase timeline — what the ring stores and the
-/// report folds.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceRecord {
-    /// Trace id ([`FALLBACK_ID_BIT`] set when server-assigned).
-    pub id: u64,
-    /// Server connection id the request arrived on.
-    pub client: u64,
-    /// Flight-recorder command seq (0 = none), joining wall-clock spans
-    /// to page-level causal traces.
-    pub seq: u64,
-    /// Wire tag of the request (see `request_kind_name`).
-    pub kind: u8,
-    /// Nanoseconds from the trace epoch to the frame header's arrival.
-    pub started: u64,
-    /// Nanoseconds spent in each [`Phase`], indexed by `Phase as usize`.
-    pub phases: [u64; PHASE_COUNT],
-}
-
-impl TraceRecord {
-    /// End-to-end nanoseconds: the phase sum (telescoping makes this
-    /// identical to last-stamp − start).
-    pub fn total(&self) -> u64 {
-        self.phases.iter().sum()
-    }
-
-    /// The phase this request spent the most time in.
-    pub fn dominant_phase(&self) -> Phase {
-        let (i, _) = self
+    /// The phase `timeline` spent the most time in (the latest on ties).
+    pub fn dominant(timeline: &RequestTimeline) -> Phase {
+        let (i, _) = timeline
             .phases
             .iter()
             .enumerate()
             .max_by_key(|&(_, n)| *n)
             .expect("PHASE_COUNT > 0");
-        Phase::from_index(i).expect("index in range")
+        Phase::ALL[i]
     }
 }
 
-/// Human name of a [`TraceRecord::kind`] wire tag (mirrors the
+/// Human name of a [`RequestTimeline::kind`] wire tag (mirrors the
 /// `dsf-server` protocol tag table; unknown tags render as `other`).
 pub fn request_kind_name(kind: u8) -> &'static str {
     match kind {
@@ -190,41 +162,24 @@ pub fn request_kind_name(kind: u8) -> &'static str {
 // ---------------------------------------------------------------------
 
 struct TraceState {
-    on: AtomicBool,
     epoch: Instant,
-    ring: TraceRing,
     next_fallback: AtomicU64,
-    writeback_nanos: AtomicU64,
-    writeback_pages: AtomicU64,
 }
 
 fn state() -> &'static TraceState {
     static STATE: OnceLock<TraceState> = OnceLock::new();
     STATE.get_or_init(|| TraceState {
-        on: AtomicBool::new(false),
         epoch: Instant::now(),
-        ring: TraceRing::new(DEFAULT_TRACE_CAPACITY),
         next_fallback: AtomicU64::new(1),
-        writeback_nanos: AtomicU64::new(0),
-        writeback_pages: AtomicU64::new(0),
     })
 }
 
-/// Whether tracing is on (one relaxed load — the cost of every stamp
-/// site while disabled).
+/// Whether tracing is on: the flight recorder's switch
+/// (`dsf_flight::enable`), one relaxed load — the cost of every stamp
+/// site while disabled.
 #[inline]
 pub fn enabled() -> bool {
-    state().on.load(Relaxed)
-}
-
-/// Turns tracing on or off. Already-recorded timelines stay in the ring.
-pub fn set_enabled(on: bool) {
-    state().on.store(on, Relaxed);
-}
-
-/// The process-global ring finished timelines land in.
-pub fn ring() -> &'static TraceRing {
-    &state().ring
+    dsf_flight::enabled()
 }
 
 /// Nanoseconds since the process trace epoch (monotonic).
@@ -237,33 +192,6 @@ pub fn now_nanos() -> u64 {
 /// wire (old clients): unique, [`FALLBACK_ID_BIT`] set.
 pub fn fallback_id() -> u64 {
     FALLBACK_ID_BIT | state().next_fallback.fetch_add(1, Relaxed)
-}
-
-/// Charges one completed background-writeback run (outside any request
-/// timeline — deferred work happens after acks by design).
-pub fn record_writeback(nanos: u64, pages: u64) {
-    if enabled() {
-        let s = state();
-        s.writeback_nanos.fetch_add(nanos, Relaxed);
-        s.writeback_pages.fetch_add(pages, Relaxed);
-    }
-}
-
-/// Cumulative deferred-writeback work: `(nanos, pages)`.
-pub fn writeback_totals() -> (u64, u64) {
-    let s = state();
-    (
-        s.writeback_nanos.load(Relaxed),
-        s.writeback_pages.load(Relaxed),
-    )
-}
-
-/// Snapshots the global ring into a persistable [`TraceLog`].
-pub fn snapshot_log() -> TraceLog {
-    TraceLog {
-        records: ring().snapshot(),
-        dropped: ring().dropped(),
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -332,10 +260,10 @@ impl TraceCtx {
         self.seq.store(seq, Relaxed);
     }
 
-    /// Snapshots the timeline into an immutable record (taken by the
-    /// connection thread after the final [`Phase::AckWrite`] stamp).
-    pub fn to_record(&self) -> TraceRecord {
-        TraceRecord {
+    /// Snapshots the timeline (taken by the connection thread after the
+    /// final [`Phase::AckWrite`] stamp).
+    pub fn to_timeline(&self) -> RequestTimeline {
+        RequestTimeline {
             id: self.id,
             client: self.client,
             seq: self.seq.load(Relaxed),
@@ -426,93 +354,6 @@ pub fn batch_finish() -> Option<BatchPhases> {
     })
 }
 
-// ---------------------------------------------------------------------
-// Persistence (mirrors dsf-flight's FlightLog save/load).
-// ---------------------------------------------------------------------
-
-const MAGIC: &[u8; 8] = b"DSFTRC01";
-
-/// A persisted set of timelines: what `dsf trace record` saves and
-/// `dsf trace replay`/`explain` load.
-#[derive(Debug, Clone, Default)]
-pub struct TraceLog {
-    /// The retained timelines, oldest first.
-    pub records: Vec<TraceRecord>,
-    /// Timelines the ring dropped (capacity or slot contention).
-    pub dropped: u64,
-}
-
-impl TraceLog {
-    /// Serializes to `path` (fixed-width little-endian; magic-tagged).
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let mut out = Vec::with_capacity(32 + self.records.len() * (8 * 12 + 1));
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&(PHASE_COUNT as u32).to_le_bytes());
-        out.extend_from_slice(&self.dropped.to_le_bytes());
-        out.extend_from_slice(&(self.records.len() as u64).to_le_bytes());
-        for r in &self.records {
-            out.extend_from_slice(&r.id.to_le_bytes());
-            out.extend_from_slice(&r.client.to_le_bytes());
-            out.extend_from_slice(&r.seq.to_le_bytes());
-            out.push(r.kind);
-            out.extend_from_slice(&r.started.to_le_bytes());
-            for p in &r.phases {
-                out.extend_from_slice(&p.to_le_bytes());
-            }
-        }
-        std::fs::write(path, out)
-    }
-
-    /// Loads a log [`save`](Self::save) wrote.
-    pub fn load(path: impl AsRef<std::path::Path>) -> std::io::Result<TraceLog> {
-        let bytes = std::fs::read(path)?;
-        let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
-        let mut at = 0usize;
-        let mut take = |n: usize| -> std::io::Result<&[u8]> {
-            let end = at.checked_add(n).filter(|&e| e <= bytes.len());
-            let end = end.ok_or_else(|| bad("truncated trace log"))?;
-            let s = &bytes[at..end];
-            at = end;
-            Ok(s)
-        };
-        if take(8)? != MAGIC {
-            return Err(bad("not a dsf trace log (bad magic)"));
-        }
-        let u32le = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4 bytes"));
-        let u64le = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes"));
-        if u32le(take(4)?) as usize != PHASE_COUNT {
-            return Err(bad("trace log phase count mismatch"));
-        }
-        let dropped = u64le(take(8)?);
-        let count = u64le(take(8)?);
-        let per_record = 8 * 4 + 1 + 8 * PHASE_COUNT;
-        if count > (bytes.len() / per_record) as u64 {
-            return Err(bad("trace log record count exceeds file size"));
-        }
-        let mut records = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            let id = u64le(take(8)?);
-            let client = u64le(take(8)?);
-            let seq = u64le(take(8)?);
-            let kind = take(1)?[0];
-            let started = u64le(take(8)?);
-            let mut phases = [0u64; PHASE_COUNT];
-            for p in &mut phases {
-                *p = u64le(take(8)?);
-            }
-            records.push(TraceRecord {
-                id,
-                client,
-                seq,
-                kind,
-                started,
-                phases,
-            });
-        }
-        Ok(TraceLog { records, dropped })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,8 +364,8 @@ mod tests {
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn record(total_per_phase: [u64; PHASE_COUNT]) -> TraceRecord {
-        TraceRecord {
+    fn record(total_per_phase: [u64; PHASE_COUNT]) -> RequestTimeline {
+        RequestTimeline {
             id: 7,
             client: 1,
             seq: 3,
@@ -538,7 +379,7 @@ mod tests {
     fn disabled_tracing_yields_no_context() {
         let _g = flag_lock();
         // Default state is off (other tests in this module re-disable).
-        set_enabled(false);
+        dsf_flight::disable();
         assert!(TraceCtx::begin_at(1, 0, 0x01, now_nanos()).is_none());
         batch_begin();
         assert!(batch_finish().is_none());
@@ -547,24 +388,24 @@ mod tests {
     #[test]
     fn checkpoints_telescope_exactly() {
         let _g = flag_lock();
-        set_enabled(true);
+        dsf_flight::enable();
         let t0 = now_nanos();
         let ctx = TraceCtx::begin_at(9, 2, 0x01, t0).expect("enabled");
         ctx.checkpoint(Phase::WireDecode);
         std::thread::sleep(std::time::Duration::from_millis(2));
         ctx.checkpoint(Phase::QueueWait);
         ctx.checkpoint(Phase::AckWrite);
-        let rec = ctx.to_record();
+        let rec = ctx.to_timeline();
         let last = ctx.last.load(Relaxed);
         assert_eq!(rec.total(), last - t0, "phase sum must telescope");
         assert!(rec.phases[Phase::QueueWait as usize] >= 1_000_000);
-        set_enabled(false);
+        dsf_flight::disable();
     }
 
     #[test]
     fn batch_phases_distribute_and_keep_the_telescope() {
         let _g = flag_lock();
-        set_enabled(true);
+        dsf_flight::enable();
         let t0 = now_nanos();
         let ctx = TraceCtx::begin_at(1, 0, 0x01, t0).expect("enabled");
         ctx.checkpoint(Phase::QueueWait);
@@ -576,22 +417,22 @@ mod tests {
         assert!(bp.nanos[Phase::Fsync as usize] >= 500_000);
         ctx.add_batch(&bp);
         ctx.checkpoint(Phase::AckWrite);
-        let rec = ctx.to_record();
+        let rec = ctx.to_timeline();
         assert_eq!(rec.total(), ctx.last.load(Relaxed) - t0);
         assert!(rec.phases[Phase::Fsync as usize] >= 500_000);
-        set_enabled(false);
+        dsf_flight::disable();
     }
 
     #[test]
     fn batch_residual_lands_on_execute() {
         let _g = flag_lock();
-        set_enabled(true);
+        dsf_flight::enable();
         batch_begin();
         std::thread::sleep(std::time::Duration::from_millis(1));
         let bp = batch_finish().expect("batch open");
         assert!(bp.nanos[Phase::Execute as usize] >= 500_000);
         assert_eq!(bp.nanos[Phase::Fsync as usize], 0);
-        set_enabled(false);
+        dsf_flight::disable();
     }
 
     #[test]
@@ -613,33 +454,7 @@ mod tests {
     fn dominant_phase_is_the_argmax() {
         let mut phases = [1u64; PHASE_COUNT];
         phases[Phase::Fsync as usize] = 1_000;
-        assert_eq!(record(phases).dominant_phase(), Phase::Fsync);
-    }
-
-    #[test]
-    fn log_round_trips_through_disk() {
-        let mut phases = [0u64; PHASE_COUNT];
-        phases[Phase::Execute as usize] = 42;
-        let log = TraceLog {
-            records: vec![record(phases), record([7; PHASE_COUNT])],
-            dropped: 3,
-        };
-        let path = std::env::temp_dir().join(format!("dsf-trace-rt-{}", std::process::id()));
-        log.save(&path).expect("save");
-        let back = TraceLog::load(&path).expect("load");
-        std::fs::remove_file(&path).ok();
-        assert_eq!(back.dropped, 3);
-        assert_eq!(back.records, log.records);
-    }
-
-    #[test]
-    fn load_rejects_garbage() {
-        let path = std::env::temp_dir().join(format!("dsf-trace-bad-{}", std::process::id()));
-        std::fs::write(&path, b"definitely not a trace log").expect("write");
-        assert!(TraceLog::load(&path).is_err());
-        std::fs::write(&path, b"short").expect("write");
-        assert!(TraceLog::load(&path).is_err());
-        std::fs::remove_file(&path).ok();
+        assert_eq!(Phase::dominant(&record(phases)), Phase::Fsync);
     }
 
     #[test]
@@ -651,17 +466,5 @@ mod tests {
         assert_eq!(Phase::from_index(PHASE_COUNT), None);
         assert_eq!(request_kind_name(0x01), "insert");
         assert_eq!(request_kind_name(0xEE), "other");
-    }
-
-    #[test]
-    fn writeback_totals_accumulate_when_enabled() {
-        let _g = flag_lock();
-        set_enabled(true);
-        let (n0, p0) = writeback_totals();
-        record_writeback(100, 4);
-        let (n1, p1) = writeback_totals();
-        assert_eq!(n1 - n0, 100);
-        assert_eq!(p1 - p0, 4);
-        set_enabled(false);
     }
 }

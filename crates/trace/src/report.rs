@@ -1,7 +1,8 @@
 //! The attribution engine: fold timelines into per-phase statistics and
 //! p99 exemplars, render them for humans, export them for Perfetto.
 
-use crate::{request_kind_name, Phase, TraceRecord, PHASE_COUNT};
+use crate::{request_kind_name, Phase, RequestTimeline, PHASE_COUNT};
+use dsf_flight::FlightLog;
 
 /// Latency statistics of one phase (or of the end-to-end totals) over a
 /// set of timelines. Percentiles are over *all* records — a request that
@@ -29,7 +30,8 @@ impl PhaseStat {
         let pick = |p: usize| values[(values.len() * p / 100).min(values.len() - 1)];
         PhaseStat {
             count: values.iter().filter(|&&v| v > 0).count() as u64,
-            total: values.iter().sum(),
+            // Saturating: a flight log is untrusted input.
+            total: values.iter().fold(0u64, |a, &v| a.saturating_add(v)),
             max: *values.last().expect("non-empty"),
             p50: pick(50),
             p99: pick(99),
@@ -43,19 +45,27 @@ impl PhaseStat {
 pub struct TraceReport {
     /// Timelines folded.
     pub records: u64,
-    /// Timelines the ring lost (from the log's drop counter).
+    /// Frames of any kind the flight ring evicted before the log was
+    /// taken (0 means every recorded timeline is here).
     pub dropped: u64,
     /// Per-phase statistics, indexed by `Phase as usize`.
     pub phases: [PhaseStat; PHASE_COUNT],
     /// End-to-end (phase-sum) statistics.
     pub total: PhaseStat,
     /// The slowest requests, slowest first — the p99 exemplars.
-    pub exemplars: Vec<TraceRecord>,
+    pub exemplars: Vec<RequestTimeline>,
 }
 
 impl TraceReport {
+    /// Folds the `Request` frames of a flight log, keeping the
+    /// `exemplar_n` slowest waterfalls.
+    pub fn from_log(log: &FlightLog, exemplar_n: usize) -> TraceReport {
+        let records: Vec<RequestTimeline> = log.requests().cloned().collect();
+        TraceReport::build(&records, log.dropped, exemplar_n)
+    }
+
     /// Folds `records`, keeping the `exemplar_n` slowest waterfalls.
-    pub fn build(records: &[TraceRecord], dropped: u64, exemplar_n: usize) -> TraceReport {
+    pub fn build(records: &[RequestTimeline], dropped: u64, exemplar_n: usize) -> TraceReport {
         let mut per_phase: Vec<Vec<u64>> =
             std::iter::repeat_with(|| Vec::with_capacity(records.len()))
                 .take(PHASE_COUNT)
@@ -73,7 +83,7 @@ impl TraceReport {
         });
         totals.sort_unstable();
         let total = PhaseStat::from_sorted(&totals);
-        let mut exemplars: Vec<TraceRecord> = records.to_vec();
+        let mut exemplars: Vec<RequestTimeline> = records.to_vec();
         exemplars.sort_by_key(|r| std::cmp::Reverse(r.total()));
         exemplars.truncate(exemplar_n);
         TraceReport {
@@ -104,7 +114,7 @@ impl TraceReport {
     }
 
     /// A fixed-width text table of the per-phase breakdown (the body of
-    /// `dsf trace replay` and the `dsf top` panel).
+    /// `dsf flight replay` and the `dsf top` panel).
     pub fn render_text(&self) -> String {
         let us = |n: u64| n as f64 / 1_000.0;
         let mut out = String::new();
@@ -145,17 +155,18 @@ impl TraceReport {
         out
     }
 
-    /// Renders one exemplar as an indented waterfall (for
-    /// `dsf trace explain`).
-    pub fn render_waterfall(rec: &TraceRecord) -> String {
+    /// Renders one exemplar as an indented waterfall (for `dsf explain`).
+    /// Times print to the nanosecond, so the phase lines sum exactly to
+    /// the total.
+    pub fn render_waterfall(rec: &RequestTimeline) -> String {
         let mut out = format!(
-            "trace {:#018x} client {} seq {} {} — {:.1}us total (dominant: {})\n",
+            "trace {:#018x} client {} seq {} {} — {:.3}us total (dominant: {})\n",
             rec.id,
             rec.client,
             rec.seq,
             request_kind_name(rec.kind),
             rec.total() as f64 / 1_000.0,
-            rec.dominant_phase().name(),
+            Phase::dominant(rec).name(),
         );
         let total = rec.total().max(1);
         let mut at = 0u64;
@@ -164,15 +175,15 @@ impl TraceReport {
             if n == 0 {
                 continue;
             }
-            let bar = (n * 40 / total).max(1) as usize;
+            let bar = (u128::from(n) * 40 / u128::from(total)).max(1) as usize;
             out.push_str(&format!(
-                "  {:>12} {:>10.1}us  at +{:>9.1}us  {}\n",
+                "  {:>12} {:>12.3}us  at +{:>11.3}us  {}\n",
                 p.name(),
                 n as f64 / 1_000.0,
                 at as f64 / 1_000.0,
                 "#".repeat(bar),
             ));
-            at += n;
+            at = at.saturating_add(n);
         }
         out
     }
@@ -209,7 +220,7 @@ impl TraceReport {
                     rec.id,
                     rec.seq,
                 ));
-                at += n;
+                at = at.saturating_add(n);
             }
         }
         out.push_str("]}");
@@ -221,11 +232,11 @@ impl TraceReport {
 mod tests {
     use super::*;
 
-    fn rec(id: u64, fsync: u64, exec: u64) -> TraceRecord {
+    fn rec(id: u64, fsync: u64, exec: u64) -> RequestTimeline {
         let mut phases = [0u64; PHASE_COUNT];
         phases[Phase::Fsync as usize] = fsync;
         phases[Phase::Execute as usize] = exec;
-        TraceRecord {
+        RequestTimeline {
             id,
             client: 1,
             seq: id,
@@ -237,7 +248,7 @@ mod tests {
 
     #[test]
     fn report_folds_per_phase_and_ranks_exemplars() {
-        let records: Vec<TraceRecord> = (0..100).map(|i| rec(i, i * 10, 100)).collect();
+        let records: Vec<RequestTimeline> = (0..100).map(|i| rec(i, i * 10, 100)).collect();
         let report = TraceReport::build(&records, 5, 3);
         assert_eq!(report.records, 100);
         assert_eq!(report.dropped, 5);

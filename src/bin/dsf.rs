@@ -23,13 +23,16 @@
 //! dsf top ledger.dsf --workload uniform --ops 2000
 //! dsf serve-metrics ledger.dsf --port 9184 --workload hammer --ops 1000
 //! dsf flight record run.flight --example52
-//! dsf flight replay run.flight
-//! dsf flight explain run.flight --top 3
-//! dsf trace record run.trace --clients 4 --ops 256
-//! dsf trace replay run.trace --chrome run.json
-//! dsf trace explain run.trace --top 3
+//! dsf trace record served.flight --clients 4 --ops 256
+//! dsf flight replay served.flight --chrome served.json
+//! dsf explain served.flight --top 3
 //! dsf bench-gate BENCH_telemetry.json fresh.json --threshold 0.15
 //! ```
+//!
+//! Both recorders write one `.flight` log: `flight record` holds command
+//! frames only, `trace record` also one `Request` frame per served
+//! request. `dsf explain` reads either and answers, for the same command,
+//! where its request's time went and what its pages were spent on.
 
 use std::fs::File;
 use std::process::ExitCode;
@@ -81,24 +84,25 @@ usage:
   dsf client <addr> get <key>
   dsf client <addr> scan [--from KEY] [--limit N]
   dsf serve-metrics <path> [--port P] [--workload W] [--ops N] [--oneshot [--requests R]]
-      serves /metrics (Prometheus), /json, /spans over HTTP (in-memory; never saves)
+      serves /metrics (Prometheus) and /json over HTTP (in-memory; never saves)
   dsf flight record <out.flight> (--example52 | [--pages M] [--min-density d] [--max-density D]
       [--j J] [--workload W] [--ops N]) [--moments]   (records a fresh in-memory run)
-  dsf flight replay <file.flight>    (per-command attribution + bound audit summary)
-  dsf flight explain <file.flight> [--top K] [--seq N]
-      worst-K table + causal trace of the arg-max command; --seq adds the
-      Figure-4-style per-moment table for one command
-  dsf trace record <out.trace> [--clients N] [--ops N] [--shards S] [--memory]
+  dsf trace record <out.flight> [--clients N] [--ops N] [--shards S] [--memory]
       [--pages M] [--min-density d] [--max-density D]
       drives N pipelined traced clients against a fresh in-process server
       (durable scratch store by default; --memory serves a ShardedFile) and
-      saves every request's wire-to-fsync phase timeline
-  dsf trace replay <file.trace> [--chrome out.json] [--exemplars K]
-      per-phase latency table (count/mean/p50/p99/max) + tail attribution;
-      --chrome also writes a Chrome trace_event JSON (load via chrome://tracing
-      or https://ui.perfetto.dev)
-  dsf trace explain <file.trace> [--top K] [--id N]
-      waterfall charts for the K slowest requests (or one trace id)
+      saves every request's wire-to-fsync timeline beside its command's frames
+  dsf flight replay <file.flight> [--chrome out.json]
+      per-command attribution + bound audit summary; with request timelines,
+      the per-phase latency table (count/mean/p50/p99/max); --chrome also
+      writes the slowest requests as Chrome trace_event JSON (load via
+      chrome://tracing or https://ui.perfetto.dev)
+  dsf explain <file.flight> [--top K | --seq N | --id ID]
+      the K slowest requests' waterfalls, each joined to its command's page
+      cost (user/SHIFT/ACTIVATE/rollback/WAL, lock wait, fsync), then the
+      worst-K commands by pages and the arg-max's causal trace; --seq or
+      --id explains one command (with its Figure-4-style moment table when
+      recorded)
   dsf bench-gate <baseline.json> <candidate.json> [--threshold T] [--report path]
       fails (exit 1) when a gated metric (io/fsync/wall ratios, p99_speedup,
       overhead_ratio, max_accesses, read/serve throughput ratios) regresses
@@ -129,6 +133,7 @@ fn run(args: &[String]) -> Result<String, String> {
         "serve-metrics" => serve_metrics(&args[1..]),
         "flight" => flight(&args[1..]),
         "trace" => trace(&args[1..]),
+        "explain" => explain(&args[1..]),
         "bench-gate" => bench_gate(&args[1..]),
         other => Err(format!("unknown command `{other}`")),
     }
@@ -570,27 +575,13 @@ fn top(args: &[String]) -> Result<String, String> {
     willard_dsf::telemetry::global().enable();
     let done = drive_workload(&mut ledger, &workload, ops).map_err(|e| format!("top: {e}"))?;
     ledger.refresh_telemetry_gauges();
-    willard_dsf::telemetry::refresh_span_gauges();
     let s = ledger.op_stats();
-    let (spans, dropped) = willard_dsf::telemetry::spans().snapshot();
-    let mut out = format!(
-        "drove {done} {workload} inserts in memory (worst {} / mean {:.2} page accesses)\n\
-         spans retained: {} (dropped {dropped})\n\n{}",
+    Ok(format!(
+        "drove {done} {workload} inserts in memory (worst {} / mean {:.2} page accesses)\n\n{}",
         s.max_accesses,
         s.mean_accesses(),
-        spans.len(),
         willard_dsf::telemetry::global().render_text(),
-    );
-    // Per-phase request panel: only populated when this process also ran
-    // the traced server stack (`dsf trace record` shows it standalone).
-    let trace_log = willard_dsf::trace::snapshot_log();
-    if !trace_log.records.is_empty() {
-        let report =
-            willard_dsf::trace::TraceReport::build(&trace_log.records, trace_log.dropped, 3);
-        out.push('\n');
-        out.push_str(&report.render_text());
-    }
-    Ok(out)
+    ))
 }
 
 fn serve_metrics(args: &[String]) -> Result<String, String> {
@@ -614,7 +605,7 @@ fn serve_metrics(args: &[String]) -> Result<String, String> {
     let listener = willard_dsf::telemetry::MetricsListener::bind(("127.0.0.1", port))
         .map_err(|e| format!("serve-metrics: cannot bind port {port}: {e}"))?;
     let addr = listener.local_addr();
-    println!("serving http://{addr}/metrics  (also /json, /spans)");
+    println!("serving http://{addr}/metrics  (also /json)");
     use std::io::Write as _;
     std::io::stdout().flush().ok();
     if has_flag(args, "--oneshot") {
@@ -803,27 +794,16 @@ fn client(args: &[String]) -> Result<String, String> {
 // ---------------------------------------------------------------------
 
 fn flight(args: &[String]) -> Result<String, String> {
-    let sub = args
-        .first()
-        .ok_or("flight: expected record|replay|explain")?;
+    let sub = args.first().ok_or("flight: expected record|replay")?;
     match sub.as_str() {
         "record" => flight_record(&args[1..]),
         "replay" => flight_replay(&args[1..]),
-        "explain" => flight_explain(&args[1..]),
         other => Err(format!("flight: unknown subcommand `{other}`")),
     }
 }
 
-/// Builds the audit budget a `.flight` file carries from a file's resolved
-/// configuration.
-fn flight_budget(ledger: &Ledger) -> willard_dsf::flight::BoundBudget {
-    let cfg = ledger.config();
-    willard_dsf::flight::BoundBudget {
-        j: u64::from(cfg.j),
-        k: u64::from(cfg.k),
-        log_slots: u64::from(cfg.log_slots),
-        gap: cfg.slot_max - cfg.slot_min,
-    }
+fn load_flight(path: &str) -> Result<willard_dsf::flight::FlightLog, String> {
+    willard_dsf::flight::FlightLog::load(path).map_err(|e| format!("cannot load `{path}`: {e}"))
 }
 
 fn flight_record(args: &[String]) -> Result<String, String> {
@@ -836,10 +816,9 @@ fn flight_record(args: &[String]) -> Result<String, String> {
 
     // Telemetry runs alongside so the flight log can be cross-checked
     // against the histogram (`dsf_command_page_accesses_max` below must
-    // equal the worst command `flight explain` reconstructs).
+    // equal the worst command `dsf explain` reconstructs).
     let reg = willard_dsf::telemetry::global();
     reg.reset();
-    willard_dsf::telemetry::spans().clear();
     reg.enable();
     flight::clear();
     flight::set_moments(moments);
@@ -905,7 +884,7 @@ fn flight_record(args: &[String]) -> Result<String, String> {
     flight::disable();
     flight::set_moments(false);
 
-    let budget = flight_budget(&ledger);
+    let budget = ledger.config().flight_budget();
     flight::save(out, budget).map_err(|e| format!("cannot write `{out}`: {e}"))?;
     let ring = flight::ring();
     let hist = reg.histogram(
@@ -932,15 +911,14 @@ fn flight_record(args: &[String]) -> Result<String, String> {
 fn flight_replay(args: &[String]) -> Result<String, String> {
     use willard_dsf::flight::Violation;
     let path = args.first().ok_or("flight replay: missing <file.flight>")?;
-    let log = willard_dsf::flight::FlightLog::load(path)
-        .map_err(|e| format!("cannot load `{path}`: {e}"))?;
+    let log = load_flight(path)?;
     let attr = log.replay();
     let audit = attr.audit();
     let mut out = format!(
         "flight log `{path}`: {} events retained ({} dropped of {} recorded)\n\
          budget: J={} K={} L={} gap={} → page bound {}\n\
          commands: {} complete, {} cancelled, {} incomplete\n\
-         accesses: total {}, worst {}; per-phase attribution reconciles: {}\n",
+         accesses: total {}, worst {} (seq {}); per-phase attribution reconciles: {}\n",
         log.events.len(),
         log.dropped,
         log.total,
@@ -954,6 +932,7 @@ fn flight_replay(args: &[String]) -> Result<String, String> {
         attr.incomplete,
         attr.total_accesses(),
         attr.max_accesses(),
+        attr.worst().map_or(0, |c| c.seq),
         attr.reconciles(),
     );
     if audit.ok() {
@@ -973,39 +952,108 @@ fn flight_replay(args: &[String]) -> Result<String, String> {
             }
         }
     }
+    let report = willard_dsf::trace::TraceReport::from_log(&log, 3);
+    if report.records > 0 {
+        out.push('\n');
+        out.push_str(&report.render_text());
+    }
+    if let Some(chrome) = flag(args, "--chrome") {
+        std::fs::write(&chrome, report.to_chrome_json())
+            .map_err(|e| format!("cannot write `{chrome}`: {e}"))?;
+        out.push_str(&format!(
+            "wrote Chrome trace_event JSON to `{chrome}` (open in chrome://tracing or \
+             https://ui.perfetto.dev)\n"
+        ));
+    }
     Ok(out)
 }
 
-fn flight_explain(args: &[String]) -> Result<String, String> {
-    let path = args
-        .first()
-        .ok_or("flight explain: missing <file.flight>")?;
-    let log = willard_dsf::flight::FlightLog::load(path)
-        .map_err(|e| format!("cannot load `{path}`: {e}"))?;
+// ---------------------------------------------------------------------
+// `dsf explain`: one reader for both kinds of flight frames.
+// ---------------------------------------------------------------------
+
+fn explain(args: &[String]) -> Result<String, String> {
+    use willard_dsf::trace::TraceReport;
+    let path = args.first().ok_or("explain: missing <file.flight>")?;
+    let log = load_flight(path)?;
     let attr = log.replay();
+    let request_of = |seq: u64| log.requests().find(|r| r.seq == seq && seq != 0);
+    // One command, both answers: its request's waterfall (when a served
+    // request ran it) above its page cost.
+    let joined = |seq: u64, rec: Option<&willard_dsf::trace::RequestTimeline>| {
+        let mut out = rec.map(TraceReport::render_waterfall).unwrap_or_default();
+        match attr.find(seq) {
+            Some(c) => out.push_str(&explain_command(c, &log.budget)),
+            None if seq == 0 => out.push_str("  no structural command (a read or a miss)\n"),
+            None => out.push_str(&format!(
+                "  no complete command with seq {seq} in this log\n"
+            )),
+        }
+        out
+    };
+    if let Some(id_s) = flag(args, "--id") {
+        // Accept both decimal and the 0x-hex form the waterfalls print.
+        let id = match id_s.strip_prefix("0x") {
+            Some(hex) => {
+                u64::from_str_radix(hex, 16).map_err(|_| format!("invalid --id: `{id_s}`"))?
+            }
+            None => parse(&id_s, "--id")?,
+        };
+        let rec = log
+            .requests()
+            .find(|r| r.id == id)
+            .ok_or(format!("explain: no request with trace id {id:#x}"))?;
+        return Ok(joined(rec.seq, Some(rec)));
+    }
     if let Some(seq_s) = flag(args, "--seq") {
         let seq: u64 = parse(&seq_s, "--seq")?;
-        let c = attr.find(seq).ok_or(format!(
-            "flight explain: no complete command with seq {seq}"
-        ))?;
-        return Ok(explain_command(c, &log.budget));
+        let rec = request_of(seq);
+        if rec.is_none() && attr.find(seq).is_none() {
+            return Err(format!(
+                "explain: no request or complete command with seq {seq}"
+            ));
+        }
+        return Ok(joined(seq, rec));
     }
     let k: usize = match flag(args, "--top") {
         Some(s) => parse(&s, "--top")?,
         None => 3,
     };
-    let top = attr.top(k);
-    if top.is_empty() {
-        return Ok("no complete commands in this flight log\n".to_string());
+    let mut out = String::new();
+    let report = TraceReport::from_log(&log, k);
+    if report.records > 0 {
+        out.push_str(&format!(
+            "top {} of {} timelines by end-to-end latency:\n\n",
+            report.exemplars.len(),
+            report.records,
+        ));
+        for rec in &report.exemplars {
+            out.push_str(&joined(rec.seq, Some(rec)));
+            out.push('\n');
+        }
+        if let Some((phase, share)) = report.dominant_phase() {
+            out.push_str(&format!(
+                "dominant phase: {} ({:.0}% of total time)\n\n",
+                phase.name(),
+                share * 100.0
+            ));
+        }
     }
-    let mut out = format!(
+    let top = attr.top(k);
+    let Some(worst) = attr.worst() else {
+        if out.is_empty() {
+            out.push_str("no complete commands or requests in this flight log\n");
+        }
+        return Ok(out);
+    };
+    out.push_str(&format!(
         "top {} of {} commands by page accesses (J={}, page bound {}):\n\
          \x20  seq  kind    slot  pages   user  shift  activ  rollb  wal  steps  wal_frames\n",
         top.len(),
         attr.command_count(),
         log.budget.j,
         log.budget.page_limit(),
-    );
+    ));
     for c in &top {
         out.push_str(&format!(
             "  {:>5} {:7} {:>5} {:>6} {:>6} {:>6} {:>6} {:>6} {:>4} {:>6} {:>11}\n",
@@ -1022,9 +1070,8 @@ fn flight_explain(args: &[String]) -> Result<String, String> {
             c.wal_frames,
         ));
     }
-    let worst = attr.worst().expect("top is non-empty");
     out.push_str(&format!("\nworst command: seq {}\n", worst.seq));
-    out.push_str(&explain_command(worst, &log.budget));
+    out.push_str(&joined(worst.seq, request_of(worst.seq)));
     Ok(out)
 }
 
@@ -1093,23 +1140,19 @@ fn explain_command(
 // ---------------------------------------------------------------------
 
 fn trace(args: &[String]) -> Result<String, String> {
-    let sub = args
-        .first()
-        .ok_or("trace: expected record|replay|explain")?;
+    let sub = args.first().ok_or("trace: expected record")?;
     match sub.as_str() {
         "record" => trace_record(&args[1..]),
-        "replay" => trace_replay(&args[1..]),
-        "explain" => trace_explain(&args[1..]),
         other => Err(format!("trace: unknown subcommand `{other}`")),
     }
 }
 
 fn trace_record(args: &[String]) -> Result<String, String> {
+    use willard_dsf::flight;
     use willard_dsf::server::{Client, DurableKv, Request, ServerConfig};
-    use willard_dsf::trace;
     use willard_dsf::{Durability, KvService, Server, ShardedFile, SyncPolicy};
 
-    let out = args.first().ok_or("trace record: missing <out.trace>")?;
+    let out = args.first().ok_or("trace record: missing <out.flight>")?;
     let clients: u64 = match flag(args, "--clients") {
         Some(s) => parse(&s, "--clients")?,
         None => 4,
@@ -1163,8 +1206,8 @@ fn trace_record(args: &[String]) -> Result<String, String> {
         (std::sync::Arc::new(kv), "durable scratch")
     };
 
-    trace::set_enabled(true);
-    trace::ring().clear();
+    flight::clear();
+    flight::enable();
     let server = Server::bind(service, ServerConfig::default(), "127.0.0.1:0")
         .map_err(|e| format!("trace record: cannot bind: {e}"))?;
     let addr = server.local_addr();
@@ -1204,7 +1247,7 @@ fn trace_record(args: &[String]) -> Result<String, String> {
     server
         .shutdown()
         .map_err(|e| format!("trace record: {e}"))?;
-    trace::set_enabled(false);
+    flight::disable();
     if let Some(dir) = scratch {
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1212,95 +1255,34 @@ fn trace_record(args: &[String]) -> Result<String, String> {
         return Err(format!("trace record: {e}"));
     }
 
-    let log = trace::snapshot_log();
+    let budget = per_shard
+        .resolve()
+        .map_err(|e| format!("trace record: {e}"))?
+        .flight_budget();
+    let log = flight::snapshot_log(budget);
+    flight::clear();
     log.save(out)
         .map_err(|e| format!("cannot write `{out}`: {e}"))?;
-    trace::ring().clear();
-    let (wb_nanos, wb_pages) = trace::writeback_totals();
-    let report = trace::TraceReport::build(&log.records, log.dropped, 3);
+    let attr = log.replay();
+    let report = willard_dsf::trace::TraceReport::from_log(&log, 3);
     let mut summary = format!(
-        "recorded {} timelines to `{out}` ({} dropped): {clients} clients × {ops} strict \
-         inserts, {backend}, {shards} shards\n",
-        log.records.len(),
+        "recorded {} timelines to `{out}` ({} frames dropped) with the page cost of their \
+         {} commands: {clients} clients × {ops} strict inserts, {backend}, {shards} shards\n",
+        report.records,
         log.dropped,
+        attr.command_count(),
     );
+    let wb_pages = attr.total_writeback_pages();
     if wb_pages > 0 {
-        // Writeback is asynchronous to any single request, so it is a
-        // run-level total rather than a timeline phase.
+        // Writeback is asynchronous to any single request, so it is
+        // charged to the commands that dirtied the pages, not a phase.
         summary.push_str(&format!(
-            "background writeback: {wb_pages} pages in {:.1}us (async to requests)\n",
-            wb_nanos as f64 / 1_000.0,
+            "background writeback: {wb_pages} pages (async to requests)\n"
         ));
     }
     summary.push('\n');
     summary.push_str(&report.render_text());
     Ok(summary)
-}
-
-fn trace_replay(args: &[String]) -> Result<String, String> {
-    use willard_dsf::trace::{TraceLog, TraceReport};
-    let path = args.first().ok_or("trace replay: missing <file.trace>")?;
-    let exemplars: usize = match flag(args, "--exemplars") {
-        Some(s) => parse(&s, "--exemplars")?,
-        None => 3,
-    };
-    let log = TraceLog::load(path).map_err(|e| format!("cannot load `{path}`: {e}"))?;
-    let report = TraceReport::build(&log.records, log.dropped, exemplars);
-    let mut out = format!("trace log `{path}`:\n{}", report.render_text());
-    if let Some(chrome) = flag(args, "--chrome") {
-        std::fs::write(&chrome, report.to_chrome_json())
-            .map_err(|e| format!("cannot write `{chrome}`: {e}"))?;
-        out.push_str(&format!(
-            "wrote Chrome trace_event JSON to `{chrome}` (open in chrome://tracing or \
-             https://ui.perfetto.dev)\n"
-        ));
-    }
-    Ok(out)
-}
-
-fn trace_explain(args: &[String]) -> Result<String, String> {
-    use willard_dsf::trace::{TraceLog, TraceReport};
-    let path = args.first().ok_or("trace explain: missing <file.trace>")?;
-    let log = TraceLog::load(path).map_err(|e| format!("cannot load `{path}`: {e}"))?;
-    if log.records.is_empty() {
-        return Ok("no timelines in this trace log\n".to_string());
-    }
-    if let Some(id_s) = flag(args, "--id") {
-        // Accept both decimal and the 0x-hex form the reports print.
-        let id = if let Some(hex) = id_s.strip_prefix("0x") {
-            u64::from_str_radix(hex, 16).map_err(|_| format!("invalid --id: `{id_s}`"))?
-        } else {
-            parse(&id_s, "--id")?
-        };
-        let rec = log
-            .records
-            .iter()
-            .find(|r| r.id == id)
-            .ok_or(format!("trace explain: no timeline with id {id:#x}"))?;
-        return Ok(TraceReport::render_waterfall(rec));
-    }
-    let k: usize = match flag(args, "--top") {
-        Some(s) => parse(&s, "--top")?,
-        None => 3,
-    };
-    let report = TraceReport::build(&log.records, log.dropped, k);
-    let mut out = format!(
-        "top {} of {} timelines by end-to-end latency:\n\n",
-        report.exemplars.len(),
-        log.records.len(),
-    );
-    for rec in &report.exemplars {
-        out.push_str(&TraceReport::render_waterfall(rec));
-        out.push('\n');
-    }
-    if let Some((phase, share)) = report.dominant_phase() {
-        out.push_str(&format!(
-            "dominant phase: {} ({:.0}% of total time)\n",
-            phase.name(),
-            share * 100.0
-        ));
-    }
-    Ok(out)
 }
 
 // ---------------------------------------------------------------------

@@ -322,7 +322,7 @@ fn cli_physical_image_round_trip() {
 }
 
 #[test]
-fn cli_top_renders_spine_and_span_ring_gauges() {
+fn cli_top_renders_the_metric_spine() {
     let dir = tempdir("top");
     let out = dsf(
         &dir,
@@ -345,12 +345,7 @@ fn cli_top_renders_spine_and_span_ring_gauges() {
     assert!(out.status.success(), "{out:?}");
     let s = stdout(&out);
     assert!(s.contains("drove 200 uniform inserts"), "{s}");
-    assert!(s.contains("spans retained"), "{s}");
     assert!(s.contains("dsf_commands_total"), "{s}");
-    // The span ring's health gauges must be in the table (satellite of the
-    // flight-recorder ISSUE: drop counter + capacity as gauges).
-    assert!(s.contains("dsf_span_ring_capacity"), "{s}");
-    assert!(s.contains("dsf_span_ring_dropped"), "{s}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -425,7 +420,6 @@ fn cli_serve_metrics_oneshot_serves_valid_exposition() {
     assert!(summary.families >= 5, "families: {}", summary.families);
     assert!(summary.samples > summary.families);
     assert!(body.contains("dsf_command_page_accesses_count"), "{body}");
-    assert!(body.contains("dsf_span_ring_capacity"), "{body}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -454,7 +448,7 @@ fn cli_flight_example52_and_bench_gate() {
     assert!(rep.contains("attribution reconciles: true"), "{rep}");
     assert!(rep.contains("audit: OK"), "{rep}");
 
-    let out = dsf(&dir, &["flight", "explain", "ex52.flight", "--top", "3"]);
+    let out = dsf(&dir, &["explain", "ex52.flight", "--top", "3"]);
     assert!(out.status.success(), "{out:?}");
     let exp = stdout(&out);
     assert!(exp.contains("worst command: seq"), "{exp}");
@@ -546,7 +540,7 @@ fn cli_trace_record_replay_explain() {
         &[
             "trace",
             "record",
-            "run.trace",
+            "run.flight",
             "--memory",
             "--clients",
             "2",
@@ -557,7 +551,7 @@ fn cli_trace_record_replay_explain() {
     assert!(out.status.success(), "{out:?}");
     let rec = stdout(&out);
     assert!(
-        rec.contains("recorded 64 timelines to `run.trace`"),
+        rec.contains("recorded 64 timelines to `run.flight`"),
         "{rec}"
     );
     assert!(rec.contains("queue_wait"), "{rec}");
@@ -566,7 +560,7 @@ fn cli_trace_record_replay_explain() {
     // Replay summarizes the same log and exports Chrome trace_event JSON.
     let out = dsf(
         &dir,
-        &["trace", "replay", "run.trace", "--chrome", "run.json"],
+        &["flight", "replay", "run.flight", "--chrome", "run.json"],
     );
     assert!(out.status.success(), "{out:?}");
     let rep = stdout(&out);
@@ -578,7 +572,7 @@ fn cli_trace_record_replay_explain() {
 
     // Explain prints a waterfall for the slowest request, and looking one
     // of its ids up directly renders the same shape.
-    let out = dsf(&dir, &["trace", "explain", "run.trace", "--top", "1"]);
+    let out = dsf(&dir, &["explain", "run.flight", "--top", "1"]);
     assert!(out.status.success(), "{out:?}");
     let exp = stdout(&out);
     assert!(exp.contains("top 1 of 64 timelines"), "{exp}");
@@ -587,12 +581,55 @@ fn cli_trace_record_replay_explain() {
         .lines()
         .find_map(|l| l.strip_prefix("trace 0x")?.split_whitespace().next())
         .expect("waterfall names its trace id");
-    let out = dsf(
-        &dir,
-        &["trace", "explain", "run.trace", "--id", &format!("0x{id}")],
-    );
+    let out = dsf(&dir, &["explain", "run.flight", "--id", &format!("0x{id}")]);
     assert!(out.status.success(), "{out:?}");
     assert!(stdout(&out).contains("ack_write"), "{out:?}");
+
+    // The join: `--seq` on the worst command and `--id` on the request it
+    // ran as print the same waterfall and the same page cost, and that
+    // cost is the worst `flight replay` reports for the seq.
+    let (worst, seq): (u64, u64) = rep
+        .lines()
+        .find_map(|l| {
+            let rest = l.split_once(", worst ")?.1;
+            let (pages, rest) = rest.split_once(" (seq ")?;
+            Some((pages.parse().ok()?, rest.split_once(')')?.0.parse().ok()?))
+        })
+        .expect("replay names the worst command and its seq");
+    let by_seq = stdout(&dsf(
+        &dir,
+        &["explain", "run.flight", "--seq", &seq.to_string()],
+    ));
+    let header = by_seq
+        .lines()
+        .find(|l| l.starts_with("trace 0x"))
+        .expect("the worst command ran as a traced request");
+    assert!(header.contains(&format!(" seq {seq} ")), "{by_seq}");
+    let id = header["trace ".len()..].split_whitespace().next().unwrap();
+    let by_id = stdout(&dsf(&dir, &["explain", "run.flight", "--id", id]));
+    assert_eq!(by_id, by_seq);
+    assert!(by_seq.contains(&format!("command {seq} (")), "{by_seq}");
+    assert!(
+        by_seq.contains(&format!(": {worst} page accesses")),
+        "{by_seq}"
+    );
+    // Waterfall times print to the nanosecond: the phases sum to the total.
+    let nanos = |us: &str| (us.trim_end_matches("us").parse::<f64>().unwrap() * 1e3).round() as u64;
+    let total = nanos(
+        header
+            .split(" — ")
+            .nth(1)
+            .unwrap()
+            .split_whitespace()
+            .next()
+            .unwrap(),
+    );
+    let phase_sum: u64 = by_seq
+        .lines()
+        .filter(|l| l.contains("us  at +"))
+        .map(|l| nanos(l.split_whitespace().nth(1).unwrap()))
+        .sum();
+    assert_eq!(phase_sum, total, "{by_seq}");
 
     // The E19 gate metrics: reconciliation/attribution flags gate as
     // higher-is-better, the overhead ratio as lower-is-better.

@@ -1,7 +1,7 @@
 //! Flight-recorder round-trip and reconciliation properties.
 //!
 //! Two halves, one promise: nothing is lost or invented between the hot
-//! path and `dsf flight explain`.
+//! path and `dsf explain`.
 //!
 //! * Property tests drive *arbitrary* event sequences through
 //!   encode → `.flight` bytes → decode and through the byte-budget ring,
@@ -17,8 +17,9 @@
 use proptest::prelude::*;
 use willard_dsf::flight::{
     self, AccessKind, Attribution, BoundBudget, CommandKind, FlightEvent, FlightLog, FlightRing,
-    Phase,
+    Phase, RequestTimeline, REQUEST_PHASES,
 };
+use willard_dsf::trace::FALLBACK_ID_BIT;
 
 fn arb_phase() -> impl Strategy<Value = Phase> {
     prop_oneof![
@@ -30,7 +31,35 @@ fn arb_phase() -> impl Strategy<Value = Phase> {
     ]
 }
 
-fn arb_event() -> impl Strategy<Value = FlightEvent> {
+/// A served request's timeline frame, biased toward the edges: server-
+/// assigned (fallback-bit) ids, seq 0 (a read) and saturated phases.
+fn arb_request() -> impl Strategy<Value = FlightEvent> {
+    let phase = prop_oneof![Just(0u64), Just(u64::MAX), 0u64..10_000_000, any::<u64>()];
+    (
+        prop_oneof![
+            any::<u64>(),
+            any::<u64>().prop_map(|id| id | FALLBACK_ID_BIT)
+        ],
+        prop_oneof![Just(0u64), 0u64..1000, any::<u64>()],
+        any::<u64>(),
+        any::<u8>(),
+        any::<u64>(),
+        prop::collection::vec(phase, REQUEST_PHASES..REQUEST_PHASES + 1),
+    )
+        .prop_map(|(id, seq, client, kind, started, phases)| {
+            FlightEvent::Request(RequestTimeline {
+                id,
+                client,
+                seq,
+                kind,
+                started,
+                phases: phases.try_into().expect("REQUEST_PHASES phases"),
+            })
+        })
+}
+
+/// Any frame a command records (everything but a request timeline).
+fn arb_command_event() -> impl Strategy<Value = FlightEvent> {
     let seq = 0u64..1000;
     prop_oneof![
         (seq.clone(), any::<bool>(), 0u64..256).prop_map(|(seq, ins, target)| {
@@ -102,6 +131,10 @@ fn arb_event() -> impl Strategy<Value = FlightEvent> {
     ]
 }
 
+fn arb_event() -> impl Strategy<Value = FlightEvent> {
+    prop_oneof![12 => arb_command_event(), 1 => arb_request()]
+}
+
 fn arb_budget() -> impl Strategy<Value = BoundBudget> {
     (1u64..16, 1u64..8, 1u64..20, 1u64..64).prop_map(|(j, k, log_slots, gap)| BoundBudget {
         j,
@@ -164,7 +197,7 @@ proptest! {
     /// it to drop, the retained snapshot is exactly the newest suffix of
     /// what was pushed, and retained + dropped = total.
     fn flight_ring_drops_whole_frames_oldest_first(
-        events in prop::collection::vec(arb_event(), 1..80),
+        events in prop::collection::vec(arb_command_event(), 1..80),
         capacity in 32usize..512,
     ) {
         let ring = FlightRing::new(capacity);
@@ -176,6 +209,62 @@ proptest! {
         prop_assert_eq!(kept.len() as u64 + dropped, events.len() as u64);
         prop_assert_eq!(&kept[..], &events[dropped as usize..]);
         prop_assert!(ring.bytes() <= capacity.max(1));
+    }
+
+    /// A `Request` frame round-trips alone and inside a `.flight` file; cut
+    /// anywhere short of its end, it decodes to nothing (a frame) or to an
+    /// error (a file), never to a panic or a misparse.
+    fn request_frames_round_trip_and_torn_ones_fail_cleanly(
+        ev in arb_request(),
+        cut_at in any::<u64>(),
+    ) {
+        let mut frame = Vec::new();
+        ev.encode(&mut frame);
+        prop_assert_eq!(flight::decode_frames(&frame), vec![ev.clone()]);
+
+        let mut pos = 0;
+        let len = flight::get_varint(&frame, &mut pos).expect("length prefix") as usize;
+        let payload = &frame[pos..];
+        prop_assert_eq!(payload.len(), len);
+        let cut = (cut_at % len as u64) as usize;
+        prop_assert_eq!(FlightEvent::decode_payload(&payload[..cut]), None);
+        prop_assert!(flight::decode_frames(&frame[..pos + cut]).is_empty());
+
+        let log = FlightLog {
+            budget: BoundBudget { j: 3, k: 1, log_slots: 3, gap: 9 },
+            total: 1,
+            dropped: 0,
+            events: vec![ev],
+        };
+        let bytes = log.to_bytes();
+        let back = FlightLog::from_reader(&mut bytes.as_slice()).expect("whole file parses");
+        prop_assert_eq!(&back.events, &log.events);
+        let torn = &bytes[..bytes.len() - 1 - (cut_at % len as u64) as usize];
+        prop_assert!(FlightLog::from_reader(&mut &torn[..]).is_err());
+    }
+
+    /// Request frames carry no page cost: replaying a command log with
+    /// timelines spliced in anywhere — their seqs naming its commands or
+    /// not — attributes exactly what the command frames alone do.
+    fn request_frames_leave_page_attribution_unchanged(
+        commands in prop::collection::vec(arb_command_event(), 0..80),
+        requests in prop::collection::vec((arb_request(), any::<usize>()), 0..20),
+    ) {
+        let mut mixed = commands.clone();
+        for (req, at) in requests {
+            mixed.insert(at % (mixed.len() + 1), req);
+        }
+        let log = |events: Vec<FlightEvent>| FlightLog {
+            budget: BoundBudget { j: 3, k: 1, log_slots: 3, gap: 9 },
+            total: events.len() as u64,
+            dropped: 0,
+            events,
+        };
+        let a = log(commands).replay();
+        let b = log(mixed).replay();
+        prop_assert_eq!(&a.commands, &b.commands);
+        prop_assert_eq!(fingerprint(&a), fingerprint(&b));
+        prop_assert_eq!(a.audit().violations, b.audit().violations);
     }
 
     /// For well-formed command traces (begin, per-phase accesses, end) the

@@ -16,7 +16,6 @@ use willard_dsf::{
 fn global_spine_mirrors_op_stats_and_exports_valid_prometheus() {
     let reg = telemetry::global();
     reg.reset();
-    telemetry::spans().clear();
     reg.enable();
 
     let mut f: DenseFile<u64, u64> = DenseFile::new(DenseFileConfig::control2(256, 6, 8)).unwrap();
@@ -67,21 +66,6 @@ fn global_spine_mirrors_op_stats_and_exports_valid_prometheus() {
         "headroom gauge must be computed, got {}",
         headroom.get()
     );
-
-    // Spans are sampled 1-in-SPAN_SAMPLE_EVERY (every command still lands
-    // in the counters and histogram above); the sampled ones micro-time.
-    // The clock ticks only on *completed structural* commands, so the
-    // replaces this workload's `|1` key collisions produce consume no
-    // sampled slots and the count below is exact, not workload-dependent.
-    let expected_spans = stats
-        .commands
-        .div_ceil(willard_dsf::core_::SPAN_SAMPLE_EVERY);
-    let (spans, dropped) = telemetry::spans().snapshot();
-    assert_eq!(telemetry::spans().total(), expected_spans);
-    assert_eq!(spans.len() as u64 + dropped, expected_spans);
-    assert!(spans
-        .iter()
-        .all(|s| s.kind == "insert" || s.kind == "delete"));
 
     // The Prometheus rendering must parse as well-formed 0.0.4 exposition
     // with no duplicate samples and every family typed.
