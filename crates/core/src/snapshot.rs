@@ -203,7 +203,13 @@ impl<T: Codec> Codec for Option<T> {
 /// FNV-1a 64-bit — the checksum used by every on-disk format in this
 /// workspace (snapshots, the WAL, physical images).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a64_continue(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an [`fnv1a64`] hash `h` over more bytes, so a checksum of
+/// parts held apart needs no copy: `fnv1a64_continue(fnv1a64(a), b)` is
+/// `fnv1a64` of `a` followed by `b`.
+pub fn fnv1a64_continue(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x1000_0000_01b3);

@@ -4,7 +4,7 @@ use std::io::{Read, Write};
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
 
-use dsf_core::snapshot::{fnv1a64, Codec, SnapshotError};
+use dsf_core::snapshot::{fnv1a64, fnv1a64_continue, Codec, SnapshotError};
 use dsf_core::{Command, CommandOutcome, DenseFile, DenseFileConfig, DsfError, ReadView};
 use dsf_pagestore::Key;
 
@@ -134,14 +134,35 @@ impl From<DsfError> for DurableError {
 }
 
 /// The frame checksum: FNV-1a over the epoch (little-endian) followed by
-/// the frame body. Salting with the epoch binds every frame to its log
-/// generation, so bytes of an epoch-`e` frame surviving a torn log reset
-/// can never replay under an epoch-`e+1` header.
+/// the frame body, streamed without copying either. Salting with the
+/// epoch binds every frame to its log generation, so bytes of an
+/// epoch-`e` frame surviving a torn log reset can never replay under an
+/// epoch-`e+1` header.
 fn frame_checksum(epoch: u64, body: &[u8]) -> u64 {
-    let mut salted = Vec::with_capacity(8 + body.len());
-    salted.extend_from_slice(&epoch.to_le_bytes());
-    salted.extend_from_slice(body);
-    fnv1a64(&salted)
+    fnv1a64_continue(fnv1a64(&epoch.to_le_bytes()), body)
+}
+
+/// The body of one log frame: an effective command, borrowed from
+/// wherever the caller holds it.
+enum FrameOp<'a, K, V> {
+    Insert(&'a K, &'a V),
+    Remove(&'a K),
+}
+
+impl<K: Codec, V: Codec> FrameOp<'_, K, V> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            FrameOp::Insert(k, v) => {
+                out.push(OP_INSERT);
+                k.encode(out);
+                v.encode(out);
+            }
+            FrameOp::Remove(k) => {
+                out.push(OP_REMOVE);
+                k.encode(out);
+            }
+        }
+    }
 }
 
 /// The append path of the log: buffers one frame, writes it with a single
@@ -173,9 +194,19 @@ impl<W: VfsFile> WalWriter<W> {
         }
     }
 
-    fn append(&mut self, frame: &[u8]) {
-        self.pending.extend_from_slice(frame);
+    /// Encodes one frame straight into `pending` — `u32` body length,
+    /// body, epoch-salted checksum — and returns its size in bytes.
+    fn append<K: Codec, V: Codec>(&mut self, epoch: u64, op: FrameOp<'_, K, V>) -> u64 {
+        let start = self.pending.len();
+        let body = start + 4;
+        self.pending.extend_from_slice(&[0; 4]);
+        op.encode(&mut self.pending);
+        let len = (self.pending.len() - body) as u32;
+        self.pending[start..body].copy_from_slice(&len.to_le_bytes());
+        let sum = frame_checksum(epoch, &self.pending[body..]);
+        self.pending.extend_from_slice(&sum.to_le_bytes());
         self.pending_frames += 1;
+        (self.pending.len() - start) as u64
     }
 
     /// Writes every pending frame with one syscall. On failure the
@@ -480,21 +511,19 @@ impl<K: Key + Codec, V: Codec + Clone, F: Vfs> DurableFile<K, V, F> {
         // Apply in memory first: only effective commands reach the log, and
         // a capacity rejection leaves both state and log untouched.
         let old = self.file.insert(key, value.clone())?;
-        let mut body = vec![OP_INSERT];
-        key.encode(&mut body);
-        value.encode(&mut body);
+        let op = FrameOp::Insert(&key, &value);
         if self.windowed() {
             let undo = match &old {
                 Some(v) => UndoRec::Replace(key, v.clone()),
                 None => UndoRec::Insert(key),
             };
-            self.window_append(&body, undo);
+            self.window_append(op, undo);
             // A failed window close has already undone this command (with
             // the rest of the window): the error is the acknowledgement.
             self.maybe_close_window(durability)?;
             return Ok(old);
         }
-        if let Err(e) = self.append(&body) {
+        if let Err(e) = self.append(op) {
             // Keep memory and log in lock-step: undo the in-memory command
             // so the failed append does not leave memory ahead of the log.
             match old {
@@ -538,14 +567,12 @@ impl<K: Key + Codec, V: Codec + Clone, F: Vfs> DurableFile<K, V, F> {
         }
         let old = self.file.remove(key);
         if let Some(v) = old {
-            let mut body = vec![OP_REMOVE];
-            key.encode(&mut body);
             if self.windowed() {
-                self.window_append(&body, UndoRec::Remove(*key, v.clone()));
+                self.window_append(FrameOp::Remove(key), UndoRec::Remove(*key, v.clone()));
                 self.maybe_close_window(durability)?;
                 return Ok(Some(v));
             }
-            if let Err(e) = self.append(&body) {
+            if let Err(e) = self.append(FrameOp::Remove(key)) {
                 let _ = self.file.insert(*key, v);
                 return Err(e);
             }
@@ -646,29 +673,18 @@ impl<K: Key + Codec, V: Codec + Clone, F: Vfs> DurableFile<K, V, F> {
         // produced it; no syscall happens until the group flush below.
         let outcomes = self.file.apply_batch_with(cmds, |i, outcome| {
             observe(i, outcome, dsf_flight::current_seq());
-            let body = match (&cmds[i], outcome) {
+            let op = match (&cmds[i], outcome) {
                 (Command::Insert(k, v), CommandOutcome::Inserted | CommandOutcome::Replaced(_)) => {
-                    let mut b = vec![OP_INSERT];
-                    k.encode(&mut b);
-                    v.encode(&mut b);
-                    b
+                    FrameOp::Insert(k, v)
                 }
-                (Command::Remove(k), CommandOutcome::Removed(_)) => {
-                    let mut b = vec![OP_REMOVE];
-                    k.encode(&mut b);
-                    b
-                }
+                (Command::Remove(k), CommandOutcome::Removed(_)) => FrameOp::Remove(k),
                 // Misses and rejections log nothing (as in the
                 // single-command path).
                 _ => return,
             };
-            let mut frame = Vec::with_capacity(body.len() + 12);
-            (body.len() as u32).encode(&mut frame);
-            frame.extend_from_slice(&body);
-            frame_checksum(epoch, &body).encode(&mut frame);
-            log.append(&frame);
+            let bytes = log.append(epoch, op);
             frames += 1;
-            dsf_flight::record_wal_frame(frame.len() as u64);
+            dsf_flight::record_wal_frame(bytes);
         });
         // Batch timeline: the pass above is pure in-memory execution (the
         // frame bytes only reached the log's buffer); syscalls start next.
@@ -753,18 +769,14 @@ impl<K: Key + Codec, V: Codec + Clone, F: Vfs> DurableFile<K, V, F> {
 
     /// Buffers one frame into the open commit window — no syscall — and
     /// arms the undo record replayed if the window's commit later fails.
-    fn window_append(&mut self, body: &[u8], undo: UndoRec<K, V>) {
+    fn window_append(&mut self, op: FrameOp<'_, K, V>, undo: UndoRec<K, V>) {
         let epoch = self.epoch;
         let log = self
             .log
             .as_mut()
             .expect("callers check log_poisoned() first");
-        let mut frame = Vec::with_capacity(body.len() + 12);
-        (body.len() as u32).encode(&mut frame);
-        frame.extend_from_slice(body);
-        frame_checksum(epoch, body).encode(&mut frame);
-        log.append(&frame);
-        dsf_flight::record_wal_frame(frame.len() as u64);
+        let bytes = log.append(epoch, op);
+        dsf_flight::record_wal_frame(bytes);
         if self.window_frames == 0 {
             self.window_opened = Some(std::time::Instant::now());
         }
@@ -856,16 +868,12 @@ impl<K: Key + Codec, V: Codec + Clone, F: Vfs> DurableFile<K, V, F> {
         }
     }
 
-    fn append(&mut self, body: &[u8]) -> Result<(), DurableError> {
+    fn append(&mut self, op: FrameOp<'_, K, V>) -> Result<(), DurableError> {
         let epoch = self.epoch;
         let policy = self.policy;
         let log = self.log.as_mut().ok_or(DurableError::LogPoisoned)?;
-        let mut frame = Vec::with_capacity(body.len() + 12);
-        (body.len() as u32).encode(&mut frame);
-        frame.extend_from_slice(body);
-        frame_checksum(epoch, body).encode(&mut frame);
         let base = log.written;
-        log.append(&frame);
+        let bytes = log.append(epoch, op);
         // Both policies move the bytes to the OS immediately, so a
         // *process* crash (as opposed to a power failure) loses nothing.
         log.flush()?;
@@ -885,7 +893,7 @@ impl<K: Key + Codec, V: Codec + Clone, F: Vfs> DurableFile<K, V, F> {
             self.durable_lsn = self.appended_lsn;
         }
         // The flight frame lands on the just-ended command's seq.
-        dsf_flight::record_wal_frame(frame.len() as u64);
+        dsf_flight::record_wal_frame(bytes);
         Ok(())
     }
 
@@ -1520,6 +1528,83 @@ mod tests {
         assert!(e.to_string().contains("9"));
         let e = DurableError::LogPoisoned;
         assert!(e.to_string().contains("poisoned"));
+    }
+
+    /// The frame encoder as it was before frames were encoded in place:
+    /// a body `Vec`, a frame `Vec`, and a salted copy of the body to hash.
+    fn reference_frame(epoch: u64, body: &[u8]) -> Vec<u8> {
+        let mut salted = epoch.to_le_bytes().to_vec();
+        salted.extend_from_slice(body);
+        let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(body);
+        frame.extend_from_slice(&fnv1a64(&salted).to_le_bytes());
+        frame
+    }
+
+    #[test]
+    fn every_append_path_writes_the_reference_encoders_bytes() {
+        let cmds: Vec<Command<u64, String>> = vec![
+            Command::Insert(7, "seven".into()),
+            Command::Insert(3, String::new()),
+            Command::Insert(7, "seven again, now past twenty-two bytes".into()),
+            Command::Remove(3),
+            Command::Remove(99), // a miss: no frame
+            Command::Insert(u64::MAX, "π ≈ 3.14".into()),
+        ];
+        let window = SyncPolicy::CommitWindow {
+            max_frames: 1_000,
+            max_micros: u64::MAX,
+        };
+        // Single commands through `append` and `window_append`, then the
+        // batch through `apply_batch_held` under both kinds of policy.
+        for (tag, policy, batched) in [
+            ("pin-single", SyncPolicy::EveryCommand, false),
+            ("pin-window", window, false),
+            ("pin-batch", SyncPolicy::EveryCommand, true),
+            ("pin-window-batch", window, true),
+        ] {
+            let dir = tempdir(tag);
+            let mut f: DurableFile<u64, String> = DurableFile::create(&dir, cfg(), policy).unwrap();
+            f.checkpoint().unwrap(); // a nonzero epoch salts every checksum
+            let epoch = f.epoch();
+            assert_eq!(epoch, 1);
+            if batched {
+                f.apply_batch_durable(&cmds, Durability::Relaxed).unwrap();
+            } else {
+                for cmd in &cmds {
+                    match cmd {
+                        Command::Insert(k, v) => {
+                            f.insert_with(*k, v.clone(), Durability::Relaxed).unwrap();
+                        }
+                        Command::Remove(k) => {
+                            f.remove_with(k, Durability::Relaxed).unwrap();
+                        }
+                    }
+                }
+            }
+            f.sync().unwrap();
+            let mut want = WAL_MAGIC.to_vec();
+            want.extend_from_slice(&epoch.to_le_bytes());
+            for cmd in &cmds {
+                let mut body = Vec::new();
+                match cmd {
+                    Command::Insert(k, v) => {
+                        body.push(OP_INSERT);
+                        k.encode(&mut body);
+                        v.encode(&mut body);
+                    }
+                    Command::Remove(99) => continue,
+                    Command::Remove(k) => {
+                        body.push(OP_REMOVE);
+                        k.encode(&mut body);
+                    }
+                }
+                want.extend(reference_frame(epoch, &body));
+            }
+            assert_eq!(std::fs::read(dir.join(WAL)).unwrap(), want, "{tag}");
+            drop(f);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -252,16 +252,20 @@ impl<K: Key, V> PagedStore<K, V> {
         }
         // Simulate the probe sequence to charge the distinct pages touched.
         // A slot spans at most pages_per_slot pages, and a binary search
-        // touches O(log) of them; a tiny seen-list keeps each one charged
-        // exactly once even when probes revisit a page non-consecutively.
+        // touches O(log) of them; a seen-list on the stack keeps each one
+        // charged exactly once even when probes revisit a page
+        // non-consecutively. A binary search over a `usize` range makes
+        // at most 64 probes, so 64 entries always suffice.
         let (mut lo, mut hi) = (0usize, recs.len());
-        let mut seen: Vec<u64> = Vec::with_capacity(8);
+        let mut seen = [0u64; usize::BITS as usize];
+        let mut n_seen = 0;
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
             let page = self.page_within_slot(mid);
-            if !seen.contains(&page) {
+            if !seen[..n_seen].contains(&page) {
                 self.charge_point_read(slot, mid);
-                seen.push(page);
+                seen[n_seen] = page;
+                n_seen += 1;
             }
             match recs[mid].key.cmp(key) {
                 std::cmp::Ordering::Less => lo = mid + 1,

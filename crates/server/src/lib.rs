@@ -16,8 +16,11 @@
 //!   oversized, and trailing-garbage frames.
 //! * [`service`] — [`KvService`], the facade the server fronts, with one
 //!   implementation over `dsf_concurrent::ShardedFile`: in memory
-//!   (`ShardedFile<String>`) or durable ([`DurableKv`], one WAL-backed
+//!   (`ShardedFile<Payload>`) or durable ([`DurableKv`], one WAL-backed
 //!   `DurableFile` per shard).
+//! * [`Payload`] — the 24-byte value every served record keeps: inline
+//!   up to 22 bytes, else a shared `Arc<str>`, encoded exactly like a
+//!   `String` on disk.
 //! * `accumulator` — the heart: per-shard queues drained by
 //!   leader/follower group commit. The connection that finds its shard
 //!   idle applies *whatever has accumulated* (up to a window) in one
@@ -43,12 +46,14 @@
 
 mod accumulator;
 pub mod client;
+pub mod payload;
 pub mod protocol;
 pub mod server;
 pub mod service;
 mod tel;
 
 pub use client::Client;
+pub use payload::Payload;
 pub use protocol::{Outcome, ProtocolError, Request, Response};
 pub use server::{Server, ServerConfig};
 pub use service::{DurableKv, KvService};

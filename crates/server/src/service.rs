@@ -10,7 +10,7 @@
 //! There is one implementation, over [`ShardedFile`], for either shard
 //! type:
 //!
-//! * `ShardedFile<String>` keeps its stripes in memory (benchmarks,
+//! * `ShardedFile<Payload>` keeps its stripes in memory (benchmarks,
 //!   equivalence tests, caches). `Durability` is accepted and ignored
 //!   (there is no log) and [`KvService::flush`] has nothing to do.
 //! * [`DurableKv`] gives every stripe a [`DurableFile`] in
@@ -18,10 +18,18 @@
 //!   appended, then one `write` (+ one `fsync` when the batch carries a
 //!   `Strict` request or the commit window closes).
 //!
+//! Both keep every value as a [`Payload`] (inline up to 22 bytes), so a
+//! record is 32 bytes with no heap pointer of its own. The service's
+//! boundary stays `String`: each command's value becomes a `Payload`
+//! once, in [`KvService::apply_batch`], and a value becomes a `String`
+//! again only where a response is built ([`wire_outcome`],
+//! [`KvService::get`], [`KvService::scan`]).
+//!
 //! Both report the flight-recorder seq of every command to the caller's
 //! observer, which is how responses get stamped end-to-end, and both stamp
 //! the `LockWait` trace phase whenever a request waits for a shard lock.
 
+use crate::payload::Payload;
 use crate::protocol::Outcome;
 use dsf_concurrent::{Shard, ShardedFile};
 use dsf_core::{Command, CommandOutcome};
@@ -29,8 +37,9 @@ use dsf_durable::{Durability, DurableFile, StdFs};
 
 /// The command/value types the wire protocol fixes.
 pub type KvCommand = Command<u64, String>;
-/// Outcome type matching [`KvCommand`].
-pub type KvOutcome = CommandOutcome<String>;
+/// What the store reports for a [`KvCommand`]; an old value stays a
+/// [`Payload`] until [`wire_outcome`] builds the response.
+pub type KvOutcome = CommandOutcome<Payload>;
 
 /// The durable backend: one WAL-backed [`DurableFile`] per stripe, with
 /// its own commit window, under one root directory.
@@ -41,7 +50,7 @@ pub type KvOutcome = CommandOutcome<String>;
 /// with `DurableKv::create`, `DurableKv::open` (both with optimistic reads
 /// on) or `DurableKv::create_on` (any filesystem, reads locked until
 /// `enable_optimistic_reads`).
-pub type DurableKv<F = StdFs> = ShardedFile<String, DurableFile<u64, String, F>>;
+pub type DurableKv<F = StdFs> = ShardedFile<Payload, DurableFile<u64, Payload, F>>;
 
 /// A sharded key→value store the server can front. Implementations are
 /// internally synchronized: `apply_batch` takes `&self` and may be called
@@ -89,18 +98,19 @@ pub trait KvService: Send + Sync + 'static {
     fn flush(&self) -> Result<(), String>;
 }
 
-/// Converts a core outcome into its wire form.
+/// Converts a core outcome into its wire form: the one place an old
+/// value becomes a `String`.
 pub fn wire_outcome(o: &KvOutcome) -> Outcome {
     match o {
         CommandOutcome::Inserted => Outcome::Inserted,
-        CommandOutcome::Replaced(old) => Outcome::Replaced(old.clone()),
-        CommandOutcome::Removed(old) => Outcome::Removed(old.clone()),
+        CommandOutcome::Replaced(old) => Outcome::Replaced(old.into()),
+        CommandOutcome::Removed(old) => Outcome::Removed(old.into()),
         CommandOutcome::NotFound => Outcome::NotFound,
         CommandOutcome::Rejected(e) => Outcome::Rejected(e.to_string()),
     }
 }
 
-impl<S: Shard<String> + Send + Sync + 'static> KvService for ShardedFile<String, S> {
+impl<S: Shard<Payload> + Send + Sync + 'static> KvService for ShardedFile<Payload, S> {
     fn shard_count(&self) -> usize {
         ShardedFile::shard_count(self) as usize
     }
@@ -126,16 +136,26 @@ impl<S: Shard<String> + Send + Sync + 'static> KvService for ShardedFile<String,
                 self.shard_of(*c.key())
             ));
         }
-        self.apply_shard_batch(shard, cmds, durability, observe)
+        let cmds: Vec<Command<u64, Payload>> = cmds
+            .iter()
+            .map(|c| match c {
+                Command::Insert(k, v) => Command::Insert(*k, Payload::from(v.as_str())),
+                Command::Remove(k) => Command::Remove(*k),
+            })
+            .collect();
+        self.apply_shard_batch(shard, &cmds, durability, observe)
             .map_err(|e| e.to_string())
     }
 
     fn get(&self, key: u64) -> Option<String> {
-        ShardedFile::get(self, key)
+        ShardedFile::get(self, key).map(String::from)
     }
 
     fn scan(&self, start: u64, limit: usize) -> Vec<(u64, String)> {
         self.collect_range(start, u64::MAX, limit)
+            .into_iter()
+            .map(|(k, v)| (k, String::from(v)))
+            .collect()
     }
 
     fn len(&self) -> u64 {

@@ -6,14 +6,14 @@
 use dsf_concurrent::ShardedFile;
 use dsf_core::{Command, DenseFileConfig};
 use dsf_durable::Durability;
-use dsf_server::{protocol::Outcome, Client, Request, Response, Server, ServerConfig};
+use dsf_server::{protocol::Outcome, Client, Payload, Request, Response, Server, ServerConfig};
 use std::sync::Arc;
 
 fn cfg() -> DenseFileConfig {
     DenseFileConfig::control2(32, 8, 48)
 }
 
-fn serve_sharded(shards: u32) -> (Server, Arc<ShardedFile<String>>) {
+fn serve_sharded(shards: u32) -> (Server, Arc<ShardedFile<Payload>>) {
     let file = Arc::new(ShardedFile::new(shards, cfg()).expect("backend"));
     file.enable_optimistic_reads();
     let server = Server::bind(file.clone(), ServerConfig::default(), "127.0.0.1:0").expect("bind");
@@ -235,7 +235,9 @@ fn pipelined_clients_equal_direct_batches() {
 
     // Reference: the same streams applied directly, one batch per client
     // (a client's commands all hit one shard, so within-shard order is
-    // exactly the client's order — the same order the server saw).
+    // exactly the client's order — the same order the server saw). It
+    // keeps `String` values, so the snapshot comparison below also pins
+    // that a `Payload` store encodes byte for byte like a `String` one.
     let reference = ShardedFile::<String>::new(SHARDS, cfg()).expect("reference");
     for client in 0..u64::from(SHARDS) {
         let cmds = stream(client, stripe);

@@ -630,7 +630,7 @@ fn serve_metrics(args: &[String]) -> Result<String, String> {
 // ---------------------------------------------------------------------
 
 fn serve(args: &[String]) -> Result<String, String> {
-    use willard_dsf::server::{DurableKv, ServerConfig};
+    use willard_dsf::server::{DurableKv, Payload, ServerConfig};
     use willard_dsf::{KvService, Server, ShardedFile, SyncPolicy};
 
     let addr = flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:4600".into());
@@ -654,7 +654,7 @@ fn serve(args: &[String]) -> Result<String, String> {
 
     let (service, backend): (std::sync::Arc<dyn KvService>, String) = if has_flag(args, "--memory")
     {
-        let kv: ShardedFile<String> =
+        let kv: ShardedFile<Payload> =
             ShardedFile::new(shards, per_shard).map_err(|e| format!("serve: {e}"))?;
         kv.enable_optimistic_reads();
         (
@@ -1149,7 +1149,7 @@ fn trace(args: &[String]) -> Result<String, String> {
 
 fn trace_record(args: &[String]) -> Result<String, String> {
     use willard_dsf::flight;
-    use willard_dsf::server::{Client, DurableKv, Request, ServerConfig};
+    use willard_dsf::server::{Client, DurableKv, Payload, Request, ServerConfig};
     use willard_dsf::{Durability, KvService, Server, ShardedFile, SyncPolicy};
 
     let out = args.first().ok_or("trace record: missing <out.flight>")?;
@@ -1185,7 +1185,7 @@ fn trace_record(args: &[String]) -> Result<String, String> {
     // A scratch store: the run exists to record timelines, not data.
     let mut scratch: Option<std::path::PathBuf> = None;
     let (service, backend): (std::sync::Arc<dyn KvService>, &str) = if has_flag(args, "--memory") {
-        let kv: ShardedFile<String> =
+        let kv: ShardedFile<Payload> =
             ShardedFile::new(shards, per_shard).map_err(|e| format!("trace record: {e}"))?;
         kv.enable_optimistic_reads();
         (std::sync::Arc::new(kv), "in-memory")

@@ -100,7 +100,7 @@ fn a_failed_strict_commit_is_refused_invisible_and_lost_while_its_neighbours_sur
     let view = kv.shard_view(0).expect("views enabled");
     for &k in before.iter().chain(&after) {
         assert_eq!(get(&mut c, k), Some(value(k)), "served get({k})");
-        assert_eq!(view.try_get(&k), Ok(Some(value(k))), "view get({k})");
+        assert_eq!(view.try_get(&k), Ok(Some(value(k).into())), "view get({k})");
     }
     assert_eq!(get(&mut c, FAILED), None, "served get of the failed key");
     assert_eq!(view.try_get(&FAILED), Ok(None));
@@ -328,7 +328,7 @@ fn a_failed_group_commit_shared_by_four_connections_fails_each_of_their_commands
     let c = &mut clients[0];
     for &k in &acked {
         assert_eq!(get(c, k), Some(value(k)), "served get({k})");
-        assert_eq!(view.try_get(&k), Ok(Some(value(k))), "view get({k})");
+        assert_eq!(view.try_get(&k), Ok(Some(value(k).into())), "view get({k})");
     }
     for &k in &failed {
         assert_eq!(get(c, k), None, "served get of failed {k}");

@@ -2,7 +2,7 @@
 //!
 //! The same seeded history — single-shard batches of inserts, replaces and
 //! removes, point gets, `len` and scans — runs through
-//! [`KvService`] on an in-memory `ShardedFile<String>` (with and without
+//! [`KvService`] on an in-memory `ShardedFile<Payload>` (with and without
 //! optimistic reads) and on a [`DurableKv`] in a temporary directory, and
 //! every answer is compared with a `BTreeMap`. Keys cluster at both ends of
 //! each stripe, so scans start in a shard's last slots and cross stripe
@@ -14,8 +14,10 @@ use std::collections::BTreeMap;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use willard_dsf::concurrent::Shard;
-use willard_dsf::server::{DurableKv, KvService};
-use willard_dsf::{Command, CommandOutcome, DenseFileConfig, Durability, ShardedFile, SyncPolicy};
+use willard_dsf::server::{DurableKv, KvService, Payload};
+use willard_dsf::{
+    Command, CommandOutcome, DenseFileConfig, Durability, DurableFile, ShardedFile, SyncPolicy,
+};
 
 const SHARDS: u32 = 3;
 /// Each stripe's keys lie within `EDGE` of its first or its last key, so a
@@ -53,14 +55,14 @@ fn key_in(rng: &mut SmallRng, s: u64) -> u64 {
 fn apply_model(
     model: &mut BTreeMap<u64, String>,
     cmd: &Command<u64, String>,
-) -> CommandOutcome<String> {
+) -> CommandOutcome<Payload> {
     match cmd {
         Command::Insert(k, v) => match model.insert(*k, v.clone()) {
-            Some(old) => CommandOutcome::Replaced(old),
+            Some(old) => CommandOutcome::Replaced(old.into()),
             None => CommandOutcome::Inserted,
         },
         Command::Remove(k) => match model.remove(k) {
-            Some(old) => CommandOutcome::Removed(old),
+            Some(old) => CommandOutcome::Removed(old.into()),
             None => CommandOutcome::NotFound,
         },
     }
@@ -98,9 +100,9 @@ fn check_scans(svc: &dyn KvService, model: &BTreeMap<u64, String>, rng: &mut Sma
 }
 
 /// Runs the seeded history against `kv` and returns the model it ends at.
-fn run<S>(kv: &ShardedFile<String, S>, seed: u64) -> BTreeMap<u64, String>
+fn run<S>(kv: &ShardedFile<Payload, S>, seed: u64) -> BTreeMap<u64, String>
 where
-    S: Shard<String> + Send + Sync + 'static,
+    S: Shard<Payload> + Send + Sync + 'static,
 {
     let svc: &dyn KvService = kv;
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -160,10 +162,10 @@ where
 #[test]
 fn both_backends_match_a_btreemap() {
     for seed in 1..=4u64 {
-        let locked: ShardedFile<String> = ShardedFile::new(SHARDS, cfg()).unwrap();
+        let locked: ShardedFile<Payload> = ShardedFile::new(SHARDS, cfg()).unwrap();
         let model = run(&locked, seed);
 
-        let memory: ShardedFile<String> = ShardedFile::new(SHARDS, cfg()).unwrap();
+        let memory: ShardedFile<Payload> = ShardedFile::new(SHARDS, cfg()).unwrap();
         memory.enable_optimistic_reads();
         assert_eq!(run(&memory, seed), model);
 
@@ -215,7 +217,7 @@ fn check_misrouted_refused(svc: &dyn KvService) {
 
 #[test]
 fn misrouted_batches_are_refused() {
-    let memory: ShardedFile<String> = ShardedFile::new(SHARDS, cfg()).unwrap();
+    let memory: ShardedFile<Payload> = ShardedFile::new(SHARDS, cfg()).unwrap();
     check_misrouted_refused(&memory);
 
     let dir = std::env::temp_dir().join(format!("dsf-store-misrouted-{}", std::process::id()));
@@ -223,5 +225,107 @@ fn misrouted_batches_are_refused() {
     let durable = DurableKv::create(&dir, SHARDS, cfg(), SyncPolicy::EveryCommand).unwrap();
     check_misrouted_refused(&durable);
     drop(durable);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Values on both sides of the 22-byte inline limit, multibyte ones
+/// among them, so both `Payload` representations reach the disk.
+fn cross_value(k: u64) -> String {
+    match k % 5 {
+        0 => String::new(),
+        1 => format!("{k:016x}"),
+        2 => "é".repeat(11), // 22 bytes: the longest inline value
+        3 => format!("{}π", "x".repeat(21)), // 23 bytes, π straddling byte 22
+        _ => format!("a long value for key {k}, well past the inline limit"),
+    }
+}
+
+/// The first key of shard 1 in a 2-shard store.
+const SECOND_STRIPE: u64 = u64::MAX / 2 + 1;
+
+/// Keys of both stripes of a 2-shard store, with a `String` value each.
+fn cross_records() -> Vec<(u64, String)> {
+    (0..60u64)
+        .chain((0..60).map(|k| SECOND_STRIPE + k))
+        .map(|k| (k, cross_value(k)))
+        .collect()
+}
+
+/// Writes `records` into one `DurableFile` per shard directory of `dir`:
+/// the first half of each stripe's inserts and a remove are checkpointed,
+/// the rest stay in the log (so recovery decodes both).
+fn write_string_shards(dir: &std::path::Path, records: &[(u64, String)]) {
+    for s in 0..2u64 {
+        let mut f: DurableFile<u64, String> =
+            DurableFile::create(dir.join(format!("shard-{s}")), cfg(), SyncPolicy::Manual).unwrap();
+        let mine: Vec<_> = records
+            .iter()
+            .filter(|(k, _)| (*k >= SECOND_STRIPE) == (s == 1))
+            .collect();
+        let (early, late) = mine.split_at(mine.len() / 2);
+        for (k, v) in early {
+            f.insert(*k, v.clone()).unwrap();
+        }
+        let gone = s * SECOND_STRIPE + 1_000;
+        f.insert(gone, "gone".into()).unwrap();
+        f.remove(&gone).unwrap();
+        f.checkpoint().unwrap();
+        for (k, v) in late {
+            f.insert(*k, v.clone()).unwrap();
+        }
+        f.sync().unwrap();
+    }
+}
+
+#[test]
+fn string_and_payload_stores_reopen_as_each_other() {
+    let records = cross_records();
+    let policy = SyncPolicy::Manual;
+
+    // `String` files → `DurableKv`.
+    let dir = std::env::temp_dir().join(format!("dsf-cross-type-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    write_string_shards(&dir, &records);
+    let kv = DurableKv::open(&dir, policy).unwrap();
+    assert_eq!(
+        KvService::scan(&kv, 0, usize::MAX),
+        records,
+        "String → Payload"
+    );
+    assert_eq!(KvService::len(&kv), records.len() as u64);
+    for (k, v) in &records {
+        assert_eq!(KvService::get(&kv, *k).as_ref(), Some(v), "get({k})");
+    }
+    drop(kv);
+    std::fs::remove_dir_all(&dir).ok();
+
+    // `DurableKv` → `String` files: WAL frames written from `Payload`s,
+    // then a checkpoint written from `Payload`s.
+    let kv = DurableKv::create(&dir, 2, cfg(), policy).unwrap();
+    for s in 0..2 {
+        let cmds: Vec<Command<u64, String>> = records
+            .iter()
+            .filter(|(k, _)| kv.shard_of(*k) == s)
+            .map(|(k, v)| Command::Insert(*k, v.clone()))
+            .collect();
+        kv.apply_batch(s, &cmds, Durability::Strict, &mut |_, _, _| {})
+            .unwrap();
+    }
+    KvService::flush(&kv).unwrap();
+    drop(kv);
+    let as_string = |s: u64| -> Vec<(u64, String)> {
+        let f: DurableFile<u64, String> =
+            DurableFile::open(dir.join(format!("shard-{s}")), policy).unwrap();
+        f.iter().map(|(k, v)| (*k, v.clone())).collect()
+    };
+    let logged: Vec<_> = (0..2).flat_map(as_string).collect();
+    assert_eq!(logged, records, "Payload log → String");
+    for s in 0..2u64 {
+        let mut f: DurableFile<u64, Payload> =
+            DurableFile::open(dir.join(format!("shard-{s}")), policy).unwrap();
+        f.checkpoint().unwrap();
+    }
+    let checkpointed: Vec<_> = (0..2).flat_map(as_string).collect();
+    assert_eq!(checkpointed, records, "Payload checkpoint → String");
     std::fs::remove_dir_all(&dir).ok();
 }

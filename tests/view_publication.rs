@@ -601,7 +601,7 @@ fn a_served_store_never_answers_from_a_failed_strict_batch() {
     for (b, visible) in [(0, true), (1, false), (2, true)] {
         for k in group(0, b) {
             let want = visible.then(|| format!("batch {b}"));
-            assert_eq!(kv.get(k), want, "batch {b}, key {k}");
+            assert_eq!(kv.get(k).map(String::from), want, "batch {b}, key {k}");
         }
     }
     assert_eq!(kv.len(), 2 * GROUP);
