@@ -18,7 +18,13 @@
 //!   and thresholds `g(v, q/3) = d + (depth(v) + q/3 − 1)/L · (D−d)`,
 //!   the test `p(v) ≥ g(v, q/3)` is evaluated as
 //!   `3L·N_v ≥ M_v·(3L·d + (3·depth(v)+q−3)(D−d))` — no floating point
-//!   anywhere in the invariant logic.
+//!   anywhere in the invariant logic;
+//! * a leaf-first neighbour search ([`Calibrator::next_nonempty`],
+//!   [`Calibrator::prev_nonempty`]) for SHIFT's SOURCE and for scans
+//!   stepping to the next occupied page: an occupied neighbour costs
+//!   `O(1)` (its own leaf counter), any other `O(log distance)` levels
+//!   for a typical start, climbing from the start's leaf instead of
+//!   descending from the root.
 //!
 //! The calibrator is an in-memory structure; consulting or updating it
 //! charges no page accesses, exactly as in the paper's cost model.
@@ -71,8 +77,17 @@ const NO_RANGE: u32 = u32::MAX;
 /// `go_right(r)`, else the left, down to one slot. Ranges follow the floor
 /// split, computed on the way down, so a copy of the per-node keys (the
 /// read view's) descends exactly like [`Calibrator::find_slot`].
-pub(crate) fn descend(slots: u32, mut go_right: impl FnMut(NodeId) -> bool) -> u32 {
-    let (mut n, mut lo, mut hi) = (NodeId::ROOT, 0, slots - 1);
+pub(crate) fn descend(slots: u32, go_right: impl FnMut(NodeId) -> bool) -> u32 {
+    descend_within(NodeId::ROOT, 0, slots - 1, go_right)
+}
+
+/// [`descend`] from node `n`, whose range is `[lo, hi]`.
+fn descend_within(
+    mut n: NodeId,
+    mut lo: u32,
+    mut hi: u32,
+    mut go_right: impl FnMut(NodeId) -> bool,
+) -> u32 {
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
         if go_right(n.right()) {
@@ -412,8 +427,10 @@ impl<K: Key> Calibrator<K> {
     /// leftmost descent when no such record exists (inserting there keeps
     /// the file sorted). Returns slot 0 for an empty file.
     pub fn find_slot(&self, key: &K) -> u32 {
+        // A node's min key is `None` exactly when its count is 0
+        // (`check_invariants` pins both), so one array answers each level.
         descend(self.slots, |r| {
-            self.count[r.0 as usize] > 0 && self.min_key[r.0 as usize].is_some_and(|m| m <= *key)
+            self.min_key[r.0 as usize].is_some_and(|m| m <= *key)
         })
     }
 
@@ -425,9 +442,9 @@ impl<K: Key> Calibrator<K> {
     /// nonsensical hint silently falls back to the full descent.
     ///
     /// Like everything else in the calibrator this is in-memory and charges
-    /// no page accesses; the saving is CPU only (an `O(log M)` counter check
-    /// instead of an `O(log M)` descent with key comparisons at every
-    /// level, and for sorted batches the check usually exits early).
+    /// no page accesses; the saving is CPU only (the hint's leaf and a
+    /// leaf-first search for its successor instead of an `O(log M)`
+    /// descent from the root).
     pub fn find_slot_hinted(&self, key: &K, hint: u32) -> u32 {
         if self.hint_holds(key, hint) {
             hint
@@ -439,60 +456,85 @@ impl<K: Key> Calibrator<K> {
     /// `hint == find_slot(key)` iff `hint` is non-empty with minimum ≤
     /// `key` while the *next* non-empty slot's minimum exceeds `key`
     /// (cross-slot order makes slot minima ascend, so checking one
-    /// successor suffices).
+    /// successor suffices). Density keeps that successor within a few
+    /// slots almost always, where the leaf-first search finds it in a
+    /// level or two.
     fn hint_holds(&self, key: &K, hint: u32) -> bool {
-        if hint >= self.slots {
-            return false;
-        }
-        let leaf = self.leaf_of(hint);
-        if self.count(leaf) == 0 || self.min_key(leaf).is_none_or(|m| m > *key) {
-            return false;
-        }
-        // This check is the batch pipeline's hot path: it must cost less
-        // than the root descent it replaces. Density keeps the successor
-        // within a few slots almost always, so probe linearly before
-        // falling back to the counter-tree scan.
-        let hi = self.slots - 1;
-        let mut s = hint + 1;
-        while s <= hi.min(hint + 8) {
-            let l = self.leaf_of(s);
-            if self.count(l) != 0 {
-                return self.min_key(l).is_some_and(|m| m > *key);
-            }
-            s += 1;
-        }
-        match self.next_nonempty(s, hi) {
-            None => true,
-            Some(s) => self.min_key(self.leaf_of(s)).is_some_and(|m| m > *key),
-        }
+        hint < self.slots
+            && self.min_key(self.leaf_of(hint)).is_some_and(|m| m <= *key)
+            && self
+                .next_nonempty(hint + 1, self.slots - 1)
+                .is_none_or(|s| self.min_key(self.leaf_of(s)).is_some_and(|m| m > *key))
     }
 
     /// Smallest non-empty slot in `[from, hi]`, using the counters only.
     pub fn next_nonempty(&self, from: u32, hi: u32) -> Option<u32> {
-        self.scan_nonempty(NodeId::ROOT, from, hi, true)
+        if from > hi || from >= self.slots {
+            return None;
+        }
+        self.nearest_nonempty(from, hi, true)
     }
 
     /// Largest non-empty slot in `[lo, upto]`, using the counters only.
     pub fn prev_nonempty(&self, lo: u32, upto: u32) -> Option<u32> {
-        self.scan_nonempty(NodeId::ROOT, lo, upto, false)
+        let upto = upto.min(self.slots - 1);
+        if lo > upto {
+            return None;
+        }
+        self.nearest_nonempty(upto, lo, false)
     }
 
-    fn scan_nonempty(&self, n: NodeId, qlo: u32, qhi: u32, first: bool) -> Option<u32> {
-        if qlo > qhi {
-            return None;
+    /// The non-empty slot nearest `from` on its `forward` (else backward)
+    /// side, `from` and `bound` included. A finger search: an occupied
+    /// `from` answers at its own leaf; otherwise the search climbs from
+    /// that leaf to the first non-empty sibling on the search side, or
+    /// stops at the first sibling wholly past `bound`, and descends inside
+    /// that sibling to its nearest non-empty leaf. It reads counters only
+    /// below the lowest common ancestor of `from` and the answer: O(log
+    /// distance) levels for a typical `from`, `2·log M` at worst (a
+    /// neighbour across a high split).
+    fn nearest_nonempty(&self, from: u32, bound: u32, forward: bool) -> Option<u32> {
+        let mut n = self.leaf_of(from);
+        if self.count(n) > 0 {
+            return Some(from);
         }
-        let (lo, hi) = self.range(n);
-        if hi < qlo || lo > qhi || self.count[n.0 as usize] == 0 {
-            return None;
-        }
-        match self.children(n) {
-            None => Some(lo),
-            Some((l, r)) => {
-                let (a, b) = if first { (l, r) } else { (r, l) };
-                self.scan_nonempty(a, qlo, qhi, first)
-                    .or_else(|| self.scan_nonempty(b, qlo, qhi, first))
+        // `edge` ends `n`'s range on the search side; every slot from
+        // `from` to `edge` is empty.
+        let mut edge = from;
+        let (sib, near, far) = loop {
+            let parent = n.parent()?;
+            if n.is_right_child() != forward {
+                // The sibling on the search side starts just past `edge`.
+                let sib = NodeId(n.0 ^ 1);
+                let near = if forward { edge + 1 } else { edge - 1 };
+                let past = if forward { near > bound } else { near < bound };
+                if past {
+                    return None;
+                }
+                let far = if forward {
+                    self.hi[sib.0 as usize]
+                } else {
+                    self.lo[sib.0 as usize]
+                };
+                if self.count(sib) > 0 {
+                    break (sib, near, far);
+                }
+                edge = far;
             }
-        }
+            n = parent;
+        };
+        // Into the nearer son whenever it holds a record.
+        let found = if forward {
+            descend_within(sib, near, far, |r| self.count(NodeId(r.0 - 1)) == 0)
+        } else {
+            descend_within(sib, far, near, |r| self.count(r) > 0)
+        };
+        let within = if forward {
+            found <= bound
+        } else {
+            found >= bound
+        };
+        within.then_some(found)
     }
 
     // ------------------------------------------------------------------

@@ -146,10 +146,10 @@ struct NodeKey {
 }
 
 impl NodeKey {
-    /// Copies node `n`'s min key (empty: a zero count, as `find_slot`
-    /// has it). `Release` pairs with the readers' `Acquire` loads.
+    /// Copies node `n`'s min key (`None` exactly for a zero count).
+    /// `Release` pairs with the readers' `Acquire` loads.
     fn publish<K: Key + Into<u64>>(&self, cal: &Calibrator<K>, n: NodeId) {
-        let min = cal.min_key(n).filter(|_| cal.count(n) > 0);
+        let min = cal.min_key(n);
         self.min
             .store(min.map_or(u64::MAX, Into::into), Ordering::Release);
         self.nonempty.store(min.is_some(), Ordering::Release);

@@ -2,7 +2,7 @@
 //!
 //! A snapshot captures the file's geometry (`M`, `d`, `D`, `J`, `K`,
 //! algorithm) and every slot's records in address order, framed by a magic
-//! header and an FNV-1a-64 checksum. Loading rebuilds the calibrator from
+//! header and an [`fnv1a64`] checksum. Loading rebuilds the calibrator from
 //! the slot contents and re-runs the activation scan, so the warning-flag
 //! state is legal without being persisted (flags and `DEST` pointers are
 //! derived bookkeeping; BALANCE — which *is* required of a valid snapshot —
@@ -200,8 +200,13 @@ impl<T: Codec> Codec for Option<T> {
     }
 }
 
-/// FNV-1a 64-bit — the checksum used by every on-disk format in this
-/// workspace (snapshots, the WAL, physical images).
+/// The checksum used by every on-disk format in this workspace
+/// (snapshots, WAL frames, physical images): FNV-1a's 64-bit offset basis
+/// and xor-then-multiply loop, but with the multiplier `0x1000_0000_01b3`
+/// (2^44 + 0x1b3) where FNV-1a's 64-bit prime is `0x100_0000_01b3`
+/// (2^40 + 0x1b3). It is therefore *not* FNV-1a, and a standard FNV-1a
+/// reader rejects every checksum. The multiplier stays: changing it would
+/// invalidate every existing snapshot, log and image.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     fnv1a64_continue(0xcbf2_9ce4_8422_2325, bytes)
 }
@@ -352,6 +357,20 @@ impl<K: Key + Codec, V: Codec> DenseFile<K, V> {
 mod tests {
     use super::*;
     use crate::config::DenseFileConfig;
+
+    #[test]
+    fn checksum_values_are_pinned() {
+        // The on-disk formats depend on these exact values; a "fix" to the
+        // standard FNV-1a prime would turn the last two into
+        // 0xaf63_dc4c_8601_ec8c and 0x664b_fd3a_b19a_8bea.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf74_d84c_8601_ec8c);
+        assert_eq!(fnv1a64(b"willard-dsf"), 0xc41c_883a_b19a_8bea);
+        assert_eq!(
+            fnv1a64_continue(fnv1a64(b"willard"), b"-dsf"),
+            fnv1a64(b"willard-dsf")
+        );
+    }
 
     fn loaded() -> DenseFile<u64, u64> {
         let mut f = DenseFile::new(DenseFileConfig::control2(64, 8, 40)).unwrap();

@@ -120,12 +120,16 @@ proptest! {
         prop_assert_eq!(inc.total(), rebuilt.total());
     }
 
-    /// next_nonempty / prev_nonempty agree with linear scans.
+    /// next_nonempty / prev_nonempty agree with linear scans, on trees up
+    /// to ~300 slots (floor splits make every non-power-of-two ragged),
+    /// over in-range windows, wholly empty windows, inverted windows and
+    /// bounds at or past the last slot.
     #[test]
     fn nonempty_scans_match_linear(
-        slots in 1u32..48,
-        filled in prop::collection::btree_set(any::<u32>(), 0..20),
+        slots in 1u32..300,
+        filled in prop::collection::btree_set(any::<u32>(), 0..160),
         queries in prop::collection::vec((any::<u32>(), any::<u32>()), 1..10),
+        raw_queries in prop::collection::vec((0u32..320, 0u32..320), 1..10),
     ) {
         let mut cal: Calibrator<u64> = Calibrator::new(slots, 1, 1000);
         let filled: Vec<u32> = filled.into_iter().map(|s| s % slots).collect();
@@ -141,6 +145,65 @@ proptest! {
             prop_assert_eq!(cal.next_nonempty(lo, hi), want_next);
             let want_prev = (lo..=hi).rev().find(|&s| filled.contains(&s));
             prop_assert_eq!(cal.prev_nonempty(lo, hi), want_prev);
+        }
+        // Unclamped bounds: `lo > hi` is an empty window, and slots past
+        // the last one hold nothing.
+        for &(lo, hi) in &raw_queries {
+            let window = lo..=hi.min(slots - 1);
+            let want_next = window.clone().find(|&s| filled.contains(&s));
+            prop_assert_eq!(cal.next_nonempty(lo, hi), want_next, "next({}, {})", lo, hi);
+            let want_prev = window.rev().find(|&s| filled.contains(&s));
+            prop_assert_eq!(cal.prev_nonempty(lo, hi), want_prev, "prev({}, {})", lo, hi);
+        }
+        // Every maximal run of empty slots: nothing inside it, and the
+        // nearest records on either side across it.
+        let mut gap_lo = 0;
+        while gap_lo < slots {
+            if filled.contains(&gap_lo) {
+                gap_lo += 1;
+                continue;
+            }
+            let mut gap_hi = gap_lo;
+            while gap_hi + 1 < slots && !filled.contains(&(gap_hi + 1)) {
+                gap_hi += 1;
+            }
+            prop_assert_eq!(cal.next_nonempty(gap_lo, gap_hi), None);
+            prop_assert_eq!(cal.prev_nonempty(gap_lo, gap_hi), None);
+            let after = (gap_hi + 1 < slots).then_some(gap_hi + 1);
+            prop_assert_eq!(cal.next_nonempty(gap_lo, slots - 1), after);
+            let before = gap_lo.checked_sub(1);
+            prop_assert_eq!(cal.prev_nonempty(0, gap_hi), before);
+            gap_lo = gap_hi + 1;
+        }
+    }
+
+    /// find_slot is the greatest non-empty slot whose minimum is ≤ key,
+    /// else slot 0, and find_slot_hinted agrees with it for any hint.
+    #[test]
+    fn find_slot_matches_linear(
+        counts in prop::collection::vec(0u64..3, 1..300),
+        probes in prop::collection::vec(0u64..3010, 1..16),
+        hints in prop::collection::vec(0u32..310, 1..8),
+    ) {
+        let slots = counts.len() as u32;
+        let mut cal: Calibrator<u64> = Calibrator::new(slots, 1, 1000);
+        // Slot s holds keys 10s+1..: minima ascend across slots.
+        let min_of = |s: u32| (counts[s as usize] > 0).then_some(10 * u64::from(s) + 1);
+        for s in 0..slots {
+            cal.set_leaf_raw(s, counts[s as usize], min_of(s));
+        }
+        cal.recompute_subtree(NodeId::ROOT);
+        for &key in &probes {
+            let want = (0..slots)
+                .rev()
+                .find(|&s| min_of(s).is_some_and(|m| m <= key))
+                .unwrap_or(0);
+            prop_assert_eq!(cal.find_slot(&key), want, "key {}", key);
+            // Random hints, and the ones a sorted batch would pass.
+            let near = [want.saturating_sub(1), want, want + 1];
+            for hint in hints.iter().copied().chain(near) {
+                prop_assert_eq!(cal.find_slot_hinted(&key, hint), want, "key {} hint {}", key, hint);
+            }
         }
     }
 }

@@ -133,7 +133,7 @@ impl From<DsfError> for DurableError {
     }
 }
 
-/// The frame checksum: FNV-1a over the epoch (little-endian) followed by
+/// The frame checksum: [`fnv1a64`] over the epoch (little-endian) followed by
 /// the frame body, streamed without copying either. Salting with the
 /// epoch binds every frame to its log generation, so bytes of an
 /// epoch-`e` frame surviving a torn log reset can never replay under an
