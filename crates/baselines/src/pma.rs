@@ -87,10 +87,6 @@ pub struct AmortizedPma<K, V> {
     /// like the paper's calibrator).
     index: BTreeMap<K, u32>,
     len: u64,
-    /// One-shot rebalances performed.
-    rebalances: u64,
-    /// Total segments rewritten by rebalances.
-    rebalanced_segments: u64,
     stats: IoStats,
     trace: TraceBuffer,
 }
@@ -121,8 +117,6 @@ impl<K: Key, V> AmortizedPma<K, V> {
             segs: (0..cfg.segments).map(|_| Vec::new()).collect(),
             index: BTreeMap::new(),
             len: 0,
-            rebalances: 0,
-            rebalanced_segments: 0,
             stats: IoStats::new(),
             trace: TraceBuffer::new(),
         })
@@ -152,11 +146,6 @@ impl<K: Key, V> AmortizedPma<K, V> {
     /// Optional physical access trace.
     pub fn trace(&self) -> &TraceBuffer {
         &self.trace
-    }
-
-    /// `(rebalances, total segments rewritten)`.
-    pub fn rebalance_stats(&self) -> (u64, u64) {
-        (self.rebalances, self.rebalanced_segments)
     }
 
     fn read_seg(&self, s: u32) {
@@ -233,8 +222,6 @@ impl<K: Key, V> AmortizedPma<K, V> {
     /// Evenly redistributes the records of segments `[lo, hi)`, charging a
     /// read and a write per segment.
     fn rebalance(&mut self, lo: u32, hi: u32) {
-        self.rebalances += 1;
-        self.rebalanced_segments += u64::from(hi - lo);
         let mut all: Vec<Record<K, V>> = Vec::new();
         for s in lo..hi {
             let old_min = self.segs[s as usize].first().map(|r| r.key);
@@ -501,13 +488,16 @@ mod tests {
         let mut p = pma(64, 16, 8);
         p.bulk_load((0..400u64).map(|k| (k * 1_000_000, k)));
         p.check_structure().unwrap();
+        let mut rebalanced = false;
         for i in 0..100u64 {
+            let snap = p.stats().snapshot();
             p.insert(500 + i, 0).unwrap();
+            // A plain insert reads and writes its own segment; anything
+            // more is a window rebalance.
+            rebalanced |= p.stats().since(snap).accesses() > 2;
             p.check_structure().unwrap();
         }
-        let (rebalances, segs) = p.rebalance_stats();
-        assert!(rebalances > 0);
-        assert!(segs >= rebalances);
+        assert!(rebalanced);
     }
 
     #[test]

@@ -788,18 +788,6 @@ impl<K: Key, V> BPlusTree<K, V> {
         self.iter_range(..)
     }
 
-    /// Collects every `(key, value)` pair in order (tests/diagnostics).
-    pub fn collect_all(&self) -> Vec<(K, V)>
-    where
-        V: Clone,
-    {
-        let mut out = Vec::with_capacity(self.len as usize);
-        self.scan(Bound::Unbounded, Bound::Unbounded, |k, v| {
-            out.push((*k, v.clone()))
-        });
-        out
-    }
-
     /// The page numbers of the leaf chain in key order — the physical
     /// scatter a stream retrieval must traverse.
     pub fn leaf_page_ids(&self) -> Vec<u32> {
@@ -1064,7 +1052,7 @@ mod tests {
             }
         }
         t.check_structure().unwrap();
-        let got = t.collect_all();
+        let got: Vec<(u64, u64)> = t.iter().map(|(k, v)| (*k, *v)).collect();
         let want: Vec<(u64, u64)> = model.into_iter().collect();
         assert_eq!(got, want);
     }
@@ -1077,7 +1065,7 @@ mod tests {
         t.check_structure().unwrap();
         assert_eq!(t.get(&500), Some(&250));
         assert_eq!(t.get(&501), None);
-        let all = t.collect_all();
+        let all: Vec<(u64, u64)> = t.iter().map(|(k, v)| (*k, *v)).collect();
         assert_eq!(all.len(), 1000);
         assert!(all.windows(2).all(|w| w[0].0 < w[1].0));
     }
@@ -1104,7 +1092,7 @@ mod tests {
             t.bulk_load((0..n).map(|k| (k, k))).unwrap();
             assert_eq!(t.len(), n);
             t.check_structure().unwrap();
-            assert_eq!(t.collect_all().len() as u64, n);
+            assert_eq!(t.iter().count() as u64, n);
         }
     }
 
@@ -1221,7 +1209,7 @@ mod tests {
         // Drain the rightmost leaf until it underflows; with fuller left
         // siblings the fix must be a borrow (structure check would catch a
         // bad separator).
-        let keys: Vec<u64> = t.collect_all().iter().map(|(k, _)| *k).collect();
+        let keys: Vec<u64> = t.iter().map(|(k, _)| *k).collect();
         for k in keys.iter().rev().take(4) {
             t.remove(k).unwrap();
             t.check_structure().unwrap();
@@ -1232,7 +1220,7 @@ mod tests {
     #[test]
     fn delete_exercises_borrow_from_right_sibling() {
         let mut t = two_level(9);
-        let keys: Vec<u64> = t.collect_all().iter().map(|(k, _)| *k).collect();
+        let keys: Vec<u64> = t.iter().map(|(k, _)| *k).collect();
         // Drain from the front: the leftmost leaf underflows and must borrow
         // from (or merge with) its right sibling.
         for k in keys.iter().take(4) {

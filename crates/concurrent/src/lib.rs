@@ -325,9 +325,8 @@ impl<V: Clone, S: Shard<V>> ShardedFile<V, S> {
     /// Enables lock-free optimistic reads on every shard (idempotent).
     ///
     /// Each shard starts publishing a [`ReadView`] generation at every
-    /// batch boundary; [`get`](Self::get),
-    /// [`collect_range`](Self::collect_range) and
-    /// [`par_collect_range`](Self::par_collect_range) then validate
+    /// batch boundary; [`get`](Self::get) and
+    /// [`collect_range`](Self::collect_range) then validate
     /// against the view first and take the shard lock only when a read
     /// loses a race or a collection is too wide for the view. Takes each
     /// shard's write lock once to seed the initial generation.
@@ -338,12 +337,6 @@ impl<V: Clone, S: Shard<V>> ShardedFile<V, S> {
                 let _ = slot.set(view);
             }
         }
-    }
-
-    /// Whether [`enable_optimistic_reads`](Self::enable_optimistic_reads)
-    /// has run.
-    pub fn optimistic_reads_enabled(&self) -> bool {
-        self.views.iter().all(|v| v.get().is_some())
     }
 
     /// The optimistic [`ReadView`] of one shard, when enabled (tests,
@@ -424,38 +417,6 @@ impl<V: Clone, S: Shard<V>> ShardedFile<V, S> {
         out
     }
 
-    /// Parallel [`collect_range`](Self::collect_range): every shard the
-    /// range intersects is collected concurrently on its own thread, and
-    /// the per-shard results — already sorted and key-disjoint by
-    /// construction — are merged in shard order.
-    ///
-    /// Same consistency contract as the sequential version (per-shard, not
-    /// a global snapshot). `limit` is applied to the merged stream, so at
-    /// most `limit` records are returned, taken from the lowest keys.
-    pub fn par_collect_range(&self, lo: u64, hi: u64, limit: usize) -> Vec<(u64, V)>
-    where
-        V: Send + Sync,
-        S: Send + Sync,
-    {
-        let first = self.router.shard_of(lo);
-        let last = self.router.shard_of(hi);
-        let parts: Vec<Vec<(u64, V)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (first..=last)
-                .map(|s| {
-                    let from = lo.max(self.router.shard_start(s));
-                    scope.spawn(move || self.collect_shard(s, from, hi, limit))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard scan panicked"))
-                .collect()
-        });
-        // Stripes are contiguous and ascending: concatenation in shard
-        // order IS the key-order merge.
-        parts.into_iter().flatten().take(limit).collect()
-    }
-
     /// Number of records with keys strictly below `key` across all shards.
     pub fn rank(&self, key: &u64) -> u64 {
         let target = self.router.shard_of(*key);
@@ -483,15 +444,6 @@ impl<V: Clone, S: Shard<V>> ShardedFile<V, S> {
         } else {
             Err(out)
         }
-    }
-
-    /// Worst single command across shards (the per-stripe worst-case bound).
-    pub fn max_command_accesses(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.read().file().op_stats().max_accesses)
-            .max()
-            .unwrap_or(0)
     }
 
     /// One [`OpStats`] for the whole structure: every shard's stats folded
@@ -671,18 +623,6 @@ impl<V: Clone> ShardedFile<V> {
             for (k, v) in shard.range(from..=hi) {
                 f(*k, v);
             }
-        }
-    }
-
-    /// Parallel [`scan`](Self::scan): gathers each shard's stripe
-    /// concurrently (see [`par_collect_range`](Self::par_collect_range)),
-    /// then replays the merged stream through `f` in ascending key order.
-    pub fn par_scan<F: FnMut(u64, &V)>(&self, lo: u64, hi: u64, mut f: F)
-    where
-        V: Send + Sync,
-    {
-        for (k, v) in self.par_collect_range(lo, hi, usize::MAX) {
-            f(k, &v);
         }
     }
 }
@@ -1039,32 +979,15 @@ mod tests {
     }
 
     #[test]
-    fn par_collect_range_matches_sequential() {
+    fn collect_range_limit_takes_the_lowest_keys() {
         let f = file(8);
         let stripe = u64::MAX / 8 + 1;
         for i in 0..300u64 {
             f.insert(i * (stripe / 41), i).unwrap();
         }
-        for (lo, hi) in [
-            (0, u64::MAX),
-            (stripe / 2, stripe * 3),
-            (stripe * 2 + 7, stripe * 2 + 7), // single key range
-            (stripe * 6, u64::MAX),
-            (u64::MAX - 3, u64::MAX), // empty
-        ] {
-            let seq = f.collect_range(lo, hi, usize::MAX);
-            let par = f.par_collect_range(lo, hi, usize::MAX);
-            assert_eq!(seq, par, "[{lo}, {hi}]");
-        }
-        // Limits truncate the merged stream from the low end.
-        assert_eq!(
-            f.par_collect_range(0, u64::MAX, 13),
-            f.collect_range(0, u64::MAX, 13)
-        );
-        // par_scan replays the same stream in order.
-        let mut scanned = Vec::new();
-        f.par_scan(0, u64::MAX, |k, v| scanned.push((k, *v)));
-        assert_eq!(scanned, f.collect_range(0, u64::MAX, usize::MAX));
+        let all = f.collect_range(0, u64::MAX, usize::MAX);
+        assert_eq!(all.len(), 300);
+        assert_eq!(f.collect_range(0, u64::MAX, 13), all[..13]);
     }
 
     #[test]
@@ -1098,17 +1021,13 @@ mod tests {
             })
             .collect();
         for _ in 0..60 {
-            for result in [
-                f.collect_range(lo, hi, usize::MAX),
-                f.par_collect_range(lo, hi, usize::MAX),
-            ] {
-                assert!(
-                    result.windows(2).all(|w| w[0].0 < w[1].0),
-                    "out-of-order keys in cross-boundary range"
-                );
-                assert!(result.iter().all(|(k, _)| *k >= lo && *k <= hi));
-                assert!(!result.is_empty());
-            }
+            let result = f.collect_range(lo, hi, usize::MAX);
+            assert!(
+                result.windows(2).all(|w| w[0].0 < w[1].0),
+                "out-of-order keys in cross-boundary range"
+            );
+            assert!(result.iter().all(|(k, _)| *k >= lo && *k <= hi));
+            assert!(!result.is_empty());
         }
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
         for w in writers {
@@ -1152,9 +1071,9 @@ mod tests {
         for i in 0..200u64 {
             f.insert(i * (stripe / 60), i).unwrap();
         }
-        assert!(!f.optimistic_reads_enabled());
+        assert!(f.shard_view(0).is_none());
         f.enable_optimistic_reads();
-        assert!(f.optimistic_reads_enabled());
+        assert!(f.shard_view(0).is_some());
         // Mutate after enabling: views must track every command boundary.
         for i in 0..100u64 {
             f.insert(i * (stripe / 60) + 7, 1000 + i).unwrap();
@@ -1174,7 +1093,6 @@ mod tests {
         let mut locked = Vec::new();
         f.scan(0, u64::MAX, |k, v| locked.push((k, *v)));
         assert_eq!(opt, locked);
-        assert_eq!(f.par_collect_range(0, u64::MAX, usize::MAX), locked);
         assert_eq!(f.collect_range(0, u64::MAX, 17).len(), 17);
     }
 
@@ -1193,7 +1111,6 @@ mod tests {
         assert_eq!(f.get(0), Some(0));
         assert_eq!(f.get(1), None);
         assert_eq!(f.collect_range(0, u64::MAX, usize::MAX), before);
-        assert_eq!(f.par_collect_range(0, u64::MAX, usize::MAX), before);
         view.unpoison_epoch_for_test();
         assert_eq!(f.collect_range(0, u64::MAX, usize::MAX), before);
     }
@@ -1264,6 +1181,6 @@ mod tests {
         }
         writer.join().unwrap();
         f.check_invariants().unwrap();
-        assert!(f.max_command_accesses() > 0);
+        assert!(f.merged_op_stats().max_accesses > 0);
     }
 }

@@ -760,22 +760,6 @@ impl<K: Key + Into<u64>, V: Clone> DenseFile<K, V> {
         }
         self.read_view().expect("view just enabled")
     }
-
-    /// Point lookup through the optimistic view, falling back to the
-    /// direct (calibrator-guided, counted) probe when the view is disabled
-    /// or loses its retry budget. Returns an owned value — the optimistic
-    /// path answers from a published generation, not from the live store.
-    pub fn get_optimistic(&self, key: &K) -> Option<V> {
-        if let Some(vs) = &self.view {
-            let view = ReadView {
-                inner: vs.inner.clone(),
-            };
-            if let Ok(hit) = view.try_get(key) {
-                return hit;
-            }
-        }
-        self.get(key).cloned()
-    }
 }
 
 /// Pre-command snapshot of the maintenance counters, captured only while

@@ -126,13 +126,6 @@ impl<K: Key, V> DenseFile<K, V> {
         Some((k, v))
     }
 
-    /// Removes and returns the largest record (a full deletion command).
-    pub fn pop_last(&mut self) -> Option<(K, V)> {
-        let k = *self.last()?.0;
-        let v = self.remove(&k).expect("last() returned a resident key");
-        Some((k, v))
-    }
-
     /// Number of records with keys in `range` — computed from one combined
     /// rank-and-membership probe per bounded endpoint, so it costs at most
     /// two page probes regardless of the range's size.
@@ -228,9 +221,8 @@ mod tests {
         assert_eq!(f.first().map(|(k, _)| *k), Some(0));
         assert_eq!(f.last().map(|(k, _)| *k), Some(2990));
         assert_eq!(f.pop_first(), Some((0, 0)));
-        assert_eq!(f.pop_last(), Some((2990, 299)));
         assert_eq!(f.first().map(|(k, _)| *k), Some(10));
-        assert_eq!(f.len(), 298);
+        assert_eq!(f.len(), 299);
         // Drain as a priority queue; output must be sorted.
         let mut prev = 0;
         while let Some((k, _)) = f.pop_first() {
@@ -239,7 +231,7 @@ mod tests {
         }
         assert!(f.is_empty());
         assert_eq!(f.pop_first(), None);
-        assert_eq!(f.pop_last(), None);
+        assert_eq!(f.last(), None);
         f.check_invariants().unwrap();
     }
 

@@ -9,7 +9,7 @@
 
 use std::ops::Bound;
 
-use dsf_pagestore::{AccessKind, Key, PageRun, Record, RunCoalescer};
+use dsf_pagestore::{Key, Record};
 
 use crate::file::DenseFile;
 
@@ -312,81 +312,6 @@ impl<K: Key, V> DenseFile<K, V> {
             range.end_bound().cloned(),
         )
     }
-
-    /// Plans the physical page runs a retrieval of `[lo, hi]` may touch,
-    /// using **resident metadata only** (the calibrator plus per-slot page
-    /// counts) — no page access is charged.
-    ///
-    /// The result is a conservative cover: maximal runs of consecutive
-    /// global pages spanning every used page of every slot the range
-    /// intersects, plus the first page of the following slot (where a
-    /// forward scan discovers it has passed `hi`). These are the prefetch
-    /// hints for a fell-swoop physical layer — each run maps to one
-    /// `BufferPool::fetch_run` / one sequential read, instead of the
-    /// page-at-a-time faults the scan would otherwise take.
-    pub fn range_runs(&self, lo: &K, hi: &K) -> Vec<PageRun> {
-        if self.is_empty() || lo > hi {
-            return Vec::new();
-        }
-        let k = u64::from(self.cfg.k);
-        let s_lo = self.cal.find_slot(lo);
-        let s_hi = self.cal.find_slot(hi);
-        let mut coalescer = RunCoalescer::new();
-        let mut runs = Vec::new();
-        for s in s_lo..=s_hi {
-            let used = u64::from(self.store.pages_used(s));
-            if used == 0 {
-                continue;
-            }
-            if let Some(run) = coalescer.push_run(u64::from(s) * k, used, AccessKind::Read) {
-                runs.push(run);
-            }
-        }
-        // The stop page: a forward scan reads one page past the range to
-        // see a key > hi.
-        if s_hi < self.cfg.slots - 1 {
-            if let Some(s) = self.cal.next_nonempty(s_hi + 1, self.cfg.slots - 1) {
-                if let Some(run) = coalescer.push_run(u64::from(s) * k, 1, AccessKind::Read) {
-                    runs.push(run);
-                }
-            }
-        }
-        runs.extend(coalescer.finish());
-        runs
-    }
-}
-
-impl<K: Key + Into<u64>, V: Clone> DenseFile<K, V> {
-    /// Range collection through the optimistic read view, falling back to
-    /// the ordinary (counted) [`DenseFile::range`] scan when the view is
-    /// disabled or loses its retry budget.
-    ///
-    /// The optimistic path answers from the latest *published* generation:
-    /// it charges no page accesses and never observes a mid-command SHIFT
-    /// state. Returns owned pairs in ascending key order.
-    pub fn scan_optimistic<R: std::ops::RangeBounds<K>>(&self, range: R) -> Vec<(K, V)> {
-        let start = range.start_bound().cloned();
-        let end = range.end_bound().cloned();
-        if let Some(view) = self.read_view() {
-            if let Ok(out) = view.try_collect_range(start, end) {
-                return out;
-            }
-        }
-        Scan::bounded(self, start, end)
-            .map(|(k, v)| (*k, v.clone()))
-            .collect()
-    }
-}
-
-impl<K: Key, V> DenseFile<K, V> {
-    /// Drains the trace's coalesced run log (see
-    /// [`dsf_pagestore::TraceBuffer::take_runs`]): the maximal contiguous
-    /// page runs of every access recorded since the last drain. SHIFT
-    /// sweeps and scans show up here as a handful of runs rather than a
-    /// page-by-page stream.
-    pub fn io_runs(&self) -> Vec<PageRun> {
-        self.io_trace().take_runs()
-    }
 }
 
 #[cfg(test)]
@@ -531,7 +456,7 @@ mod tests {
         assert_eq!(f.config().k, 1);
         f.io_trace().set_enabled(true);
         assert_eq!(f.iter().count(), 500);
-        let runs = f.io_runs();
+        let runs = f.io_trace().take_runs();
         f.io_trace().set_enabled(false);
         assert_eq!(runs.len(), 1, "runs: {runs:?}");
         assert_eq!(runs[0].start, 0);
@@ -552,7 +477,7 @@ mod tests {
             f.insert(i * 8 + 1, i).unwrap();
         }
         let events = f.io_trace().take();
-        let runs = f.io_runs();
+        let runs = f.io_trace().take_runs();
         f.io_trace().set_enabled(false);
         assert!(!events.is_empty());
         let covered: u64 = runs.iter().map(|r| r.len).sum();
@@ -563,49 +488,6 @@ mod tests {
             runs.len(),
             events.len()
         );
-    }
-
-    #[test]
-    fn range_runs_cover_what_the_scan_touches() {
-        let mut f = loaded(100); // keys 0,10,…,990
-        for i in 0..40u64 {
-            f.insert(i * 20 + 5, i).unwrap();
-        }
-        let planned = f.range_runs(&250, &510);
-        assert!(!planned.is_empty());
-        // Planned runs are disjoint, ascending, and coalesced (no two
-        // adjacent runs touch).
-        for w in planned.windows(2) {
-            assert!(w[0].end() < w[1].start, "not coalesced: {planned:?}");
-        }
-        // Every page the real scan reads is inside some planned run.
-        f.io_trace().clear();
-        f.io_trace().set_enabled(true);
-        let want: Vec<u64> = f.range(250..=510).map(|(k, _)| *k).collect();
-        let trace = f.io_trace().take();
-        f.io_trace().set_enabled(false);
-        assert!(!want.is_empty());
-        for ev in &trace {
-            assert!(
-                planned.iter().any(|r| r.contains(ev.page)),
-                "page {} outside planned runs {planned:?}",
-                ev.page
-            );
-        }
-        // And the plan is itself small: a dense range maps to few swoops.
-        assert!(planned.len() <= 3, "planned: {planned:?}");
-    }
-
-    #[test]
-    fn range_runs_edge_cases() {
-        let empty: DenseFile<u64, u64> =
-            DenseFile::new(DenseFileConfig::control2(8, 2, 16)).unwrap();
-        assert!(empty.range_runs(&0, &100).is_empty());
-        let f = loaded(100);
-        assert!(f.range_runs(&50, &40).is_empty(), "inverted range");
-        // A range past every key still yields at most the tail slot pages.
-        let tail = f.range_runs(&100_000, &200_000);
-        assert!(tail.len() <= 1, "tail: {tail:?}");
     }
 
     #[test]

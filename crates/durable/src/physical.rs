@@ -312,11 +312,6 @@ impl PhysicalImage {
         (self.header_pages + page) * u64::from(self.header.page_size)
     }
 
-    /// Populated data pages in address order (directory metadata).
-    pub fn populated_pages(&self) -> &[u64] {
-        &self.populated
-    }
-
     /// Reads `n` consecutive raw pages starting at `first` in **one fell
     /// swoop**: at most one seek plus exactly one read syscall.
     fn read_pages_raw(

@@ -333,12 +333,6 @@ impl FaultFs {
         self.lock().kinds.clone()
     }
 
-    /// The bytes that would survive a power failure right now (`None` if
-    /// the file would not exist).
-    pub fn durable_bytes(&self, path: &Path) -> Option<Vec<u8>> {
-        self.lock().durable.get(path).cloned()
-    }
-
     /// The currently visible bytes of `path`.
     pub fn visible_bytes(&self, path: &Path) -> Option<Vec<u8>> {
         self.lock().visible.get(path).cloned()

@@ -54,13 +54,6 @@ impl<K, V> Record<K, V> {
     }
 }
 
-impl<K: Key, V> Record<K, V> {
-    /// Compares two records by key only.
-    pub fn key_cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,16 +74,6 @@ mod tests {
         assert_eq!(r.value, "payload");
         let (k, v) = r.into_parts();
         assert_eq!((k, v), (7, "payload"));
-    }
-
-    #[test]
-    fn key_cmp_orders_by_key_only() {
-        let a = Record::new(1u32, 99);
-        let b = Record::new(2u32, 0);
-        assert_eq!(a.key_cmp(&b), std::cmp::Ordering::Less);
-        assert_eq!(b.key_cmp(&a), std::cmp::Ordering::Greater);
-        let c = Record::new(1u32, 12345);
-        assert_eq!(a.key_cmp(&c), std::cmp::Ordering::Equal);
     }
 
     #[test]

@@ -102,11 +102,6 @@ impl<K: Key, V> PagedStore<K, V> {
         }
     }
 
-    /// Whether dirty-slot tracking is on.
-    pub fn dirty_tracking_enabled(&self) -> bool {
-        self.dirty.is_some()
-    }
-
     /// Drains the set of slots mutated since the last drain into `out`,
     /// sorted and deduplicated; `out` ends empty when tracking is disabled.
     /// `out`'s old contents are discarded and its buffer becomes the
@@ -745,7 +740,6 @@ mod tests {
     fn dirty_tracking_disabled_by_default_and_drains_sorted_dedup() {
         let mut st = store(4, 1, 8);
         st.insert(3, 1, 0);
-        assert!(!st.dirty_tracking_enabled());
         assert!(drained(&mut st).is_empty());
 
         st.enable_dirty_tracking();

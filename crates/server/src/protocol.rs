@@ -675,14 +675,6 @@ pub fn write_response<W: Write>(w: &mut W, rsp: &Response) -> Result<(), Protoco
     write_frame(w, &body)
 }
 
-/// Reads and decodes one request frame (`Ok(None)` on clean EOF).
-pub fn read_request<R: Read>(r: &mut R) -> Result<Option<Request>, ProtocolError> {
-    match read_frame(r)? {
-        None => Ok(None),
-        Some(body) => Request::decode(&body).map(Some),
-    }
-}
-
 /// Reads and decodes one response frame (`Ok(None)` on clean EOF).
 pub fn read_response<R: Read>(r: &mut R) -> Result<Option<Response>, ProtocolError> {
     match read_frame(r)? {

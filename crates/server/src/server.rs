@@ -394,10 +394,14 @@ impl Connection<'_> {
         dsf_trace::batch_begin();
         let service = self.inner.acc.service();
         let rsp = match req {
-            Request::Get { key } => Response::Value(service.get(key)),
-            Request::Scan { start, limit } => {
-                Response::Entries(service.scan(start, limit as usize))
-            }
+            Request::Get { key } => Response::Value(service.get(key).map(String::from)),
+            Request::Scan { start, limit } => Response::Entries(
+                service
+                    .scan(start, limit as usize)
+                    .into_iter()
+                    .map(|(k, v)| (k, String::from(v)))
+                    .collect(),
+            ),
             Request::Count => Response::Count(service.len()),
             Request::Ping => Response::Pong,
             Request::Flush => match service.flush() {

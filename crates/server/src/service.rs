@@ -19,11 +19,12 @@
 //!   `Strict` request or the commit window closes).
 //!
 //! Both keep every value as a [`Payload`] (inline up to 22 bytes), so a
-//! record is 32 bytes with no heap pointer of its own. The service's
-//! boundary stays `String`: each command's value becomes a `Payload`
-//! once, in [`KvService::apply_batch`], and a value becomes a `String`
-//! again only where a response is built ([`wire_outcome`],
-//! [`KvService::get`], [`KvService::scan`]).
+//! record is 32 bytes with no heap pointer of its own. Commands carry
+//! `String`s: each command's value becomes a `Payload` once, in
+//! [`KvService::apply_batch`]. Reads answer in `Payload`s, the type
+//! `ShardedFile::get` returns, and a value becomes a `String` again only
+//! where a response is built ([`wire_outcome`], and the server's answer
+//! to a get or a scan).
 //!
 //! Both report the flight-recorder seq of every command to the caller's
 //! observer, which is how responses get stamped end-to-end, and both stamp
@@ -79,10 +80,10 @@ pub trait KvService: Send + Sync + 'static {
     ) -> Result<Vec<KvOutcome>, String>;
 
     /// Point lookup (read path; bypasses the accumulator).
-    fn get(&self, key: u64) -> Option<String>;
+    fn get(&self, key: u64) -> Option<Payload>;
 
     /// At most `limit` records with key ≥ `start`, ascending.
-    fn scan(&self, start: u64, limit: usize) -> Vec<(u64, String)>;
+    fn scan(&self, start: u64, limit: usize) -> Vec<(u64, Payload)>;
 
     /// Total records.
     fn len(&self) -> u64;
@@ -147,15 +148,12 @@ impl<S: Shard<Payload> + Send + Sync + 'static> KvService for ShardedFile<Payloa
             .map_err(|e| e.to_string())
     }
 
-    fn get(&self, key: u64) -> Option<String> {
-        ShardedFile::get(self, key).map(String::from)
+    fn get(&self, key: u64) -> Option<Payload> {
+        ShardedFile::get(self, key)
     }
 
-    fn scan(&self, start: u64, limit: usize) -> Vec<(u64, String)> {
+    fn scan(&self, start: u64, limit: usize) -> Vec<(u64, Payload)> {
         self.collect_range(start, u64::MAX, limit)
-            .into_iter()
-            .map(|(k, v)| (k, String::from(v)))
-            .collect()
     }
 
     fn len(&self) -> u64 {

@@ -6,6 +6,13 @@ use dsf_durable::Durability;
 use dsf_server::protocol::{self, Outcome, ProtocolError, Request, Response, MAX_FRAME, MAX_SCAN};
 use proptest::prelude::*;
 
+/// Reads and decodes one request frame (`Ok(None)` on clean EOF).
+fn read_request<R: std::io::Read>(r: &mut R) -> Result<Option<Request>, ProtocolError> {
+    protocol::read_frame(r)?
+        .map(|body| Request::decode(&body))
+        .transpose()
+}
+
 fn durability(bit: bool) -> Durability {
     if bit {
         Durability::Strict
@@ -80,12 +87,12 @@ proptest! {
         let req = request(choice, key, n, bit);
         let mut wire = Vec::new();
         protocol::write_request(&mut wire, &req).unwrap();
-        let back = protocol::read_request(&mut wire.as_slice()).unwrap().unwrap();
+        let back = read_request(&mut wire.as_slice()).unwrap().unwrap();
         prop_assert_eq!(format!("{req:?}"), format!("{back:?}"));
         // And the stream is exactly consumed: a second read sees clean EOF.
         let mut r = wire.as_slice();
-        protocol::read_request(&mut r).unwrap();
-        prop_assert!(protocol::read_request(&mut r).unwrap().is_none());
+        read_request(&mut r).unwrap();
+        prop_assert!(read_request(&mut r).unwrap().is_none());
     }
 
     /// Responses survive encode→frame→read intact.
@@ -106,7 +113,7 @@ proptest! {
         let mut wire = Vec::new();
         protocol::write_request(&mut wire, &req).unwrap();
         let cut = (cut % wire.len() as u64) as usize; // strictly short
-        match protocol::read_request(&mut &wire[..cut]) {
+        match read_request(&mut &wire[..cut]) {
             Ok(None) => prop_assert_eq!(cut, 0, "mid-frame cut reported as clean EOF"),
             Ok(Some(_)) => prop_assert!(false, "truncated frame decoded"),
             Err(ProtocolError::Torn { .. }) | Err(ProtocolError::Io(_)) => {}
@@ -118,7 +125,7 @@ proptest! {
     /// refused before any allocation of the claimed length.
     #[test]
     fn garbage_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..64)) {
-        let _ = protocol::read_request(&mut bytes.as_slice());
+        let _ = read_request(&mut bytes.as_slice());
         let _ = protocol::read_response(&mut bytes.as_slice());
         let _ = Request::decode(&bytes);
         let _ = Response::decode(&bytes);
@@ -131,7 +138,7 @@ proptest! {
         let len = (MAX_FRAME as u32).saturating_add(extra % 1024 + 1);
         let mut wire = len.to_le_bytes().to_vec();
         wire.extend_from_slice(&tail);
-        match protocol::read_request(&mut wire.as_slice()) {
+        match read_request(&mut wire.as_slice()) {
             Err(ProtocolError::Oversized { .. }) => {}
             other => prop_assert!(false, "expected Oversized, got {other:?}"),
         }
@@ -147,7 +154,7 @@ proptest! {
         body.extend(std::iter::repeat_n(0xAB, junk as usize));
         let mut wire = Vec::new();
         protocol::write_frame(&mut wire, &body).unwrap();
-        match protocol::read_request(&mut wire.as_slice()) {
+        match read_request(&mut wire.as_slice()) {
             Err(ProtocolError::Trailing { .. }) => {}
             other => prop_assert!(false, "expected Trailing, got {other:?}"),
         }
@@ -188,7 +195,7 @@ proptest! {
         let mut wire = Vec::new();
         protocol::write_request_traced(&mut wire, &req, id).unwrap();
         let cut = (cut % wire.len() as u64) as usize;
-        match protocol::read_request(&mut &wire[..cut]) {
+        match read_request(&mut &wire[..cut]) {
             Ok(None) => prop_assert_eq!(cut, 0, "mid-frame cut reported as clean EOF"),
             Ok(Some(_)) => prop_assert!(false, "truncated traced frame decoded"),
             Err(ProtocolError::Torn { .. }) | Err(ProtocolError::Io(_)) => {}

@@ -56,13 +56,6 @@ pub enum Op {
     },
 }
 
-/// `n` evenly spaced `(key, value)` pairs (`key = i·stride`, `value = i`) —
-/// the uniform initial distribution of Theorem 5.5, ready for `bulk_load`.
-pub fn evenly_spaced(n: u64, stride: u64) -> Vec<(u64, u64)> {
-    assert!(stride > 0, "stride must be non-zero");
-    (0..n).map(|i| (i * stride, i)).collect()
-}
-
 /// `n` distinct keys drawn uniformly from `[lo, hi)`, in insertion order.
 ///
 /// # Panics
@@ -250,27 +243,6 @@ impl Zipf {
     }
 }
 
-/// `n` operations against a fixed resident key set, with Zipf-skewed key
-/// popularity: `read_ratio` of the ops are lookups, the rest replace-style
-/// inserts of the same keys. Models the skewed read-mostly traffic the
-/// dense file serves between structural changes.
-pub fn zipf_ops(seed: u64, n: usize, keys: &[u64], theta: f64, read_ratio: f64) -> Vec<Op> {
-    assert!(!keys.is_empty(), "need resident keys");
-    assert!((0.0..=1.0).contains(&read_ratio));
-    let zipf = Zipf::new(keys.len(), theta);
-    let mut rng = SmallRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            let k = keys[zipf.sample(&mut rng)];
-            if rng.gen_bool(read_ratio) {
-                Op::Get(k)
-            } else {
-                Op::Insert(k)
-            }
-        })
-        .collect()
-}
-
 /// A rolling time-series window: `n` paired operations that append a fresh
 /// record at the advancing right edge and expire the oldest at the left,
 /// starting from an existing window `[window_lo, window_hi)` of keys spaced
@@ -346,14 +318,6 @@ pub fn read_trace(text: &str) -> Result<Vec<Op>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn evenly_spaced_is_sorted_unique() {
-        let v = evenly_spaced(100, 7);
-        assert_eq!(v.len(), 100);
-        assert!(v.windows(2).all(|w| w[0].0 < w[1].0));
-        assert_eq!(v[10], (70, 10));
-    }
 
     #[test]
     fn uniform_unique_is_deterministic_and_unique() {
@@ -448,27 +412,6 @@ mod tests {
             counts0[z0.sample(&mut rng)] += 1;
         }
         assert!(counts0[0] < 4 * counts0[500].max(1));
-    }
-
-    #[test]
-    fn zipf_ops_only_touch_resident_keys() {
-        let keys: Vec<u64> = (0..50).map(|i| i * 7).collect();
-        let ops = zipf_ops(3, 500, &keys, 0.8, 0.7);
-        assert_eq!(ops.len(), 500);
-        let keyset: HashSet<u64> = keys.iter().copied().collect();
-        let mut reads = 0;
-        for op in &ops {
-            match op {
-                Op::Get(k) => {
-                    reads += 1;
-                    assert!(keyset.contains(k));
-                }
-                Op::Insert(k) => assert!(keyset.contains(k)),
-                _ => unreachable!(),
-            }
-        }
-        let ratio = reads as f64 / 500.0;
-        assert!((0.55..0.85).contains(&ratio), "read ratio {ratio}");
     }
 
     #[test]

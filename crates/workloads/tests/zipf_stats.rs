@@ -1,14 +1,13 @@
-//! Statistical sanity for the Zipf sampler and the streams built on it.
+//! Statistical sanity for the Zipf sampler.
 //!
 //! `Zipf::sample` drives the E17 zipfian scenario, so a silently broken
 //! CDF (off-by-one in `partition_point`, un-normalized weights, inverted
 //! skew) would quietly invalidate every skewed benchmark. These tests
 //! compare large empirical samples against the analytic distribution
-//! across a theta sweep, and check `zipf_ops` honors its `read_ratio`
-//! in expectation. Everything is seeded, so the observed frequencies are
-//! reproducible and the tolerances can stay tight without flakiness.
+//! across a theta sweep. Everything is seeded, so the observed frequencies
+//! are reproducible and the tolerances can stay tight without flakiness.
 
-use dsf_workloads::{zipf_ops, Op, Zipf};
+use dsf_workloads::Zipf;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -93,32 +92,6 @@ fn zipf_theta_zero_is_uniform() {
         assert!(
             (e - uniform).abs() / uniform < 0.1,
             "rank {rank}: {e:.4} vs uniform {uniform:.4}"
-        );
-    }
-}
-
-#[test]
-fn zipf_ops_honors_read_ratio_in_expectation() {
-    let keys: Vec<u64> = (0..64u64).map(|i| i * 10).collect();
-    const N: usize = 50_000;
-    // The boundary ratios must be exact, not just close.
-    assert!(zipf_ops(7, N, &keys, 0.99, 0.0)
-        .iter()
-        .all(|op| matches!(op, Op::Insert(_))));
-    assert!(zipf_ops(7, N, &keys, 0.99, 1.0)
-        .iter()
-        .all(|op| matches!(op, Op::Get(_))));
-    for &ratio in &[0.25, 0.5, 0.75] {
-        let ops = zipf_ops(7, N, &keys, 0.99, ratio);
-        assert_eq!(ops.len(), N);
-        let reads = ops.iter().filter(|op| matches!(op, Op::Get(_))).count();
-        let observed = reads as f64 / N as f64;
-        // 3-sigma for a Bernoulli(ratio) over 50k trials is under 0.007;
-        // 0.02 keeps the check airtight against real bugs without ever
-        // tripping on the seeded stream.
-        assert!(
-            (observed - ratio).abs() < 0.02,
-            "read_ratio {ratio}: observed {observed:.4}"
         );
     }
 }

@@ -165,7 +165,7 @@ proptest! {
             }
         }
         t.check_structure().map_err(TestCaseError::fail)?;
-        let got = t.collect_all();
+        let got: Vec<(u16, u8)> = t.iter().map(|(k, v)| (*k, *v)).collect();
         let want: Vec<(u16, u8)> = model.iter().map(|(k, v)| (*k, *v)).collect();
         prop_assert_eq!(got, want);
     }

@@ -17,7 +17,7 @@ use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use willard_dsf::durable::{FaultFs, FaultPlan, SyscallKind};
 use willard_dsf::server::service::{KvCommand, KvOutcome};
-use willard_dsf::server::{Client, DurableKv, KvService, Outcome, Request, Response};
+use willard_dsf::server::{Client, DurableKv, KvService, Outcome, Payload, Request, Response};
 use willard_dsf::{DenseFileConfig, Durability, DurableFile, Server, ServerConfig, SyncPolicy};
 
 const ROOT: &str = "/served";
@@ -210,11 +210,11 @@ impl KvService for Gated {
         self.kv.apply_batch(shard, cmds, durability, observe)
     }
 
-    fn get(&self, key: u64) -> Option<String> {
+    fn get(&self, key: u64) -> Option<Payload> {
         KvService::get(&*self.kv, key)
     }
 
-    fn scan(&self, start: u64, limit: usize) -> Vec<(u64, String)> {
+    fn scan(&self, start: u64, limit: usize) -> Vec<(u64, Payload)> {
         self.kv.scan(start, limit)
     }
 

@@ -89,10 +89,10 @@ fn scan_starts(model: &BTreeMap<u64, String>, rng: &mut SmallRng) -> Vec<u64> {
 fn check_scans(svc: &dyn KvService, model: &BTreeMap<u64, String>, rng: &mut SmallRng, at: &str) {
     for start in scan_starts(model, rng) {
         for limit in LIMITS {
-            let want: Vec<(u64, String)> = model
+            let want: Vec<(u64, Payload)> = model
                 .range(start..)
                 .take(limit)
-                .map(|(k, v)| (*k, v.clone()))
+                .map(|(k, v)| (*k, Payload::from(v.as_str())))
                 .collect();
             assert_eq!(svc.scan(start, limit), want, "{at}: scan({start}, {limit})");
         }
@@ -146,7 +146,8 @@ where
                 for _ in 0..16 {
                     let s = rng.gen_range(0..u64::from(SHARDS));
                     let k = key_in(&mut rng, s);
-                    assert_eq!(svc.get(k), model.get(&k).cloned(), "{at}: get({k})");
+                    let want = model.get(&k).map(|v| Payload::from(v.as_str()));
+                    assert_eq!(svc.get(k), want, "{at}: get({k})");
                 }
             }
             _ => check_scans(svc, &model, &mut rng, &at),
@@ -182,7 +183,10 @@ fn both_backends_match_a_btreemap() {
         drop(durable);
 
         let reopened = DurableKv::open(&dir, policy).unwrap();
-        let all: Vec<(u64, String)> = model.into_iter().collect();
+        let all: Vec<(u64, Payload)> = model
+            .into_iter()
+            .map(|(k, v)| (k, Payload::from(v)))
+            .collect();
         assert_eq!(
             KvService::scan(&reopened, 0, usize::MAX),
             all,
@@ -287,14 +291,18 @@ fn string_and_payload_stores_reopen_as_each_other() {
     let _ = std::fs::remove_dir_all(&dir);
     write_string_shards(&dir, &records);
     let kv = DurableKv::open(&dir, policy).unwrap();
-    assert_eq!(
-        KvService::scan(&kv, 0, usize::MAX),
-        records,
-        "String → Payload"
-    );
+    let scanned: Vec<(u64, String)> = KvService::scan(&kv, 0, usize::MAX)
+        .into_iter()
+        .map(|(k, v)| (k, String::from(v)))
+        .collect();
+    assert_eq!(scanned, records, "String → Payload");
     assert_eq!(KvService::len(&kv), records.len() as u64);
     for (k, v) in &records {
-        assert_eq!(KvService::get(&kv, *k).as_ref(), Some(v), "get({k})");
+        assert_eq!(
+            KvService::get(&kv, *k).as_deref(),
+            Some(v.as_str()),
+            "get({k})"
+        );
     }
     drop(kv);
     std::fs::remove_dir_all(&dir).ok();
@@ -327,5 +335,40 @@ fn string_and_payload_stores_reopen_as_each_other() {
     }
     let checkpointed: Vec<_> = (0..2).flat_map(as_string).collect();
     assert_eq!(checkpointed, records, "Payload checkpoint → String");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn the_service_and_the_store_give_one_answer_per_read() {
+    let dir = std::env::temp_dir().join(format!("dsf-one-answer-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let kv = DurableKv::create(&dir, SHARDS, cfg(), SyncPolicy::Manual).unwrap();
+    let records = cross_records();
+    for s in 0..SHARDS as usize {
+        let cmds: Vec<Command<u64, String>> = records
+            .iter()
+            .filter(|(k, _)| kv.shard_of(*k) == s)
+            .map(|(k, v)| Command::Insert(*k, v.clone()))
+            .collect();
+        kv.apply_batch(s, &cmds, Durability::Relaxed, &mut |_, _, _| {})
+            .unwrap();
+    }
+    let (present, _) = records[records.len() / 2];
+    let absent = present - 1;
+    assert!(records.iter().all(|(k, _)| *k != absent));
+    assert!(kv.get(present).is_some() && kv.get(absent).is_none());
+    for k in records.iter().map(|(k, _)| *k).chain([absent]) {
+        let a: Option<Payload> = KvService::get(&kv, k);
+        assert_eq!(a, kv.get(k), "get({k})");
+    }
+    for (start, limit) in [(0, usize::MAX), (present, 3), (absent, 1), (u64::MAX, 5)] {
+        let a: Vec<(u64, Payload)> = KvService::scan(&kv, start, limit);
+        assert_eq!(
+            a,
+            kv.collect_range(start, u64::MAX, limit),
+            "scan({start}, {limit})"
+        );
+    }
+    drop(kv);
     std::fs::remove_dir_all(&dir).ok();
 }
