@@ -202,7 +202,7 @@ fn phase_writeback_attribution() -> u64 {
             let p = c * PAGES_PER_CMD + j;
             pool.get_mut(p).unwrap()[0] = c as u8;
         }
-        dsf_flight::end_command(0, 0, 0);
+        dsf_flight::end_command(0, 0);
     }
     pool.flush_all().unwrap();
     pool.backend().drain().unwrap();

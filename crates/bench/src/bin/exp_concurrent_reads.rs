@@ -42,8 +42,8 @@ use dsf_bench::{f, Table};
 use dsf_concurrent::ShardedFile;
 use dsf_core::{Command, CommandOutcome, DenseFileConfig};
 use dsf_durable::{Durability, StdFs, SyncPolicy};
+use dsf_flight::request::Phase;
 use dsf_server::{Client, DurableKv, KvService, Request, Response, Server, ServerConfig};
-use dsf_trace::Phase;
 use dsf_workloads::{mixed_ops, Op, Zipf};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -726,7 +726,7 @@ fn main() {
     );
 
     // Trace artifact: the last served run's aggregate phase report.
-    let report = dsf_trace::TraceReport::from_log(&served_log(), 3);
+    let report = dsf_flight::request::TraceReport::from_log(&served_log(), 3);
     std::fs::write("reads_trace_report.txt", report.render_text()).expect("write trace artifact");
 
     let mut t = Table::new(["run", "reads/s", "lock_wait p99 us", "note"]);

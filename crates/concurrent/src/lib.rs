@@ -58,6 +58,7 @@ use dsf_core::{
     ReadView,
 };
 use dsf_durable::{Durability, DurableError, DurableFile, StdFs, SyncPolicy, Vfs};
+use dsf_flight::request;
 
 /// One stripe of a [`ShardedFile`]: a dense file, possibly behind a
 /// write-ahead log. Every read is answered by [`file`](Shard::file);
@@ -224,33 +225,20 @@ impl<V: Clone, S: Shard<V>> ShardedFile<V, S> {
 
     /// Takes shard `s`'s write lock, feeding `dsf_shard_lock_wait_micros`
     /// on sampled acquisitions (1-in-16, and only while telemetry is on —
-    /// with both recorders off it is two flag loads and a plain `write()`).
-    ///
-    /// While the flight recorder is on, every acquisition first parks the
-    /// upcoming command's sequence number (`prepare_command`) so the
-    /// recorded lock wait and the command that follows share one seq.
+    /// with telemetry off it is one flag load and a plain `write()`).
     fn lock_write(&self, s: usize) -> RwLockWriteGuard<'_, S> {
-        let flight = dsf_flight::enabled();
         let sampled = dsf_telemetry::enabled()
             && tel::tel()
                 .sample_clock
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
                 .is_multiple_of(tel::LOCK_WAIT_SAMPLE_EVERY);
-        if !flight && !sampled {
+        if !sampled {
             return self.shards[s].write();
-        }
-        if flight {
-            dsf_flight::prepare_command();
         }
         let t0 = std::time::Instant::now();
         let guard = self.shards[s].write();
         let micros = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
-        if flight {
-            dsf_flight::record_lock_wait(s as u64, micros);
-        }
-        if sampled {
-            tel::tel().lock_wait.record(micros);
-        }
+        tel::tel().lock_wait.record(micros);
         guard
     }
 
@@ -259,7 +247,7 @@ impl<V: Clone, S: Shard<V>> ShardedFile<V, S> {
     /// (a no-op outside a traced request).
     fn lock_read(&self, s: usize) -> RwLockReadGuard<'_, S> {
         let guard = self.shards[s].read();
-        dsf_trace::batch_checkpoint(dsf_trace::Phase::LockWait);
+        request::batch_checkpoint(request::Phase::LockWait);
         guard
     }
 
@@ -318,7 +306,7 @@ impl<V: Clone, S: Shard<V>> ShardedFile<V, S> {
         );
         self.shard_commands[shard].add(cmds.len() as u64);
         let mut file = self.lock_write(shard);
-        dsf_trace::batch_checkpoint(dsf_trace::Phase::LockWait);
+        request::batch_checkpoint(request::Phase::LockWait);
         file.apply(cmds, durability, observe)
     }
 

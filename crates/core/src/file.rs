@@ -435,7 +435,6 @@ impl<K: Key, V> DenseFile<K, V> {
         }
         dsf_flight::begin_command(kind, u64::from(slot));
         Some(FlightCmd {
-            start: std::time::Instant::now(),
             shifts: self.stats.shifts,
         })
     }
@@ -444,11 +443,7 @@ impl<K: Key, V> DenseFile<K, V> {
     /// since-snapshot delta handed to `OpStats::record_command`, so flight
     /// attribution reconciles exactly with the live counters.
     fn flight_end(&self, f: FlightCmd, accesses: u64) {
-        dsf_flight::end_command(
-            accesses,
-            self.stats.shifts - f.shifts,
-            u64::try_from(f.start.elapsed().as_micros()).unwrap_or(u64::MAX),
-        );
+        dsf_flight::end_command(accesses, self.stats.shifts - f.shifts);
     }
 
     /// Pre-command counter snapshot; `None` (one branch, nothing else)
@@ -777,14 +772,14 @@ struct TelPre {
 /// `CommandBegin` frame was actually recorded, so the cancel/end calls are
 /// never issued against a stale sequence number from an earlier command.
 struct FlightCmd {
-    start: std::time::Instant,
     shifts: u64,
 }
 
 /// Corruption handle returned by [`DenseFile::audit`].
 ///
-/// Grants raw mutable access to the store and calibrator so invariant tests
-/// can fabricate precisely the inconsistency they want to see detected.
+/// Grants raw mutable access to the calibrator and to slot contents so
+/// invariant tests can fabricate precisely the inconsistency they want to
+/// see detected.
 /// **Never use outside tests and checkers** — no method here maintains any
 /// file invariant or charges page accesses.
 pub struct Audit<'a, K: Key, V> {
@@ -792,11 +787,6 @@ pub struct Audit<'a, K: Key, V> {
 }
 
 impl<K: Key, V> Audit<'_, K, V> {
-    /// The raw store, mutably.
-    pub fn store_mut(&mut self) -> &mut PagedStore<K, V> {
-        &mut self.file.store
-    }
-
     /// The raw calibrator, mutably.
     pub fn calibrator_mut(&mut self) -> &mut Calibrator<K> {
         &mut self.file.cal

@@ -6,6 +6,7 @@ use std::path::{Path, PathBuf};
 
 use dsf_core::snapshot::{fnv1a64, fnv1a64_continue, Codec, SnapshotError};
 use dsf_core::{Command, CommandOutcome, DenseFile, DenseFileConfig, DsfError, ReadView};
+use dsf_flight::request::{self, Phase};
 use dsf_pagestore::Key;
 
 use crate::vfs::{StdFs, Vfs, VfsFile};
@@ -253,23 +254,18 @@ impl<W: VfsFile> WalWriter<W> {
         if self.poisoned {
             return Err(DurableError::LogPoisoned);
         }
-        let start =
-            (dsf_telemetry::enabled() || dsf_flight::enabled()).then(std::time::Instant::now);
+        let start = dsf_telemetry::enabled().then(std::time::Instant::now);
         // Batch timeline: everything since the last stamp was appending
-        // and buffering frames; what follows is the sync itself.
-        dsf_trace::batch_checkpoint(dsf_trace::Phase::WalAppend);
+        // and buffering frames; what follows is the sync itself, which
+        // every member of the batch waited for.
+        request::batch_checkpoint(Phase::WalAppend);
         let res = self.file.sync_data().map_err(DurableError::Io);
-        dsf_trace::batch_checkpoint(dsf_trace::Phase::Fsync);
+        request::batch_checkpoint(Phase::Fsync);
         if let Some(t0) = start {
-            let micros = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
-            if dsf_telemetry::enabled() {
-                let t = crate::tel::tel();
-                t.fsyncs.inc();
-                t.fsync_micros.record(micros);
-            }
-            // Charged to the command whose append forced the sync (the seq
-            // is still parked on this thread after `end_command`).
-            dsf_flight::record_fsync(micros);
+            let t = crate::tel::tel();
+            t.fsyncs.inc();
+            t.fsync_micros
+                .record(u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX));
         }
         res
     }
@@ -688,7 +684,7 @@ impl<K: Key + Codec, V: Codec + Clone, F: Vfs> DurableFile<K, V, F> {
         });
         // Batch timeline: the pass above is pure in-memory execution (the
         // frame bytes only reached the log's buffer); syscalls start next.
-        dsf_trace::batch_checkpoint(dsf_trace::Phase::Execute);
+        request::batch_checkpoint(Phase::Execute);
         if matches!(policy, SyncPolicy::CommitWindow { .. }) {
             // The frames are already buffered in the log's pending window
             // (the observer above appended them); arm the undo records and
@@ -722,7 +718,7 @@ impl<K: Key + Codec, V: Codec + Clone, F: Vfs> DurableFile<K, V, F> {
         // Group commit: one write for every buffered frame, at most one
         // fsync for the whole batch.
         let mut commit_err = log.flush().err();
-        dsf_trace::batch_checkpoint(dsf_trace::Phase::WalAppend);
+        request::batch_checkpoint(Phase::WalAppend);
         if commit_err.is_none() && policy == SyncPolicy::EveryCommand && frames > 0 {
             if let Err(e) = log.sync_data() {
                 log.rollback_to(base);

@@ -116,13 +116,13 @@ impl AccessKind {
 }
 
 /// Number of wall-clock phases in a served request's timeline (the
-/// `dsf-trace` waterfall, wire decode through ack write).
+/// [`crate::request::Phase`] waterfall, wire decode through ack write).
 pub const REQUEST_PHASES: usize = 8;
 
 /// A served request's finished wall-clock timeline: the payload of a
-/// [`FlightEvent::Request`] frame. `dsf-trace` builds it (its `Phase`
-/// enum names the slots of `phases`) and records it once the response is
-/// written.
+/// [`FlightEvent::Request`] frame. [`crate::request::TraceCtx`] builds it
+/// ([`crate::request::Phase`] names the slots of `phases`) and the server
+/// records it once the response is written.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestTimeline {
     /// Trace id (client-assigned, or server-assigned with the top bit set).
@@ -150,7 +150,7 @@ impl RequestTimeline {
 
 /// One recorded event. Every variant carries the command sequence number
 /// (`seq`) it belongs to — the single identity threaded through dsf-core,
-/// dsf-pagestore, dsf-durable and dsf-concurrent.
+/// dsf-pagestore, dsf-durable and dsf-server.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FlightEvent {
     /// A structural command started (step 1 about to run).
@@ -171,8 +171,8 @@ pub enum FlightEvent {
         accesses: u64,
         /// CONTROL 2 SHIFT invocations the command ran.
         shift_steps: u64,
-        /// Wall-clock duration in microseconds.
-        micros: u64,
+        /// Wall-clock duration in nanoseconds ([`crate::now_nanos`]).
+        nanos: u64,
     },
     /// The begun command turned out not to be structural (a value replace,
     /// a miss, or a capacity refusal) — replay discards its events.
@@ -236,22 +236,6 @@ pub enum FlightEvent {
         /// Frame size in bytes.
         bytes: u64,
     },
-    /// `dsf-durable` fsynced the log on behalf of the command.
-    Fsync {
-        /// Command sequence number.
-        seq: u64,
-        /// fsync wall time in microseconds.
-        micros: u64,
-    },
-    /// `dsf-concurrent` waited for a shard write lock before the command.
-    LockWait {
-        /// Command sequence number.
-        seq: u64,
-        /// Shard index.
-        shard: u64,
-        /// Wait in microseconds.
-        micros: u64,
-    },
     /// A flag-stable moment snapshot (per-slot record counts — the rows of
     /// the paper's Figure 4). Only recorded when moment capture is on.
     Moment {
@@ -288,8 +272,9 @@ const TAG_ACTIVATE: u8 = 5;
 const TAG_ROLLBACK: u8 = 6;
 const TAG_FLAG_LOWERED: u8 = 7;
 const TAG_WAL_FRAME: u8 = 8;
-const TAG_FSYNC: u8 = 9;
-const TAG_LOCK_WAIT: u8 = 10;
+// Tags 9 and 10 were the per-command fsync and lock-wait events of
+// format version 1; a group commit's waits now live in its members'
+// request timelines.
 const TAG_MOMENT: u8 = 11;
 const TAG_WRITEBACK: u8 = 12;
 const TAG_REQUEST: u8 = 13;
@@ -348,8 +333,6 @@ impl FlightEvent {
             | FlightEvent::Rollback { seq, .. }
             | FlightEvent::FlagLowered { seq, .. }
             | FlightEvent::WalFrame { seq, .. }
-            | FlightEvent::Fsync { seq, .. }
-            | FlightEvent::LockWait { seq, .. }
             | FlightEvent::Moment { seq, .. }
             | FlightEvent::Writeback { seq, .. } => seq,
         }
@@ -374,13 +357,13 @@ impl FlightEvent {
                 seq,
                 accesses,
                 shift_steps,
-                micros,
+                nanos,
             } => {
                 payload.push(TAG_COMMAND_END);
                 put_varint(payload, *seq);
                 put_varint(payload, *accesses);
                 put_varint(payload, *shift_steps);
-                put_varint(payload, *micros);
+                put_varint(payload, *nanos);
             }
             FlightEvent::CommandCancel { seq } => {
                 payload.push(TAG_COMMAND_CANCEL);
@@ -438,17 +421,6 @@ impl FlightEvent {
                 put_varint(payload, *seq);
                 put_varint(payload, *bytes);
             }
-            FlightEvent::Fsync { seq, micros } => {
-                payload.push(TAG_FSYNC);
-                put_varint(payload, *seq);
-                put_varint(payload, *micros);
-            }
-            FlightEvent::LockWait { seq, shard, micros } => {
-                payload.push(TAG_LOCK_WAIT);
-                put_varint(payload, *seq);
-                put_varint(payload, *shard);
-                put_varint(payload, *micros);
-            }
             FlightEvent::Moment {
                 seq,
                 moment,
@@ -504,7 +476,7 @@ impl FlightEvent {
                 seq: v()?,
                 accesses: v()?,
                 shift_steps: v()?,
-                micros: v()?,
+                nanos: v()?,
             },
             TAG_COMMAND_CANCEL => FlightEvent::CommandCancel { seq: v()? },
             TAG_ACCESS => FlightEvent::Access {
@@ -537,15 +509,6 @@ impl FlightEvent {
             TAG_WAL_FRAME => FlightEvent::WalFrame {
                 seq: v()?,
                 bytes: v()?,
-            },
-            TAG_FSYNC => FlightEvent::Fsync {
-                seq: v()?,
-                micros: v()?,
-            },
-            TAG_LOCK_WAIT => FlightEvent::LockWait {
-                seq: v()?,
-                shard: v()?,
-                micros: v()?,
             },
             TAG_MOMENT => {
                 let seq = v()?;
@@ -681,15 +644,6 @@ mod tests {
             },
             FlightEvent::FlagLowered { seq: 2, node: 15 },
             FlightEvent::WalFrame { seq: 2, bytes: 41 },
-            FlightEvent::Fsync {
-                seq: 2,
-                micros: 120,
-            },
-            FlightEvent::LockWait {
-                seq: 3,
-                shard: 2,
-                micros: 9,
-            },
             FlightEvent::Writeback { seq: 1, pages: 4 },
             FlightEvent::Moment {
                 seq: 1,
@@ -700,7 +654,7 @@ mod tests {
                 seq: 1,
                 accesses: 18,
                 shift_steps: 3,
-                micros: 44,
+                nanos: 44_000,
             },
             FlightEvent::CommandCancel { seq: 4 },
             FlightEvent::Request(RequestTimeline {
@@ -728,7 +682,7 @@ mod tests {
             seq: 10,
             accesses: 5,
             shift_steps: 1,
-            micros: 2,
+            nanos: 2_000,
         }
         .encode(&mut buf);
         buf.truncate(intact + 2); // cut the second frame mid-payload

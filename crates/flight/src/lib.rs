@@ -10,12 +10,12 @@
 //!   / flag events;
 //! * **dsf-pagestore** records every page charge, tagged with the
 //!   algorithm [`Phase`] that caused it;
-//! * **dsf-durable** records WAL frames and fsyncs;
-//! * **dsf-concurrent** records shard-lock waits;
+//! * **dsf-durable** records WAL frames;
 //! * **dsf-server** records each served request's wall-clock timeline
-//!   (`dsf-trace`'s eight phases, wire decode through ack write) as one
+//!   ([`request`]'s eight phases, wire decode through ack write) as one
 //!   [`FlightEvent::Request`] frame carrying the seq of the command it
-//!   ran as;
+//!   ran as. A group commit's shard-lock wait and fsync are measured
+//!   once, by the batch leader, into every member's timeline;
 //!
 //! all under a single monotonically increasing **command sequence number**
 //! threaded through the stack via a thread-local (each command runs on one
@@ -26,10 +26,12 @@
 //! One log therefore answers both "why was request X slow?" and "why did
 //! its command touch 224 pages?" (`dsf explain`).
 //!
-//! Like the step trace and the telemetry spine, the recorder is **off by
-//! default**: every instrumentation site is a single relaxed-load branch
-//! until [`enable`] is called. This crate sits at the very bottom of the
-//! workspace graph (std only) so every layer can record into it.
+//! Every duration the recorder stores is nanoseconds on one clock,
+//! [`now_nanos`]. Like the step trace and the telemetry spine, the
+//! recorder is **off by default**: every instrumentation site is a single
+//! relaxed-load branch until [`enable`] is called. This crate sits at the
+//! very bottom of the workspace graph (std only) so every layer can
+//! record into it.
 //!
 //! ```
 //! use dsf_flight as flight;
@@ -38,7 +40,7 @@
 //! flight::enable();
 //! let seq = flight::begin_command(flight::CommandKind::Insert, 7);
 //! flight::record_access(flight::AccessKind::Read, 2);
-//! flight::end_command(2, 0, 15);
+//! flight::end_command(2, 0);
 //! flight::disable();
 //!
 //! let log = flight::snapshot_log(flight::BoundBudget { j: 3, k: 1, log_slots: 3, gap: 9 });
@@ -54,6 +56,7 @@
 mod codec;
 mod log;
 mod replay;
+pub mod request;
 mod ring;
 
 pub use codec::{
@@ -67,6 +70,7 @@ pub use ring::FlightRing;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::OnceLock;
+use std::time::Instant;
 
 /// Default byte budget of the global ring: on the order of a million
 /// command events, or ~100k served requests with their commands' frames.
@@ -77,6 +81,10 @@ struct Globals {
     on: AtomicBool,
     moments: AtomicBool,
     seq: AtomicU64,
+    /// Zero of [`now_nanos`].
+    epoch: Instant,
+    /// Counter behind [`request::fallback_id`].
+    next_fallback: AtomicU64,
 }
 
 fn globals() -> &'static Globals {
@@ -87,6 +95,8 @@ fn globals() -> &'static Globals {
         moments: AtomicBool::new(false),
         // Sequence numbers start at 1: seq 0 means "no command".
         seq: AtomicU64::new(1),
+        epoch: Instant::now(),
+        next_fallback: AtomicU64::new(1),
     })
 }
 
@@ -95,9 +105,8 @@ thread_local! {
     /// Kept after `end_command` so the durability layer can stamp the WAL
     /// frames it appends *after* the in-memory command completed.
     static CURRENT: Cell<u64> = const { Cell::new(0) };
-    /// A sequence number allocated ahead of the command (by the sharding
-    /// layer, which observes the lock wait *before* `begin_command` runs).
-    static PENDING: Cell<u64> = const { Cell::new(0) };
+    /// [`now_nanos`] when the current command began.
+    static STARTED: Cell<u64> = const { Cell::new(0) };
     /// The phase accesses are attributed to; `PHASE_IDLE` (no command in
     /// flight) suppresses access recording entirely, so lookups, scans and
     /// bulk loads never pollute per-command attribution.
@@ -121,6 +130,13 @@ pub fn disable() {
 #[inline]
 pub fn enabled() -> bool {
     globals().on.load(Relaxed)
+}
+
+/// Nanoseconds since the recorder's epoch (monotonic): the one clock of
+/// every duration and stamp the recorder stores.
+#[inline]
+pub fn now_nanos() -> u64 {
+    u64::try_from(globals().epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Turns flag-stable moment snapshots on or off. Each snapshot costs
@@ -149,40 +165,16 @@ pub fn ring() -> &'static FlightRing {
     &globals().ring
 }
 
-fn alloc_seq() -> u64 {
-    globals().seq.fetch_add(1, Relaxed)
-}
-
-/// Allocates the next command's sequence number *before* the command
-/// begins — the sharding layer calls this so its lock-wait event carries
-/// the same seq the command will run under. The parked number is consumed
-/// by the next [`begin_command`] on this thread. Returns 0 when disabled.
-pub fn prepare_command() -> u64 {
-    if !enabled() {
-        return 0;
-    }
-    let seq = alloc_seq();
-    PENDING.with(|p| p.set(seq));
-    seq
-}
-
-/// Marks the start of a structural command on this thread: consumes the
-/// [`prepare_command`] seq if one is parked (else allocates), records a
-/// `CommandBegin` frame, and switches the phase to [`Phase::User`].
-/// Returns the seq, or 0 while disabled.
+/// Marks the start of a structural command on this thread: allocates
+/// its seq, records a `CommandBegin` frame, starts its clock, and switches
+/// the phase to [`Phase::User`]. Returns the seq, or 0 while disabled.
 pub fn begin_command(kind: CommandKind, target: u64) -> u64 {
     if !enabled() {
         return 0;
     }
-    let seq = {
-        let parked = PENDING.with(|p| p.replace(0));
-        if parked != 0 {
-            parked
-        } else {
-            alloc_seq()
-        }
-    };
+    let seq = globals().seq.fetch_add(1, Relaxed);
     CURRENT.with(|c| c.set(seq));
+    STARTED.with(|t| t.set(now_nanos()));
     PHASE.with(|p| p.set(Phase::User.index() as u8));
     globals()
         .ring
@@ -193,9 +185,10 @@ pub fn begin_command(kind: CommandKind, target: u64) -> u64 {
 /// Marks the command complete. `accesses` must be the same per-command
 /// page-access delta `OpStats::record_command` receives — replay treats it
 /// as the authoritative total the per-phase breakdown must sum to. The
-/// seq stays parked on the thread (idle phase) so the durability layer
-/// can still stamp WAL frames onto it.
-pub fn end_command(accesses: u64, shift_steps: u64, micros: u64) {
+/// frame carries the nanoseconds since [`begin_command`]. The seq stays
+/// parked on the thread (idle phase) so the durability layer can still
+/// stamp WAL frames onto it.
+pub fn end_command(accesses: u64, shift_steps: u64) {
     if !enabled() {
         return;
     }
@@ -203,11 +196,12 @@ pub fn end_command(accesses: u64, shift_steps: u64, micros: u64) {
     if seq == 0 {
         return;
     }
+    let nanos = now_nanos().saturating_sub(STARTED.with(|t| t.get()));
     globals().ring.push(&FlightEvent::CommandEnd {
         seq,
         accesses,
         shift_steps,
-        micros,
+        nanos,
     });
     PHASE.with(|p| p.set(PHASE_IDLE));
 }
@@ -337,11 +331,6 @@ pub fn record_wal_frame(bytes: u64) {
     record_under_current(|seq| FlightEvent::WalFrame { seq, bytes });
 }
 
-/// Records an fsync charged to the current (just-ended) command.
-pub fn record_fsync(micros: u64) {
-    record_under_current(|seq| FlightEvent::Fsync { seq, micros });
-}
-
 /// The command seq currently (or most recently) executing on this thread;
 /// 0 while disabled or before any command ran. The buffer pool reads this
 /// when a command dirties a frame, so a later *background* writeback — on
@@ -376,21 +365,6 @@ pub fn record_request(timeline: RequestTimeline) {
     }
 }
 
-/// Records a shard write-lock wait for the *upcoming* command (the seq
-/// parked by [`prepare_command`]).
-pub fn record_lock_wait(shard: u64, micros: u64) {
-    if !enabled() {
-        return;
-    }
-    let seq = PENDING.with(|p| p.get());
-    if seq == 0 {
-        return;
-    }
-    globals()
-        .ring
-        .push(&FlightEvent::LockWait { seq, shard, micros });
-}
-
 /// Records a flag-stable moment snapshot (per-slot record counts) for the
 /// current command. Only captured when [`set_moments`] is on.
 pub fn record_moment(moment: u8, counts: &[u64]) {
@@ -422,23 +396,27 @@ pub fn save(path: impl AsRef<std::path::Path>, budget: BoundBudget) -> std::io::
     snapshot_log(budget).save(path)
 }
 
+/// Serializes this crate's tests that turn the process-global switch on
+/// or off, so one test's capture never runs under another's switch.
+#[cfg(test)]
+pub(crate) fn switch_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The global recorder is process-wide state; exercise it from one
-    /// test so parallel test threads cannot interleave captures.
     #[test]
     fn global_recorder_threads_one_seq_through_a_command() {
+        let _g = switch_lock();
         clear();
         enable();
 
-        // The sharding layer parks a seq with the lock wait...
-        let prepared = prepare_command();
-        record_lock_wait(2, 40);
-        // ...the core consumes it for the command...
+        // The core records the command...
         let seq = begin_command(CommandKind::Insert, 7);
-        assert_eq!(seq, prepared);
+        assert_ne!(seq, 0);
         record_access(AccessKind::Read, 2);
         {
             let _g = phase(Phase::Shift);
@@ -446,12 +424,11 @@ mod tests {
             record_access(AccessKind::Write, 2);
         }
         record_access(AccessKind::Write, 1);
-        end_command(5, 1, 33);
+        end_command(5, 1);
         // ...and the durability layer stamps its post-command WAL frame.
         {
             let _g = phase(Phase::Wal);
             record_wal_frame(41);
-            record_fsync(120);
         }
 
         // Idle-phase charges (a lookup, say) must not be attributed.
@@ -478,8 +455,7 @@ mod tests {
         assert_eq!(c.shift_pages(), 2);
         assert_eq!(c.attributed(), c.accesses);
         assert_eq!(c.wal_frames, 1);
-        assert_eq!(c.fsync_micros, 120);
-        assert_eq!(c.lock_wait_micros, 40);
+        assert!(c.nanos > 0 && c.nanos <= now_nanos(), "{}", c.nanos);
         assert_eq!(c.shifts.len(), 1);
         assert!(attr.reconciles());
         assert!(attr.audit().ok());
@@ -488,12 +464,11 @@ mod tests {
 
     #[test]
     fn disabled_recorder_is_inert() {
-        // Never enables: every call must be a no-op regardless of what the
-        // parallel test above does to its own window of the ring.
+        let _g = switch_lock();
+        disable();
         assert_eq!(begin_command(CommandKind::Delete, 0), 0);
-        assert_eq!(prepare_command(), 0);
-        end_command(1, 0, 0);
+        end_command(1, 0);
         record_access(AccessKind::Read, 5);
-        let _g = phase(Phase::Shift);
+        let _p = phase(Phase::Shift);
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! "DSFFLT1\n"                     8-byte magic
-//! version                         format version (currently 1)
+//! version                         format version (currently 2)
 //! j  k  log_slots  gap            the BoundBudget recorded at capture time
 //! dropped  total                  ring counters at snapshot
 //! payload_len                     encoded frame bytes that follow
@@ -24,8 +24,9 @@ use crate::replay::{Attribution, BoundBudget};
 /// 8-byte magic opening every `.flight` file.
 pub const FLIGHT_MAGIC: &[u8; 8] = b"DSFFLT1\n";
 
-/// Current format version.
-pub const FLIGHT_VERSION: u64 = 1;
+/// Current format version. A file of any other version is refused, not
+/// misread.
+pub const FLIGHT_VERSION: u64 = 2;
 
 /// A decoded flight log: the events plus the capture-time context needed
 /// to replay and audit them.
@@ -97,7 +98,10 @@ impl FlightLog {
         if version != FLIGHT_VERSION {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!("unsupported .flight version {version}"),
+                format!(
+                    "unsupported .flight version {version} (this build reads version \
+                     {FLIGHT_VERSION})"
+                ),
             ));
         }
         let budget = BoundBudget {
@@ -160,7 +164,7 @@ mod tests {
                     seq: 2,
                     accesses: 5,
                     shift_steps: 1,
-                    micros: 9,
+                    nanos: 9_000,
                 },
             ],
         };
@@ -181,6 +185,21 @@ mod tests {
         bytes.extend_from_slice(&[2, 2, 9]); // one short frame
         let err = FlightLog::from_reader(&mut bytes.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn version_1_header_is_refused_naming_both_versions() {
+        let mut bytes = FLIGHT_MAGIC.to_vec();
+        for v in [1, 3, 1, 3, 9, 0, 0, 0] {
+            put_varint(&mut bytes, v);
+        }
+        let err = FlightLog::from_reader(&mut bytes.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(
+            msg.contains("version 1") && msg.contains("version 2"),
+            "{msg}"
+        );
     }
 
     #[test]

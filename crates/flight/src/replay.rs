@@ -75,8 +75,10 @@ pub struct CommandCost {
     pub accesses: u64,
     /// SHIFT invocations, from the `CommandEnd` frame.
     pub shift_steps: u64,
-    /// Wall time in microseconds.
-    pub micros: u64,
+    /// Wall time in nanoseconds, from the `CommandEnd` frame. A group
+    /// commit's lock wait and fsync are not in it: they are in the
+    /// timeline of the request the command ran as.
+    pub nanos: u64,
     /// Causal trace: every SHIFT in order.
     pub shifts: Vec<ShiftTrace>,
     /// Causal trace: every ACTIVATE `(node, initial DEST)`.
@@ -95,10 +97,6 @@ pub struct CommandCost {
     /// foreground `phase_pages` — background writeback is deferred work,
     /// not part of the per-command access total `reconciles()` checks.
     pub writeback_pages: u64,
-    /// fsync time charged, microseconds.
-    pub fsync_micros: u64,
-    /// Shard-lock wait before the command, microseconds.
-    pub lock_wait_micros: u64,
     /// Flag-stable moment snapshots `(class, per-slot counts)` — the rows
     /// of a Figure-4-style table (class 0 = after step 3, 1 = after 4c).
     pub moments: Vec<(u8, Vec<u64>)>,
@@ -120,7 +118,7 @@ impl CommandCost {
             phase_pages: [0; PHASES],
             accesses: 0,
             shift_steps: 0,
-            micros: 0,
+            nanos: 0,
             shifts: Vec::new(),
             activations: Vec::new(),
             rollbacks: Vec::new(),
@@ -128,8 +126,6 @@ impl CommandCost {
             wal_frames: 0,
             wal_bytes: 0,
             writeback_pages: 0,
-            fsync_micros: 0,
-            lock_wait_micros: 0,
             moments: Vec::new(),
             begun: false,
             ended: false,
@@ -246,13 +242,13 @@ impl Attribution {
                 FlightEvent::CommandEnd {
                     accesses,
                     shift_steps,
-                    micros,
+                    nanos,
                     ..
                 } => {
                     c.ended = true;
                     c.accesses = *accesses;
                     c.shift_steps = *shift_steps;
-                    c.micros = *micros;
+                    c.nanos = *nanos;
                 }
                 FlightEvent::CommandCancel { .. } => c.cancelled = true,
                 // Reads and writes both count as accesses (the paper's
@@ -289,12 +285,6 @@ impl Attribution {
                 FlightEvent::WalFrame { bytes, .. } => {
                     c.wal_frames += 1;
                     c.wal_bytes = c.wal_bytes.saturating_add(*bytes);
-                }
-                FlightEvent::Fsync { micros, .. } => {
-                    c.fsync_micros = c.fsync_micros.saturating_add(*micros)
-                }
-                FlightEvent::LockWait { micros, .. } => {
-                    c.lock_wait_micros = c.lock_wait_micros.saturating_add(*micros)
                 }
                 FlightEvent::Moment {
                     moment, counts, ..
@@ -453,7 +443,7 @@ mod tests {
                 seq,
                 accesses,
                 shift_steps,
-                micros: 10,
+                nanos: 10_000,
             },
         ]
     }

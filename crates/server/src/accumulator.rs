@@ -37,7 +37,7 @@ use crate::protocol::Response;
 use crate::service::{wire_outcome, KvCommand, KvService};
 use crate::tel::ServerTel;
 use dsf_durable::Durability;
-use dsf_trace::{Phase, TraceCtx};
+use dsf_flight::request::{self, Phase, TraceCtx};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -47,7 +47,7 @@ use std::time::Instant;
 pub(crate) struct Queued {
     pub cmd: KvCommand,
     pub durability: Durability,
-    /// Request timeline, when tracing is on (`dsf-trace`).
+    /// Request timeline, when tracing is on (`dsf_flight::request`).
     pub trace: Option<Arc<TraceCtx>>,
 }
 
@@ -205,13 +205,13 @@ impl Accumulator {
             })
             .collect();
         let mut seqs = vec![0u64; cmds.len()];
-        dsf_trace::batch_begin();
+        request::batch_begin();
         let result = self
             .service
             .apply_batch(shard, &cmds, durability, &mut |i, _o, seq| {
                 seqs[i] = seq;
             });
-        let batch_phases = dsf_trace::batch_finish();
+        let batch_phases = request::batch_finish();
         self.tel.group_commits.inc();
         self.tel.batch_commands.record(cmds.len() as u64);
         let now = Instant::now();

@@ -51,7 +51,7 @@ impl Client {
 
     /// [`send`](Self::send) with a client-assigned trace id: the request
     /// carries the id in the protocol's trailing extension and the
-    /// server's `dsf-trace` timeline records it, so a client-measured
+    /// server's request timeline records it, so a client-measured
     /// latency can be joined to its server-side waterfall. Returns the
     /// id (always nonzero, unique within the process).
     ///

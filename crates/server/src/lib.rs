@@ -34,10 +34,10 @@
 //!
 //! Every response to a structural command carries the flight-recorder
 //! seq it executed under, so a wire-level ack can be correlated with
-//! the in-process audit trail (`dsf-flight`). And when `dsf-trace` is
-//! enabled, every request records a wire-to-fsync phase timeline (wire
+//! the in-process audit trail (`dsf-flight`). And while that recorder is
+//! on, every request records a wire-to-fsync phase timeline (wire
 //! decode → submit → queue wait → lock wait → execute → WAL append →
-//! fsync → ack write) into the global trace ring, keyed by a
+//! fsync → ack write) into the same ring (`dsf_flight::request`), keyed by a
 //! client-propagated trace id ([`Client::send_traced`]) or a
 //! server-assigned fallback for legacy clients.
 

@@ -329,7 +329,7 @@ fn put_durability(out: &mut Vec<u8>, d: Durability) {
 
 impl Request {
     /// The request's wire tag (the body's first byte; also the
-    /// [`dsf_trace::RequestTimeline::kind`] a traced request is stamped with).
+    /// [`dsf_flight::RequestTimeline::kind`] a traced request is stamped with).
     pub fn tag(&self) -> u8 {
         match self {
             Request::Insert { .. } => REQ_INSERT,

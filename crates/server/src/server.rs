@@ -37,7 +37,7 @@ use crate::protocol::{self, ProtocolError, Request, Response};
 use crate::service::KvService;
 use crate::tel::ServerTel;
 use dsf_core::Command;
-use dsf_trace::{Phase, TraceCtx};
+use dsf_flight::request::{self, Phase, TraceCtx};
 use std::io::{BufWriter, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -391,7 +391,7 @@ impl Connection<'_> {
         if let Some(t) = trace {
             t.checkpoint(Phase::QueueWait);
         }
-        dsf_trace::batch_begin();
+        request::batch_begin();
         let service = self.inner.acc.service();
         let rsp = match req {
             Request::Get { key } => Response::Value(service.get(key).map(String::from)),
@@ -413,7 +413,7 @@ impl Connection<'_> {
                 unreachable!("writes go through the accumulator")
             }
         };
-        let phases = dsf_trace::batch_finish();
+        let phases = request::batch_finish();
         if let Some(t) = trace {
             if let Some(bp) = &phases {
                 t.add_batch(bp);
@@ -447,7 +447,7 @@ fn open_trace(wire_id: u64, client: u64, kind: u8, arrived: u64) -> Option<Arc<T
     let id = if wire_id != 0 {
         wire_id
     } else {
-        dsf_trace::fallback_id()
+        request::fallback_id()
     };
     let trace = TraceCtx::begin_at(id, client, kind, arrived)?;
     trace.checkpoint(Phase::WireDecode);
@@ -520,8 +520,8 @@ impl RecvBuf {
         }
         let n = stream.read(&mut self.buf[self.end..])?;
         self.end += n;
-        self.arrived = if dsf_trace::enabled() {
-            dsf_trace::now_nanos()
+        self.arrived = if dsf_flight::enabled() {
+            dsf_flight::now_nanos()
         } else {
             0
         };

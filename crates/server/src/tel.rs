@@ -3,8 +3,8 @@
 //! are resolved once per server and shared; like every other site in the
 //! workspace they are ~free while the registry is disabled.
 
+use dsf_flight::request::{Phase, TraceCtx};
 use dsf_telemetry::{Counter, Gauge, Histogram};
-use dsf_trace::Phase;
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
@@ -139,7 +139,7 @@ impl ServerTel {
     /// ack-write checkpoint, folds the per-phase times into the
     /// `dsf_trace_phase_micros` histograms, and records the timeline as
     /// one `Request` frame in the flight recorder.
-    pub fn finish_trace(&self, ctx: &dsf_trace::TraceCtx) {
+    pub fn finish_trace(&self, ctx: &TraceCtx) {
         ctx.checkpoint(Phase::AckWrite);
         let timeline = ctx.to_timeline();
         if dsf_telemetry::enabled() {

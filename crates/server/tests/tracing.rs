@@ -6,14 +6,14 @@
 //!
 //! Tracing and telemetry are process-global, so every test here
 //! serializes on one lock (tests within this binary run in parallel).
-//! Timelines land in the flight recorder, whose switch is tracing's.
+//! Timelines land in the flight recorder, whose switch turns tracing on.
 
 use dsf_core::DenseFileConfig;
 use dsf_durable::{Durability, SyncPolicy};
+use dsf_flight::request::{Phase, FALLBACK_ID_BIT};
 use dsf_server::{
     Client, DurableKv, Request, Response, Server, ServerConfig, ServerTel, MAX_CLIENT_LABELS,
 };
-use dsf_trace::{Phase, FALLBACK_ID_BIT};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 fn lock() -> MutexGuard<'static, ()> {

@@ -952,7 +952,7 @@ fn flight_replay(args: &[String]) -> Result<String, String> {
             }
         }
     }
-    let report = willard_dsf::trace::TraceReport::from_log(&log, 3);
+    let report = willard_dsf::flight::request::TraceReport::from_log(&log, 3);
     if report.records > 0 {
         out.push('\n');
         out.push_str(&report.render_text());
@@ -973,17 +973,17 @@ fn flight_replay(args: &[String]) -> Result<String, String> {
 // ---------------------------------------------------------------------
 
 fn explain(args: &[String]) -> Result<String, String> {
-    use willard_dsf::trace::TraceReport;
+    use willard_dsf::flight::request::TraceReport;
     let path = args.first().ok_or("explain: missing <file.flight>")?;
     let log = load_flight(path)?;
     let attr = log.replay();
     let request_of = |seq: u64| log.requests().find(|r| r.seq == seq && seq != 0);
     // One command, both answers: its request's waterfall (when a served
     // request ran it) above its page cost.
-    let joined = |seq: u64, rec: Option<&willard_dsf::trace::RequestTimeline>| {
+    let joined = |seq: u64, rec: Option<&willard_dsf::flight::RequestTimeline>| {
         let mut out = rec.map(TraceReport::render_waterfall).unwrap_or_default();
         match attr.find(seq) {
-            Some(c) => out.push_str(&explain_command(c, &log.budget)),
+            Some(c) => out.push_str(&explain_command(c, &log.budget, rec)),
             None if seq == 0 => out.push_str("  no structural command (a read or a miss)\n"),
             None => out.push_str(&format!(
                 "  no complete command with seq {seq} in this log\n"
@@ -1076,20 +1076,25 @@ fn explain(args: &[String]) -> Result<String, String> {
 }
 
 /// Renders one command's full causal trace (plus its Figure-4-style
-/// per-moment table when moment snapshots were recorded).
+/// per-moment table when moment snapshots were recorded). `rec` is the
+/// request the command ran as: its waterfall holds the group commit's
+/// lock wait and fsync, which every member of the batch waited for.
 fn explain_command(
     c: &willard_dsf::flight::CommandCost,
     budget: &willard_dsf::flight::BoundBudget,
+    rec: Option<&willard_dsf::flight::RequestTimeline>,
 ) -> String {
+    use willard_dsf::flight::request::Phase;
+    let us = |n: u64| n as f64 / 1_000.0;
     let mut out = format!(
-        "command {} ({} → slot {}): {} page accesses (page bound {}), {} µs\n\
+        "command {} ({} → slot {}): {} page accesses (page bound {}), {:.3}us\n\
          \x20 breakdown: user {}, SHIFT {}, ACTIVATE {}, rollback {}, WAL {} pages\n",
         c.seq,
         c.kind.map(|k| k.label()).unwrap_or("?"),
         c.target,
         c.accesses,
         budget.page_limit(),
-        c.micros,
+        us(c.nanos),
         c.user_pages(),
         c.shift_pages(),
         c.activate_pages(),
@@ -1097,15 +1102,16 @@ fn explain_command(
         c.wal_pages(),
     );
     out.push_str(&format!(
-        "  {} SHIFT steps of J={}; {} flags lowered; {} WAL frames ({} B); fsync {} µs; lock wait {} µs\n",
-        c.shift_steps,
-        budget.j,
-        c.flags_lowered,
-        c.wal_frames,
-        c.wal_bytes,
-        c.fsync_micros,
-        c.lock_wait_micros,
+        "  {} SHIFT steps of J={}; {} flags lowered; {} WAL frames ({} B)\n",
+        c.shift_steps, budget.j, c.flags_lowered, c.wal_frames, c.wal_bytes,
     ));
+    if let Some(r) = rec {
+        out.push_str(&format!(
+            "  group commit, shared by every member: lock wait {:.3}us, fsync {:.3}us\n",
+            us(r.phases[Phase::LockWait as usize]),
+            us(r.phases[Phase::Fsync as usize]),
+        ));
+    }
     for (node, dest) in &c.activations {
         out.push_str(&format!("  ACTIVATE(v{node}) → DEST slot {dest}\n"));
     }
@@ -1264,7 +1270,7 @@ fn trace_record(args: &[String]) -> Result<String, String> {
     log.save(out)
         .map_err(|e| format!("cannot write `{out}`: {e}"))?;
     let attr = log.replay();
-    let report = willard_dsf::trace::TraceReport::from_log(&log, 3);
+    let report = willard_dsf::flight::request::TraceReport::from_log(&log, 3);
     let mut summary = format!(
         "recorded {} timelines to `{out}` ({} frames dropped) with the page cost of their \
          {} commands: {clients} clients × {ops} strict inserts, {backend}, {shards} shards\n",

@@ -32,18 +32,18 @@
 //! * [`flight`] — the flight recorder: a bounded binary event ring in
 //!   which every layer records under one per-command sequence number,
 //!   replayable into causal cost attribution (user step vs SHIFT vs
-//!   ACTIVATE vs WAL) audited against the paper's worst-case bound. Behind
-//!   `dsf flight record`/`replay`/`explain`.
+//!   ACTIVATE vs WAL) audited against the paper's worst-case bound. Its
+//!   [`flight::request`] module adds end-to-end request tracing: a
+//!   client-propagated trace id plus a per-request phase timeline (wire
+//!   decode → queue wait → lock wait → execute → WAL append → fsync → ack
+//!   write) recorded into the same ring, folded into per-phase latency
+//!   stats and p99 exemplar waterfalls, exportable as Chrome
+//!   `trace_event` JSON. Behind `dsf flight record`/`replay`,
+//!   `dsf trace record` and `dsf explain`.
 //! * [`server`] — the pipelined TCP front-end (`dsf serve`/`dsf client`):
 //!   a length-prefixed binary protocol whose per-shard request
 //!   accumulator coalesces concurrent clients into the group commits the
 //!   layers above make cheap, with per-request durability-on-ack.
-//! * [`trace`] — end-to-end request tracing: a client-propagated trace id
-//!   plus a per-request phase timeline (wire decode → queue wait → lock
-//!   wait → execute → WAL append → fsync → ack write) recorded into a
-//!   bounded ring, folded into per-phase latency stats and p99 exemplar
-//!   waterfalls, exportable as Chrome `trace_event` JSON. Behind
-//!   `dsf trace record`/`replay`/`explain`.
 //!
 //! The most common types are re-exported at the crate root; see the
 //! `examples/` directory for runnable walkthroughs and `crates/bench` for
@@ -61,7 +61,6 @@ pub use dsf_flight as flight;
 pub use dsf_pagestore as pagestore;
 pub use dsf_server as server;
 pub use dsf_telemetry as telemetry;
-pub use dsf_trace as trace;
 pub use dsf_workloads as workloads;
 
 pub use dsf_baselines::{AmortizedPma, NaiveSequentialFile, OverflowFile, PmaConfig};

@@ -659,6 +659,93 @@ fn cli_trace_record_replay_explain() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The waterfall's nanoseconds in `phase` (0 when the line is absent:
+/// the waterfall prints only non-zero phases) and the
+/// `(lock wait, fsync)` nanoseconds of the group-commit line, for the
+/// first joined block of `explain` output.
+fn waterfall_and_group_waits(text: &str) -> (u64, u64, Option<(u64, u64)>) {
+    let nanos = |us: &str| {
+        (us.trim_end_matches("us,")
+            .trim_end_matches("us")
+            .parse::<f64>()
+            .unwrap()
+            * 1e3)
+            .round() as u64
+    };
+    let phase = |name: &str| {
+        text.lines()
+            .filter(|l| l.contains("us  at +"))
+            .find_map(|l| {
+                let mut w = l.split_whitespace();
+                (w.next()? == name).then(|| nanos(w.next().unwrap()))
+            })
+            .unwrap_or(0)
+    };
+    let group = text.lines().find_map(|l| {
+        let rest = l
+            .trim_start()
+            .strip_prefix("group commit, shared by every member: lock wait ")?;
+        let (lock, fsync) = rest.split_once(" fsync ")?;
+        Some((nanos(lock), nanos(fsync)))
+    });
+    (phase("lock_wait"), phase("fsync"), group)
+}
+
+#[test]
+fn cli_explain_gives_every_group_commit_member_its_shared_waits() {
+    let dir = tempdir("group-commit");
+
+    // Durable scratch store: Strict inserts from pipelining clients
+    // coalesce into group commits, each with one lock wait and one fsync.
+    let out = dsf(
+        &dir,
+        &[
+            "trace",
+            "record",
+            "gc.flight",
+            "--clients",
+            "4",
+            "--ops",
+            "64",
+        ],
+    );
+    assert!(out.status.success(), "{out:?}");
+    assert!(stdout(&out).contains("durable scratch"), "{out:?}");
+
+    // Every timeline, one joined block each (the worst command's block
+    // repeats one), grouped by waterfall fsync.
+    let all = stdout(&dsf(&dir, &["explain", "gc.flight", "--top", "1000"]));
+    let mut by_fsync: std::collections::BTreeMap<u64, std::collections::BTreeSet<u64>> =
+        Default::default();
+    for block in all.split("\ntrace 0x").skip(1) {
+        let seq: u64 = block
+            .split_once(" seq ")
+            .and_then(|(_, r)| r.split_whitespace().next()?.parse().ok())
+            .expect("waterfall header names its seq");
+        let (_, fsync, _) = waterfall_and_group_waits(block);
+        if fsync > 0 && seq != 0 {
+            by_fsync.entry(fsync).or_default().insert(seq);
+        }
+    }
+    let members = by_fsync
+        .values()
+        .find(|seqs| seqs.len() >= 2)
+        .unwrap_or_else(|| panic!("no two requests share a group commit's fsync:\n{all}"));
+
+    // Each member's explain states the batch's waits exactly as its own
+    // waterfall carries them, not 0 for all but one member.
+    for seq in members.iter().take(2) {
+        let one = stdout(&dsf(
+            &dir,
+            &["explain", "gc.flight", "--seq", &seq.to_string()],
+        ));
+        let (lock, fsync, group) = waterfall_and_group_waits(&one);
+        assert!(fsync > 0, "{one}");
+        assert_eq!(group, Some((lock, fsync)), "{one}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn cli_control1_files() {
     let dir = tempdir("control1");

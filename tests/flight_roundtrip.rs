@@ -15,11 +15,11 @@
 //!   same pattern as `tests/telemetry_reconcile.rs`).
 
 use proptest::prelude::*;
+use willard_dsf::flight::request::FALLBACK_ID_BIT;
 use willard_dsf::flight::{
     self, AccessKind, Attribution, BoundBudget, CommandKind, FlightEvent, FlightLog, FlightRing,
     Phase, RequestTimeline, REQUEST_PHASES,
 };
-use willard_dsf::trace::FALLBACK_ID_BIT;
 
 fn arb_phase() -> impl Strategy<Value = Phase> {
     prop_oneof![
@@ -74,11 +74,11 @@ fn arb_command_event() -> impl Strategy<Value = FlightEvent> {
             }
         }),
         (seq.clone(), 0u64..100, 0u64..10, any::<u64>()).prop_map(
-            |(seq, accesses, shift_steps, micros)| FlightEvent::CommandEnd {
+            |(seq, accesses, shift_steps, nanos)| FlightEvent::CommandEnd {
                 seq,
                 accesses,
                 shift_steps,
-                micros,
+                nanos,
             }
         ),
         seq.clone()
@@ -118,9 +118,6 @@ fn arb_command_event() -> impl Strategy<Value = FlightEvent> {
         }),
         (seq.clone(), 0u64..64).prop_map(|(seq, node)| FlightEvent::FlagLowered { seq, node }),
         (seq.clone(), any::<u64>()).prop_map(|(seq, bytes)| FlightEvent::WalFrame { seq, bytes }),
-        (seq.clone(), any::<u64>()).prop_map(|(seq, micros)| FlightEvent::Fsync { seq, micros }),
-        (seq.clone(), 0u64..32, any::<u64>())
-            .prop_map(|(seq, shard, micros)| FlightEvent::LockWait { seq, shard, micros }),
         (seq, 0u8..2, prop::collection::vec(0u64..100, 0..16)).prop_map(|(seq, moment, counts)| {
             FlightEvent::Moment {
                 seq,
@@ -132,7 +129,7 @@ fn arb_command_event() -> impl Strategy<Value = FlightEvent> {
 }
 
 fn arb_event() -> impl Strategy<Value = FlightEvent> {
-    prop_oneof![12 => arb_command_event(), 1 => arb_request()]
+    prop_oneof![10 => arb_command_event(), 1 => arb_request()]
 }
 
 fn arb_budget() -> impl Strategy<Value = BoundBudget> {
@@ -296,7 +293,7 @@ proptest! {
                 by_phase[phase.index()] += pages;
             }
             let total: u64 = by_phase.iter().sum();
-            events.push(FlightEvent::CommandEnd { seq, accesses: total, shift_steps: 0, micros: 0 });
+            events.push(FlightEvent::CommandEnd { seq, accesses: total, shift_steps: 0, nanos: 0 });
             want.push((seq, by_phase, total));
         }
         let log = FlightLog {
