@@ -392,11 +392,20 @@ mod tests {
     #[test]
     fn interleaved_chains_destroy_scan_locality() {
         use dsf_pagestore::disk::DiskModel;
+        use dsf_pagestore::AccessEvent;
         // Strict adjacency: chain pages in a shared overflow area are not
         // physically contiguous with one another, so no read-through.
         let model = DiskModel {
             read_through_pages: 1,
             ..DiskModel::ibm3380_class()
+        };
+        // Arm movements under that model: the first access, and every
+        // access that is neither the previous page nor the next one.
+        let seeks = |t: &[AccessEvent]| {
+            t.len().min(1)
+                + t.windows(2)
+                    .filter(|w| w[1].page != w[0].page && w[1].page != w[0].page + 1)
+                    .count()
         };
 
         let mut f = loaded(8, 8, 32);
@@ -404,8 +413,12 @@ mod tests {
         let mut n = 0;
         f.scan_from(&0, 32, |_, _| n += 1);
         assert_eq!(n, 32);
-        let clean = model.analyze(&f.trace().take());
-        assert_eq!(clean.seeks, 1, "a clean primary scan is one sequential run");
+        let clean = f.trace().take();
+        assert_eq!(
+            seeks(&clean),
+            1,
+            "a clean primary scan is one sequential run"
+        );
 
         // Surge across four neighbouring buckets so their overflow chains
         // interleave in allocation order — the workload class the paper's
@@ -419,17 +432,17 @@ mod tests {
         let mut n = 0;
         f.scan_from(&0, 112, |_, _| n += 1);
         assert_eq!(n, 112);
-        let surged = model.analyze(&f.trace().take());
+        let surged = f.trace().take();
         assert!(
-            surged.seeks >= 10 * clean.seeks,
+            seeks(&surged) >= 10 * seeks(&clean),
             "interleaved chains must shred locality: {} → {} seeks",
-            clean.seeks,
-            surged.seeks
+            seeks(&clean),
+            seeks(&surged)
         );
         // Per-record disk time degrades even though per-record page counts
         // barely move — the cost is in the arm movement.
-        let clean_ms = clean.estimated_ms / 32.0;
-        let surged_ms = surged.estimated_ms / 112.0;
+        let clean_ms = model.replay_ms(&clean) / 32.0;
+        let surged_ms = model.replay_ms(&surged) / 112.0;
         assert!(
             surged_ms > 2.0 * clean_ms,
             "{clean_ms:.2} → {surged_ms:.2} ms/record"

@@ -10,8 +10,8 @@
 //! Run: `cargo run -p dsf-bench --bin fig4_example`
 
 use dsf_bench::Table;
-use dsf_core::trace::StepEvent;
 use dsf_core::{DenseFile, DenseFileConfig, MacroBlocking};
+use dsf_flight::FlightEvent;
 
 /// Figure 4 as published.
 const FIGURE_4: [[u64; 8]; 9] = [
@@ -27,7 +27,7 @@ const FIGURE_4: [[u64; 8]; 9] = [
 ];
 
 /// Paper node names for the 8-page calibrator, by heap index.
-fn node_name(heap: u32) -> String {
+fn node_name(heap: u64) -> String {
     match heap {
         1..=7 => format!("v{heap}"),
         8..=15 => format!("L{}", heap - 7),
@@ -55,7 +55,7 @@ fn main() {
     for n in nodes {
         let (lo, hi) = cal.range(n);
         fig3.row([
-            node_name(n.0),
+            node_name(u64::from(n.0)),
             n.depth().to_string(),
             format!("{}-{}", lo + 1, hi + 1),
             cal.count(n).to_string(),
@@ -64,40 +64,43 @@ fn main() {
     }
     fig3.print("Figure 3 — the calibration tree for the 8-page file (at t0)");
 
-    // Run Z1 and Z2 with the step trace on, narrating events.
-    file.enable_step_trace();
-    println!("\nZ1: insert a record into page 8");
-    file.insert(7_500, ()).unwrap();
-    println!("Z2: insert a record into page 1");
-    file.insert(500, ()).unwrap();
+    // Run Z1 and Z2 under a flight capture with moment snapshots on, then
+    // narrate its frames.
+    let ((), log) = dsf_flight::capture(|| {
+        println!("\nZ1: insert a record into page 8");
+        file.insert(7_500, ()).unwrap();
+        println!("Z2: insert a record into page 1");
+        file.insert(500, ()).unwrap();
+    });
 
     let mut rows: Vec<Vec<u64>> = vec![FIGURE_4[0].to_vec()];
-    for ev in file.take_step_trace() {
+    for ev in log.events {
         match ev {
-            StepEvent::Activated { node, dest } => {
+            FlightEvent::Activate { node, dest, .. } => {
                 println!(
                     "  ACTIVATE({}) → warning raised, DEST = page {}",
-                    node_name(node.0),
+                    node_name(node),
                     dest + 1
                 );
             }
-            StepEvent::RolledBack { node, new_dest } => {
+            FlightEvent::Rollback { node, new_dest, .. } => {
                 println!(
                     "  roll-back: DEST({}) = page {}",
-                    node_name(node.0),
+                    node_name(node),
                     new_dest + 1
                 );
             }
-            StepEvent::Shifted {
+            FlightEvent::Shift {
                 node,
                 source,
                 dest,
                 moved,
                 new_dest,
+                ..
             } => {
                 print!(
                     "  SHIFT({}): moved {moved} record(s) page {} → page {}",
-                    node_name(node.0),
+                    node_name(node),
                     source + 1,
                     dest + 1
                 );
@@ -106,10 +109,10 @@ fn main() {
                     None => println!(),
                 }
             }
-            StepEvent::WarningLowered { node } => {
-                println!("  warning lowered on {}", node_name(node.0));
+            FlightEvent::FlagLowered { node, .. } => {
+                println!("  warning lowered on {}", node_name(node));
             }
-            StepEvent::FlagStable { slot_counts, .. } => rows.push(slot_counts),
+            FlightEvent::Moment { counts, .. } => rows.push(counts),
             _ => {}
         }
     }

@@ -22,13 +22,13 @@
 //! the unit tests in this module and the golden test of Example 5.2 pin the
 //! behaviour move for move.
 
+use dsf_flight::Moment;
 use dsf_pagestore::{End, Key};
 
 use crate::calibrator::NodeId;
 use crate::file::DenseFile;
-use crate::trace::{Moment, StepEvent};
 
-/// Outcome of one SHIFT invocation (used by step 4c and the trace).
+/// Outcome of one SHIFT invocation (used by step 4c).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ShiftOutcome {
     /// The source page, if one existed.
@@ -56,10 +56,8 @@ impl<K: Key, V> DenseFile<K, V> {
                 // No warned node anywhere; SELECT cannot succeed for the
                 // rest of this command either.
                 self.stats.idle_steps += 1;
-                self.emit(|| StepEvent::ShiftIdle);
                 break;
             };
-            self.emit(|| StepEvent::Selected { node: v });
             // step 4b: the shift's page traffic lands in the flight
             // record's Shift phase.
             let outcome = {
@@ -104,7 +102,6 @@ impl<K: Key, V> DenseFile<K, V> {
             self.cal.set_warning(n, false);
             self.stats.flags_lowered += 1;
             dsf_flight::record_flag_lowered(u64::from(n.0));
-            self.emit(|| StepEvent::WarningLowered { node: n });
         }
     }
 
@@ -141,7 +138,6 @@ impl<K: Key, V> DenseFile<K, V> {
         let dest = if w.is_right_child() { flo } else { fhi };
         self.cal.set_dest(w, dest);
         dsf_flight::record_activate(u64::from(w.0), u64::from(dest));
-        self.emit(|| StepEvent::Activated { node: w, dest });
         // 3. Roll-back rules: any warned node y with RANGE(f_y) ⊃ RANGE(f_w)
         //    whose DEST traverses RANGE(f_w) is reset to the far edge of
         //    RANGE(f_w), so it can later repair damage done by SHIFT(w).
@@ -163,10 +159,6 @@ impl<K: Key, V> DenseFile<K, V> {
                         self.cal.set_dest(y, flo);
                         self.stats.rollbacks += 1;
                         dsf_flight::record_rollback(u64::from(y.0), u64::from(flo));
-                        self.emit(|| StepEvent::RolledBack {
-                            node: y,
-                            new_dest: flo,
-                        });
                     }
                 } else {
                     // Roll-back rule 0 (DIR(y)=0): A⁻(f_w) ≤ DEST(y) ≤ A⁺(f_w)−1.
@@ -174,10 +166,6 @@ impl<K: Key, V> DenseFile<K, V> {
                         self.cal.set_dest(y, fhi);
                         self.stats.rollbacks += 1;
                         dsf_flight::record_rollback(u64::from(y.0), u64::from(fhi));
-                        self.emit(|| StepEvent::RolledBack {
-                            node: y,
-                            new_dest: fhi,
-                        });
                     }
                 }
             }
@@ -212,7 +200,6 @@ impl<K: Key, V> DenseFile<K, V> {
             // Defensive: the paper's proof implies v's flag drops before
             // this state is reachable (DESIGN.md §3.6). Counted, no-op.
             self.stats.no_source_shifts += 1;
-            self.emit(|| StepEvent::ShiftNoSource { node: v });
             return ShiftOutcome {
                 source: None,
                 dest,
@@ -268,14 +255,13 @@ impl<K: Key, V> DenseFile<K, V> {
         if let Some(nd) = new_dest {
             self.cal.set_dest(v, nd);
         }
-        dsf_flight::record_shift(u64::from(v.0), u64::from(source), u64::from(dest), n);
-        self.emit(|| StepEvent::Shifted {
-            node: v,
-            source,
-            dest,
-            moved: n,
-            new_dest,
-        });
+        dsf_flight::record_shift(
+            u64::from(v.0),
+            u64::from(source),
+            u64::from(dest),
+            n,
+            new_dest.map(u64::from),
+        );
         ShiftOutcome {
             source: Some(source),
             dest,
@@ -288,7 +274,7 @@ impl<K: Key, V> DenseFile<K, V> {
 mod tests {
     use super::*;
     use crate::config::{DenseFileConfig, MacroBlocking};
-    use crate::trace::CommandKind;
+    use dsf_flight::{CommandKind, FlightEvent};
 
     /// The Example 5.2 file: M=8, d=9, D=18, J=3, K forced to 1.
     fn example_file() -> DenseFile<u64, ()> {
@@ -316,28 +302,39 @@ mod tests {
         f.slot_counts()
     }
 
+    /// The flight frames `cmds` records on `f`, moment snapshots included.
+    fn captured(
+        f: &mut DenseFile<u64, ()>,
+        cmds: impl FnOnce(&mut DenseFile<u64, ()>),
+    ) -> Vec<FlightEvent> {
+        dsf_flight::capture(|| cmds(f)).1.events
+    }
+
+    /// The per-slot counts of every flag-stable moment in `evs`.
+    fn moment_rows(evs: Vec<FlightEvent>) -> Vec<Vec<u64>> {
+        evs.into_iter()
+            .filter_map(|e| match e {
+                FlightEvent::Moment { counts, .. } => Some(counts),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn example_5_2_command_z1_reproduces_rows_t1_to_t4() {
         let mut f = example_file();
         assert_eq!(counts(&f), vec![16, 1, 0, 1, 9, 9, 9, 16]);
         assert_eq!(f.cal.warned_total(), 0, "t₀: all nodes non-warning");
 
-        f.enable_step_trace();
         // Z₁: insert a record into page 8 (slot 7): key above slot 7's keys.
-        f.insert(7500, ()).unwrap();
+        let evs = captured(&mut f, |f| {
+            f.insert(7500, ()).unwrap();
+        });
         assert_eq!(counts(&f), vec![16, 2, 0, 0, 9, 9, 15, 11], "t₄ row");
 
-        // Verify the flag-stable snapshots t₁..t₄ from the trace.
-        let stable: Vec<Vec<u64>> = f
-            .take_step_trace()
-            .into_iter()
-            .filter_map(|e| match e {
-                StepEvent::FlagStable { slot_counts, .. } => Some(slot_counts),
-                _ => None,
-            })
-            .collect();
+        // Verify the flag-stable snapshots t₁..t₄ from the flight frames.
         assert_eq!(
-            stable,
+            moment_rows(evs),
             vec![
                 vec![16, 1, 0, 1, 9, 9, 9, 17],  // t₁ (after step 3)
                 vec![16, 1, 0, 1, 9, 9, 15, 11], // t₂ (SHIFT(L8) moved 6)
@@ -351,9 +348,9 @@ mod tests {
     fn example_5_2_command_z2_reproduces_rows_t5_to_t8() {
         let mut f = example_file();
         f.insert(7500, ()).unwrap(); // Z₁
-        f.enable_step_trace();
-        // Z₂: insert into page 1 (slot 0).
-        f.insert(500, ()).unwrap();
+        let evs = captured(&mut f, |f| {
+            f.insert(500, ()).unwrap(); // Z₂: insert into page 1 (slot 0).
+        });
         assert_eq!(counts(&f), vec![15, 9, 0, 0, 4, 9, 15, 11], "t₈ row");
         assert_eq!(
             f.cal.warned_total(),
@@ -361,16 +358,8 @@ mod tests {
             "all flags lowered at the end of Z₂"
         );
 
-        let stable: Vec<Vec<u64>> = f
-            .take_step_trace()
-            .into_iter()
-            .filter_map(|e| match e {
-                StepEvent::FlagStable { slot_counts, .. } => Some(slot_counts),
-                _ => None,
-            })
-            .collect();
         assert_eq!(
-            stable,
+            moment_rows(evs),
             vec![
                 vec![17, 2, 0, 0, 9, 9, 15, 11], // t₅
                 vec![4, 15, 0, 0, 9, 9, 15, 11], // t₆ (13 records, page 1 → 2)
@@ -383,13 +372,13 @@ mod tests {
     #[test]
     fn z1_activates_l8_and_v3_with_paper_dest_pointers() {
         let mut f = example_file();
-        f.enable_step_trace();
-        f.insert(7500, ()).unwrap();
-        let evs = f.take_step_trace();
-        let activated: Vec<(u32, u32)> = evs
+        let evs = captured(&mut f, |f| {
+            f.insert(7500, ()).unwrap();
+        });
+        let activated: Vec<(u64, u64)> = evs
             .iter()
             .filter_map(|e| match e {
-                StepEvent::Activated { node, dest } => Some((node.0, *dest)),
+                FlightEvent::Activate { node, dest, .. } => Some((*node, *dest)),
                 _ => None,
             })
             .collect();
@@ -399,7 +388,7 @@ mod tests {
         // No roll-back fires during Z₁.
         assert!(!evs
             .iter()
-            .any(|e| matches!(e, StepEvent::RolledBack { .. })));
+            .any(|e| matches!(e, FlightEvent::Rollback { .. })));
     }
 
     #[test]
@@ -407,13 +396,13 @@ mod tests {
         let mut f = example_file();
         f.insert(7500, ()).unwrap(); // Z₁ leaves DEST(v3) = slot 1 (page 2)
         assert_eq!(f.cal.dest(NodeId(3)), 1);
-        f.enable_step_trace();
-        f.insert(500, ()).unwrap(); // Z₂
-        let evs = f.take_step_trace();
-        let rolled: Vec<(u32, u32)> = evs
+        let evs = captured(&mut f, |f| {
+            f.insert(500, ()).unwrap(); // Z₂
+        });
+        let rolled: Vec<(u64, u64)> = evs
             .iter()
             .filter_map(|e| match e {
-                StepEvent::RolledBack { node, new_dest } => Some((node.0, *new_dest)),
+                FlightEvent::Rollback { node, new_dest, .. } => Some((*node, *new_dest)),
                 _ => None,
             })
             .collect();
@@ -425,19 +414,20 @@ mod tests {
     #[test]
     fn z1_shift_sequence_matches_the_paper() {
         let mut f = example_file();
-        f.enable_step_trace();
-        f.insert(7500, ()).unwrap();
-        let evs = f.take_step_trace();
-        let shifts: Vec<(u32, u32, u32, u64, Option<u32>)> = evs
+        let evs = captured(&mut f, |f| {
+            f.insert(7500, ()).unwrap();
+        });
+        let shifts: Vec<(u64, u64, u64, u64, Option<u64>)> = evs
             .iter()
             .filter_map(|e| match e {
-                StepEvent::Shifted {
+                FlightEvent::Shift {
                     node,
                     source,
                     dest,
                     moved,
                     new_dest,
-                } => Some((node.0, *source, *dest, *moved, *new_dest)),
+                    ..
+                } => Some((*node, *source, *dest, *moved, *new_dest)),
                 _ => None,
             })
             .collect();
@@ -462,19 +452,19 @@ mod tests {
     fn z2_shift_quantities_match_the_paper() {
         let mut f = example_file();
         f.insert(7500, ()).unwrap();
-        f.enable_step_trace();
-        f.insert(500, ()).unwrap();
-        let evs = f.take_step_trace();
-        let shifts: Vec<(u32, u32, u32, u64)> = evs
+        let evs = captured(&mut f, |f| {
+            f.insert(500, ()).unwrap();
+        });
+        let shifts: Vec<(u64, u64, u64, u64)> = evs
             .iter()
             .filter_map(|e| match e {
-                StepEvent::Shifted {
+                FlightEvent::Shift {
                     node,
                     source,
                     dest,
                     moved,
                     ..
-                } => Some((node.0, *source, *dest, *moved)),
+                } => Some((*node, *source, *dest, *moved)),
                 _ => None,
             })
             .collect();
@@ -491,13 +481,13 @@ mod tests {
     #[test]
     fn flags_lower_in_step_4c_as_densities_fall() {
         let mut f = example_file();
-        f.enable_step_trace();
-        f.insert(7500, ()).unwrap();
-        let evs = f.take_step_trace();
-        let lowered: Vec<u32> = evs
+        let evs = captured(&mut f, |f| {
+            f.insert(7500, ()).unwrap();
+        });
+        let lowered: Vec<u64> = evs
             .iter()
             .filter_map(|e| match e {
-                StepEvent::WarningLowered { node } => Some(node.0),
+                FlightEvent::FlagLowered { node, .. } => Some(*node),
                 _ => None,
             })
             .collect();
@@ -510,18 +500,87 @@ mod tests {
     #[test]
     fn command_kinds_are_traced() {
         let mut f = example_file();
-        f.enable_step_trace();
-        f.insert(7500, ()).unwrap();
-        f.remove(&7500);
-        let evs = f.take_step_trace();
+        let evs = captured(&mut f, |f| {
+            f.insert(7500, ()).unwrap();
+            f.remove(&7500);
+        });
         let kinds: Vec<CommandKind> = evs
             .iter()
             .filter_map(|e| match e {
-                StepEvent::CommandBegin { kind, .. } => Some(*kind),
+                FlightEvent::CommandBegin { kind, .. } => Some(*kind),
                 _ => None,
             })
             .collect();
         assert_eq!(kinds, vec![CommandKind::Insert, CommandKind::Delete]);
+    }
+
+    /// A capture holds exactly the commands begun on its own thread: while
+    /// it records Z₁, a second thread runs commands on its own CONTROL 2
+    /// file into the same ring, and none of their frames reach the log.
+    #[test]
+    fn capture_holds_exactly_z1_while_another_thread_records() {
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+        use std::sync::Arc;
+
+        // Z₁ alone, for comparison.
+        let (_, solo) = dsf_flight::capture(|| example_file().insert(7500, ()).unwrap());
+
+        let stop = Arc::new(AtomicBool::new(false));
+        // Commands the other thread finished with the recorder on.
+        let seen_on = Arc::new(AtomicU64::new(0));
+        let other = {
+            let (stop, seen_on) = (Arc::clone(&stop), Arc::clone(&seen_on));
+            std::thread::spawn(move || {
+                let cfg = DenseFileConfig::control2(64, 8, 40);
+                let mut g: DenseFile<u64, ()> = DenseFile::new(cfg).unwrap();
+                let mut k = 0u64;
+                while !stop.load(Relaxed) {
+                    k += 1;
+                    g.insert(k, ()).unwrap();
+                    g.remove(&k).unwrap();
+                    if dsf_flight::enabled() {
+                        seen_on.fetch_add(1, Relaxed);
+                    }
+                }
+            })
+        };
+        let wait_for = |n: u64| {
+            while seen_on.load(Relaxed) < n {
+                assert!(!other.is_finished(), "the other thread stopped");
+                std::thread::yield_now();
+            }
+        };
+        let mut f = example_file();
+        let (_, log) = dsf_flight::capture(|| {
+            // Counts from other tests' captures may land late, so only
+            // the second and third increments past `base` are sure to be
+            // checks made inside this capture; the command between them
+            // ran wholly inside it.
+            let base = seen_on.load(Relaxed);
+            wait_for(base + 1);
+            f.insert(7500, ()).unwrap();
+            wait_for(base + 3);
+        });
+        stop.store(true, Relaxed);
+        other.join().unwrap();
+
+        // The other thread's frames reached the ring, not the log.
+        assert!(log.total > log.events.len() as u64, "{}", log.total);
+        let z1 = log.events[0].seq();
+        assert!(log.events.iter().all(|e| e.seq() == z1));
+        assert_eq!(log.events.len(), solo.events.len());
+        // And the log holds all of Z₁: its replay equals the solo run's
+        // but for the seq and the wall time.
+        let strip = |log: &dsf_flight::FlightLog| {
+            let mut cmds = log.replay().commands;
+            for c in &mut cmds {
+                (c.seq, c.nanos) = (0, 0);
+            }
+            cmds
+        };
+        assert_eq!(strip(&log), strip(&solo));
+        assert_eq!(strip(&log).len(), 1);
+        assert_eq!(strip(&log)[0].moments.len(), 4, "rows t₁..t₄");
     }
 
     /// Roll-back rule 1 in isolation: a warned right-son ancestor-child y

@@ -11,6 +11,7 @@
 //! (amortized) or CONTROL 2 (worst-case `O(log²M/(D−d))` page accesses)
 //! algorithm, selected by [`DenseFileConfig`].
 
+use dsf_flight::{CommandKind, Moment};
 use dsf_pagestore::{IoStats, Key, PagedStore, Record, StoreConfig, TraceBuffer};
 
 use crate::calibrator::{Calibrator, NodeId};
@@ -19,7 +20,6 @@ use crate::error::{BulkLoadError, DsfError};
 use crate::readview::{ReadView, ViewState};
 use crate::scan::Scan;
 use crate::stats::OpStats;
-use crate::trace::{CommandKind, Moment, StepEvent, StepRecorder};
 
 /// A `(d,D)`-dense sequential file (Willard, SIGMOD 1986).
 ///
@@ -40,7 +40,6 @@ pub struct DenseFile<K, V> {
     pub(crate) store: PagedStore<K, V>,
     pub(crate) cal: Calibrator<K>,
     pub(crate) stats: OpStats,
-    pub(crate) recorder: Option<StepRecorder>,
     /// Optimistic read view, if enabled (see
     /// [`DenseFile::enable_optimistic_reads`]). `None` by default, so plain
     /// files pay one branch per command for the feature.
@@ -66,7 +65,6 @@ impl<K: Key, V> DenseFile<K, V> {
             store,
             cal,
             stats: OpStats::default(),
-            recorder: None,
             view: None,
             view_holds: 0,
         })
@@ -140,52 +138,12 @@ impl<K: Key, V> DenseFile<K, V> {
         Audit { file: self }
     }
 
-    // ------------------------------------------------------------------
-    // Step tracing.
-    // ------------------------------------------------------------------
-
-    /// Starts recording [`StepEvent`]s for subsequent commands.
-    pub fn enable_step_trace(&mut self) {
-        if self.recorder.is_none() {
-            self.recorder = Some(StepRecorder::new());
-        }
-    }
-
-    /// Stops recording and returns everything recorded.
-    pub fn take_step_trace(&mut self) -> Vec<StepEvent> {
-        self.recorder
-            .take()
-            .map(|mut r| r.take())
-            .unwrap_or_default()
-    }
-
-    #[inline]
-    pub(crate) fn emit(&mut self, ev: impl FnOnce() -> StepEvent) {
-        if let Some(r) = self.recorder.as_mut() {
-            r.push(ev());
-        }
-    }
-
-    pub(crate) fn emit_flag_stable(&mut self, moment: Moment) {
-        // Flight moment snapshots are a separate opt-in on top of the
-        // recorder itself (each costs O(M)); they power the Figure-4-style
-        // per-moment table in `dsf explain --seq`.
+    /// Records a flag-stable moment's per-slot counts (a row of the
+    /// paper's Figure 4) when flight moment snapshots are on; each costs
+    /// `O(M)`, so they are an opt-in on top of the recorder itself.
+    pub(crate) fn emit_flag_stable(&self, moment: Moment) {
         if dsf_flight::moments_enabled() {
-            let code = match moment {
-                Moment::AfterStep3 => 0,
-                Moment::AfterStep4c => 1,
-            };
-            dsf_flight::record_moment(code, &self.slot_counts());
-        }
-        if self.recorder.is_none() {
-            return;
-        }
-        let counts = self.slot_counts();
-        if let Some(r) = self.recorder.as_mut() {
-            r.push(StepEvent::FlagStable {
-                moment,
-                slot_counts: counts,
-            });
+            dsf_flight::record_moment(moment, &self.slot_counts());
         }
     }
 
@@ -331,7 +289,7 @@ impl<K: Key, V> DenseFile<K, V> {
         // Begun before the search so the step-1 probe's page reads land in
         // the flight record's User phase; a replace or capacity refusal
         // cancels the frame (replay discards cancelled commands).
-        let flight = self.flight_begin(dsf_flight::CommandKind::Insert, slot);
+        let flight = self.flight_begin(CommandKind::Insert, slot);
         match self.store.search(slot, &key) {
             Ok(idx) => {
                 if flight.is_some() {
@@ -350,17 +308,12 @@ impl<K: Key, V> DenseFile<K, V> {
                         capacity: self.capacity(),
                     });
                 }
-                self.emit(|| StepEvent::CommandBegin {
-                    kind: CommandKind::Insert,
-                    slot,
-                });
                 self.store.insert_searched(slot, idx, key, value);
                 self.cal.add_count(slot, 1);
                 self.cal.refresh_min(slot, self.store.min_key(slot));
                 self.after_update(slot);
                 let accesses = self.store.stats().since(snap).accesses();
                 self.stats.record_command(accesses);
-                self.emit(|| StepEvent::CommandEnd { accesses });
                 if let Some(f) = flight {
                     self.flight_end(f, accesses);
                 }
@@ -391,7 +344,7 @@ impl<K: Key, V> DenseFile<K, V> {
             Some(h) => self.cal.find_slot_hinted(key, h),
             None => self.cal.find_slot(key),
         };
-        let flight = self.flight_begin(dsf_flight::CommandKind::Delete, slot);
+        let flight = self.flight_begin(CommandKind::Delete, slot);
         let old = match self.store.remove(slot, key) {
             Some(old) => old,
             None => {
@@ -401,16 +354,11 @@ impl<K: Key, V> DenseFile<K, V> {
                 return (None, Some(slot));
             }
         };
-        self.emit(|| StepEvent::CommandBegin {
-            kind: CommandKind::Delete,
-            slot,
-        });
         self.cal.add_count(slot, -1);
         self.cal.refresh_min(slot, self.store.min_key(slot));
         self.after_update(slot);
         let accesses = self.store.stats().since(snap).accesses();
         self.stats.record_command(accesses);
-        self.emit(|| StepEvent::CommandEnd { accesses });
         if let Some(f) = flight {
             self.flight_end(f, accesses);
         }
@@ -429,7 +377,7 @@ impl<K: Key, V> DenseFile<K, V> {
     /// state [`flight_end`](Self::flight_end) needs; `None` (one branch)
     /// while the flight recorder is disabled.
     #[inline]
-    fn flight_begin(&self, kind: dsf_flight::CommandKind, slot: u32) -> Option<FlightCmd> {
+    fn flight_begin(&self, kind: CommandKind, slot: u32) -> Option<FlightCmd> {
         if !dsf_flight::enabled() {
             return None;
         }

@@ -62,7 +62,6 @@ mod scan;
 pub mod snapshot;
 pub mod stats;
 mod tel;
-pub mod trace;
 
 pub use batch::{Command, CommandOutcome};
 pub use calibrator::{Calibrator, NodeId};
@@ -77,4 +76,3 @@ pub use readview::{ReadConflict, ReadView, MAX_ATTEMPTS as READ_MAX_ATTEMPTS};
 pub use scan::{Scan, ScanRev};
 pub use snapshot::{Codec, SnapshotError};
 pub use stats::{AccessHistogram, OpStats};
-pub use trace::{CommandKind, Moment, StepEvent, StepRecorder};

@@ -8,9 +8,7 @@
 
 use std::io::{self, Read};
 
-/// Which user command a flight trace belongs to (mirrors
-/// `dsf_core::CommandKind`, re-declared here so this crate stays at the
-/// bottom of the dependency graph).
+/// Which user command a flight trace belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommandKind {
     /// An insertion.
@@ -40,6 +38,41 @@ impl CommandKind {
         match self {
             CommandKind::Insert => "insert",
             CommandKind::Delete => "delete",
+        }
+    }
+}
+
+/// The flag-stable moment classes of the paper's §5 that carry a
+/// per-slot snapshot (a row of Figure 4).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Moment {
+    /// Immediately after step 3 (activation), e.g. `t₁`, `t₅`.
+    AfterStep3,
+    /// Immediately after a step-4c flag sweep, e.g. `t₂…t₄`, `t₆…t₈`.
+    AfterStep4c,
+}
+
+impl Moment {
+    fn code(self) -> u64 {
+        match self {
+            Moment::AfterStep3 => 0,
+            Moment::AfterStep4c => 1,
+        }
+    }
+
+    fn from_code(c: u64) -> Option<Self> {
+        match c {
+            0 => Some(Moment::AfterStep3),
+            1 => Some(Moment::AfterStep4c),
+            _ => None,
+        }
+    }
+
+    /// `"after step 3"` or `"after step 4c"`.
+    pub fn label(self) -> &'static str {
+        match self {
+            Moment::AfterStep3 => "after step 3",
+            Moment::AfterStep4c => "after step 4c",
         }
     }
 }
@@ -203,6 +236,8 @@ pub enum FlightEvent {
         dest: u64,
         /// Records moved.
         moved: u64,
+        /// DEST(v) after step 3 of SHIFT, if it advanced.
+        new_dest: Option<u64>,
     },
     /// One ACTIVATE(w) (step 3).
     Activate {
@@ -241,8 +276,8 @@ pub enum FlightEvent {
     Moment {
         /// Command sequence number.
         seq: u64,
-        /// 0 = after step 3, 1 = after a step-4c sweep.
-        moment: u8,
+        /// Which moment class.
+        moment: Moment,
         /// Record count of every slot in address order.
         counts: Vec<u64>,
     },
@@ -387,13 +422,17 @@ impl FlightEvent {
                 source,
                 dest,
                 moved,
+                new_dest,
             } => {
                 payload.push(TAG_SHIFT);
-                put_varint(payload, *seq);
-                put_varint(payload, *node);
-                put_varint(payload, *source);
-                put_varint(payload, *dest);
-                put_varint(payload, *moved);
+                for v in [*seq, *node, *source, *dest, *moved] {
+                    put_varint(payload, v);
+                }
+                // A presence flag, then the pointer when it advanced.
+                put_varint(payload, u64::from(new_dest.is_some()));
+                if let Some(nd) = new_dest {
+                    put_varint(payload, *nd);
+                }
             }
             FlightEvent::Activate { seq, node, dest } => {
                 payload.push(TAG_ACTIVATE);
@@ -428,7 +467,7 @@ impl FlightEvent {
             } => {
                 payload.push(TAG_MOMENT);
                 put_varint(payload, *seq);
-                put_varint(payload, u64::from(*moment));
+                put_varint(payload, moment.code());
                 put_varint(payload, counts.len() as u64);
                 for &c in counts {
                     put_varint(payload, c);
@@ -491,6 +530,11 @@ impl FlightEvent {
                 source: v()?,
                 dest: v()?,
                 moved: v()?,
+                new_dest: match v()? {
+                    0 => None,
+                    1 => Some(v()?),
+                    _ => return None,
+                },
             },
             TAG_ACTIVATE => FlightEvent::Activate {
                 seq: v()?,
@@ -512,7 +556,7 @@ impl FlightEvent {
             },
             TAG_MOMENT => {
                 let seq = v()?;
-                let moment = u8::try_from(v()?).ok()?;
+                let moment = Moment::from_code(v()?)?;
                 let n = v()?;
                 if n > payload.len() as u64 {
                     return None; // length field cannot exceed the frame
@@ -631,6 +675,15 @@ mod tests {
                 source: 7,
                 dest: 6,
                 moved: 6,
+                new_dest: Some(7),
+            },
+            FlightEvent::Shift {
+                seq: 1,
+                node: 3,
+                source: 3,
+                dest: 1,
+                moved: 1,
+                new_dest: None,
             },
             FlightEvent::Activate {
                 seq: 1,
@@ -647,8 +700,13 @@ mod tests {
             FlightEvent::Writeback { seq: 1, pages: 4 },
             FlightEvent::Moment {
                 seq: 1,
-                moment: 0,
+                moment: Moment::AfterStep3,
                 counts: vec![16, 1, 0, 1, 9, 9, 9, 17],
+            },
+            FlightEvent::Moment {
+                seq: 1,
+                moment: Moment::AfterStep4c,
+                counts: vec![16, 1, 0, 1, 9, 9, 15, 11],
             },
             FlightEvent::CommandEnd {
                 seq: 1,

@@ -7,7 +7,8 @@
 //! the stack:
 //!
 //! * **dsf-core** records command begin/end, SHIFT / ACTIVATE / roll-back
-//!   / flag events;
+//!   / flag events and, when [`set_moments`] is on, the flag-stable moments
+//!   of CONTROL 2 (the rows of the paper's Figure 4);
 //! * **dsf-pagestore** records every page charge, tagged with the
 //!   algorithm [`Phase`] that caused it;
 //! * **dsf-durable** records WAL frames;
@@ -27,11 +28,13 @@
 //! its command touch 224 pages?" (`dsf explain`).
 //!
 //! Every duration the recorder stores is nanoseconds on one clock,
-//! [`now_nanos`]. Like the step trace and the telemetry spine, the
-//! recorder is **off by default**: every instrumentation site is a single
-//! relaxed-load branch until [`enable`] is called. This crate sits at the
-//! very bottom of the workspace graph (std only) so every layer can
-//! record into it.
+//! [`now_nanos`]. Like the telemetry spine, the recorder is **off by
+//! default**: every instrumentation site is a single relaxed-load branch
+//! until [`enable`] is called. [`capture`] records the commands one
+//! closure runs on the calling thread; the Example 5.2 goldens and
+//! `fig4_example` read their SHIFTs, activations and Figure 4 rows from
+//! it. This crate sits at the very bottom of the workspace graph (std
+//! only) so every layer can record into it.
 //!
 //! ```
 //! use dsf_flight as flight;
@@ -60,14 +63,14 @@ pub mod request;
 mod ring;
 
 pub use codec::{
-    decode_frames, get_varint, put_varint, AccessKind, CommandKind, FlightEvent, Phase,
+    decode_frames, get_varint, put_varint, AccessKind, CommandKind, FlightEvent, Moment, Phase,
     RequestTimeline, PHASES, REQUEST_PHASES,
 };
 pub use log::{FlightLog, FLIGHT_MAGIC, FLIGHT_VERSION};
 pub use replay::{Attribution, AuditReport, BoundBudget, CommandCost, ShiftTrace, Violation};
 pub use ring::FlightRing;
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -111,6 +114,9 @@ thread_local! {
     /// flight) suppresses access recording entirely, so lookups, scans and
     /// bulk loads never pollute per-command attribution.
     static PHASE: Cell<u8> = const { Cell::new(PHASE_IDLE) };
+    /// While this thread runs a [`capture`]: the seqs of the commands it
+    /// began, in order.
+    static CAPTURED: RefCell<Option<Vec<u64>>> = const { RefCell::new(None) };
 }
 
 const PHASE_IDLE: u8 = u8::MAX;
@@ -173,6 +179,11 @@ pub fn begin_command(kind: CommandKind, target: u64) -> u64 {
         return 0;
     }
     let seq = globals().seq.fetch_add(1, Relaxed);
+    CAPTURED.with(|c| {
+        if let Some(seqs) = c.borrow_mut().as_mut() {
+            seqs.push(seq);
+        }
+    });
     CURRENT.with(|c| c.set(seq));
     STARTED.with(|t| t.set(now_nanos()));
     PHASE.with(|p| p.set(Phase::User.index() as u8));
@@ -295,14 +306,16 @@ fn record_under_current(make: impl FnOnce(u64) -> FlightEvent) {
     globals().ring.push(&make(seq));
 }
 
-/// Records one SHIFT(v) invocation for the current command.
-pub fn record_shift(node: u64, source: u64, dest: u64, moved: u64) {
+/// Records one SHIFT(v) invocation for the current command; `new_dest`
+/// is DEST(v) after the SHIFT if it advanced.
+pub fn record_shift(node: u64, source: u64, dest: u64, moved: u64, new_dest: Option<u64>) {
     record_under_current(|seq| FlightEvent::Shift {
         seq,
         node,
         source,
         dest,
         moved,
+        new_dest,
     });
 }
 
@@ -367,7 +380,7 @@ pub fn record_request(timeline: RequestTimeline) {
 
 /// Records a flag-stable moment snapshot (per-slot record counts) for the
 /// current command. Only captured when [`set_moments`] is on.
-pub fn record_moment(moment: u8, counts: &[u64]) {
+pub fn record_moment(moment: Moment, counts: &[u64]) {
     if !moments_enabled() {
         return;
     }
@@ -396,9 +409,46 @@ pub fn save(path: impl AsRef<std::path::Path>, budget: BoundBudget) -> std::io::
     snapshot_log(budget).save(path)
 }
 
-/// Serializes this crate's tests that turn the process-global switch on
-/// or off, so one test's capture never runs under another's switch.
-#[cfg(test)]
+/// Runs `f` with the recorder and its moment snapshots on, and returns
+/// its result with a log of exactly the commands `f` began on the calling
+/// thread: every frame carrying one of their seqs, and no other. Commands
+/// other threads run meanwhile are recorded into the ring but left out of
+/// the log, so concurrent tests in one process never see each other's
+/// commands. Moment snapshots cost `O(M)` each, which suits the small
+/// files whose steps a capture is for.
+///
+/// Captures are serialized on one process-wide lock; each clears the
+/// ring first and turns the recorder off when `f` returns or panics. The
+/// log carries a zero [`BoundBudget`]: set `log.budget` from the file's
+/// configuration before auditing it.
+pub fn capture<R>(f: impl FnOnce() -> R) -> (R, FlightLog) {
+    /// Ends the capture on every way out of `f`, a panic included.
+    struct Stop;
+    impl Drop for Stop {
+        fn drop(&mut self) {
+            disable();
+            set_moments(false);
+            CAPTURED.with(|c| c.take());
+        }
+    }
+    let _lock = switch_lock();
+    clear();
+    set_moments(true);
+    CAPTURED.with(|c| c.replace(Some(Vec::new())));
+    let stop = Stop;
+    enable();
+    let out = f();
+    let seqs = CAPTURED.with(|c| c.take()).unwrap_or_default();
+    drop(stop);
+    let mut log = snapshot_log(BoundBudget::default());
+    // Seqs are allocated in increasing order, so `seqs` is sorted.
+    log.events
+        .retain(|ev| seqs.binary_search(&ev.seq()).is_ok());
+    (out, log)
+}
+
+/// The lock [`capture`] holds; this crate's tests that flip the
+/// process-global switch by hand hold it too.
 pub(crate) fn switch_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -420,7 +470,7 @@ mod tests {
         record_access(AccessKind::Read, 2);
         {
             let _g = phase(Phase::Shift);
-            record_shift(15, 7, 6, 6);
+            record_shift(15, 7, 6, 6, Some(7));
             record_access(AccessKind::Write, 2);
         }
         record_access(AccessKind::Write, 1);
@@ -460,6 +510,21 @@ mod tests {
         assert!(attr.reconciles());
         assert!(attr.audit().ok());
         clear();
+    }
+
+    #[test]
+    fn a_panicking_capture_still_turns_the_recorder_off() {
+        let caught = std::panic::catch_unwind(|| {
+            capture(|| {
+                begin_command(CommandKind::Insert, 1);
+                panic!("closure failed");
+            })
+        });
+        assert!(caught.is_err());
+        let _g = switch_lock();
+        assert!(!enabled());
+        assert!(!globals().moments.load(Relaxed));
+        assert!(CAPTURED.with(|c| c.borrow().is_none()));
     }
 
     #[test]

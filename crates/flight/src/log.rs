@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! "DSFFLT1\n"                     8-byte magic
-//! version                         format version (currently 2)
+//! version                         format version (currently 3)
 //! j  k  log_slots  gap            the BoundBudget recorded at capture time
 //! dropped  total                  ring counters at snapshot
 //! payload_len                     encoded frame bytes that follow
@@ -26,7 +26,7 @@ pub const FLIGHT_MAGIC: &[u8; 8] = b"DSFFLT1\n";
 
 /// Current format version. A file of any other version is refused, not
 /// misread.
-pub const FLIGHT_VERSION: u64 = 2;
+pub const FLIGHT_VERSION: u64 = 3;
 
 /// A decoded flight log: the events plus the capture-time context needed
 /// to replay and audit them.
@@ -188,18 +188,20 @@ mod tests {
     }
 
     #[test]
-    fn version_1_header_is_refused_naming_both_versions() {
-        let mut bytes = FLIGHT_MAGIC.to_vec();
-        for v in [1, 3, 1, 3, 9, 0, 0, 0] {
-            put_varint(&mut bytes, v);
+    fn version_1_and_2_headers_are_refused_naming_both_versions() {
+        for old in [1, 2] {
+            let mut bytes = FLIGHT_MAGIC.to_vec();
+            for v in [old, 3, 1, 3, 9, 0, 0, 0] {
+                put_varint(&mut bytes, v);
+            }
+            let err = FlightLog::from_reader(&mut bytes.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&format!("version {old}")) && msg.contains("version 3"),
+                "{msg}"
+            );
         }
-        let err = FlightLog::from_reader(&mut bytes.as_slice()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        let msg = err.to_string();
-        assert!(
-            msg.contains("version 1") && msg.contains("version 2"),
-            "{msg}"
-        );
     }
 
     #[test]

@@ -24,11 +24,11 @@
 
 use std::collections::BTreeMap;
 
-use crate::codec::{CommandKind, FlightEvent, Phase, PHASES};
+use crate::codec::{CommandKind, FlightEvent, Moment, Phase, PHASES};
 use crate::log::FlightLog;
 
 /// The audit budget derived from a file's resolved configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BoundBudget {
     /// CONTROL 2's per-command SHIFT budget `J`.
     pub j: u64,
@@ -58,6 +58,8 @@ pub struct ShiftTrace {
     pub dest: u64,
     /// Records moved.
     pub moved: u64,
+    /// DEST after the SHIFT, if it advanced past a saturated node.
+    pub new_dest: Option<u64>,
 }
 
 /// The reconstructed cost story of one completed command.
@@ -97,9 +99,9 @@ pub struct CommandCost {
     /// foreground `phase_pages` — background writeback is deferred work,
     /// not part of the per-command access total `reconciles()` checks.
     pub writeback_pages: u64,
-    /// Flag-stable moment snapshots `(class, per-slot counts)` — the rows
-    /// of a Figure-4-style table (class 0 = after step 3, 1 = after 4c).
-    pub moments: Vec<(u8, Vec<u64>)>,
+    /// Flag-stable moment snapshots `(class, per-slot counts)`: the rows
+    /// of a Figure-4-style table.
+    pub moments: Vec<(Moment, Vec<u64>)>,
     /// Whether the begin frame survived in the ring.
     pub begun: bool,
     /// Whether the end frame was seen (commands without one are dropped
@@ -270,12 +272,14 @@ impl Attribution {
                     source,
                     dest,
                     moved,
+                    new_dest,
                     ..
                 } => c.shifts.push(ShiftTrace {
                     node: *node,
                     source: *source,
                     dest: *dest,
                     moved: *moved,
+                    new_dest: *new_dest,
                 }),
                 FlightEvent::Activate { node, dest, .. } => c.activations.push((*node, *dest)),
                 FlightEvent::Rollback { node, new_dest, .. } => {

@@ -190,7 +190,7 @@ mod tests {
         let ring = FlightRing::new(8);
         ring.push(&FlightEvent::Moment {
             seq: 1,
-            moment: 0,
+            moment: crate::Moment::AfterStep3,
             counts: vec![u64::MAX; 64],
         });
         assert_eq!(ring.dropped(), 1);

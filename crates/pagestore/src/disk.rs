@@ -103,46 +103,6 @@ impl DiskModel {
         }
         total
     }
-
-    /// Breaks a trace into the statistics the experiments report.
-    pub fn analyze(&self, trace: &[AccessEvent]) -> TraceAnalysis {
-        let mut seeks = 0u64;
-        let mut sequential = 0u64;
-        let mut same_page = 0u64;
-        let mut prev: Option<u64> = None;
-        for ev in trace {
-            match prev {
-                Some(p) if ev.page == p => same_page += 1,
-                Some(p) if ev.page > p && ev.page - p <= self.read_through_pages.max(1) => {
-                    sequential += 1
-                }
-                _ => seeks += 1,
-            }
-            prev = Some(ev.page);
-        }
-        TraceAnalysis {
-            accesses: trace.len() as u64,
-            seeks,
-            sequential,
-            same_page,
-            estimated_ms: self.replay_ms(trace),
-        }
-    }
-}
-
-/// Summary of a replayed access trace.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TraceAnalysis {
-    /// Total page accesses in the trace.
-    pub accesses: u64,
-    /// Accesses that required arm movement.
-    pub seeks: u64,
-    /// Accesses that continued a physically contiguous run.
-    pub sequential: u64,
-    /// Accesses that re-touched the previous page.
-    pub same_page: u64,
-    /// Estimated wall-clock time under the model.
-    pub estimated_ms: f64,
 }
 
 #[cfg(test)]
@@ -214,18 +174,6 @@ mod tests {
             ratio > 10.0,
             "expected ≥10× win for sequential, got {ratio:.1}×"
         );
-    }
-
-    #[test]
-    fn analyze_classifies_access_kinds() {
-        let m = DiskModel::modern_hdd();
-        let trace = vec![ev(0), ev(1), ev(1), ev(1000), ev(1001)];
-        let a = m.analyze(&trace);
-        assert_eq!(a.accesses, 5);
-        assert_eq!(a.seeks, 2); // page 0 (first) and page 1000
-        assert_eq!(a.sequential, 2); // 0→1 and 1000→1001
-        assert_eq!(a.same_page, 1); // 1→1
-        assert!(a.estimated_ms > 0.0);
     }
 
     #[test]

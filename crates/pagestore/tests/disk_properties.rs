@@ -39,6 +39,24 @@ proptest! {
         }
     }
 
+    /// The first access is a seek, and no access costs more than a
+    /// random one: a non-empty trace costs at least one random access
+    /// and at most one per access.
+    #[test]
+    fn replay_is_between_one_and_len_random_accesses(
+        model in arb_model(),
+        pages in prop::collection::vec(any::<u32>(), 1..100),
+    ) {
+        let trace: Vec<AccessEvent> = pages.iter().map(|&p| ev(u64::from(p))).collect();
+        let cost = model.replay_ms(&trace);
+        let random = model.random_access_ms();
+        prop_assert!(cost >= random - 1e-9, "{} < one random access {}", cost, random);
+        prop_assert!(
+            cost <= trace.len() as f64 * random + 1e-9,
+            "{} > {} random accesses of {}", cost, trace.len(), random
+        );
+    }
+
     /// A sorted (ascending) visit order never costs more than the same
     /// multiset of pages in arbitrary order.
     #[test]
@@ -53,24 +71,5 @@ proptest! {
         prop_assert!(
             model.replay_ms(&sorted_trace) <= model.replay_ms(&trace) + 1e-9
         );
-    }
-
-    /// Every access costs at least one transfer... except same-page
-    /// re-touches, which are free; and the analysis decomposition is exact.
-    #[test]
-    fn analysis_decomposition_is_consistent(
-        model in arb_model(),
-        pages in prop::collection::vec(any::<u16>(), 0..100),
-    ) {
-        let trace: Vec<AccessEvent> = pages.iter().map(|&p| ev(u64::from(p))).collect();
-        let a = model.analyze(&trace);
-        prop_assert_eq!(a.accesses, trace.len() as u64);
-        prop_assert_eq!(a.seeks + a.sequential + a.same_page, a.accesses);
-        // Lower bound: every seek costs a random access.
-        let floor = a.seeks as f64 * model.random_access_ms();
-        prop_assert!(a.estimated_ms >= floor - 1e-6);
-        // Upper bound: no access costs more than a random access.
-        let ceil = (a.seeks + a.sequential) as f64 * model.random_access_ms();
-        prop_assert!(a.estimated_ms <= ceil + 1e-6);
     }
 }

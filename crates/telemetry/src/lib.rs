@@ -10,7 +10,7 @@
 //! * [`Registry`] — named [`Counter`]s, [`Gauge`]s, and fixed-bucket
 //!   [`Histogram`]s. The hot path is one relaxed-atomic op per event, zero
 //!   allocation, and a **single branch no-op while disabled** (the same
-//!   discipline as `DenseFile::enable_step_trace`). Registration is the
+//!   discipline as the `dsf-flight` recorder). Registration is the
 //!   cold path and takes a lock; recording never does.
 //! * [`export`] — Prometheus text exposition served over a tiny
 //!   `std::net` HTTP listener (no dependencies; the workspace is offline),

@@ -809,21 +809,14 @@ fn load_flight(path: &str) -> Result<willard_dsf::flight::FlightLog, String> {
 fn flight_record(args: &[String]) -> Result<String, String> {
     use willard_dsf::flight;
     let out = args.first().ok_or("flight record: missing <out.flight>")?;
-    let example52 = has_flag(args, "--example52");
-    // Moment snapshots cost O(M) per flag-stable moment; always on for the
-    // 8-page Example 5.2 file, opt-in otherwise.
-    let moments = has_flag(args, "--moments") || example52;
-
     // Telemetry runs alongside so the flight log can be cross-checked
     // against the histogram (`dsf_command_page_accesses_max` below must
     // equal the worst command `dsf explain` reconstructs).
     let reg = willard_dsf::telemetry::global();
     reg.reset();
     reg.enable();
-    flight::clear();
-    flight::set_moments(moments);
 
-    let (ledger, done) = if example52 {
+    let (ledger, done, log) = if has_flag(args, "--example52") {
         // The paper's Example 5.2: M=8, d#=9, D#=18, J=3, layout
         // [16,1,0,1,9,9,9,16], then the two inserts Z₁ (7500) and Z₂ (500)
         // whose flag-stable moments are Figure 4's rows t₁..t₈.
@@ -843,10 +836,13 @@ fn flight_record(args: &[String]) -> Result<String, String> {
             .collect();
         f.bulk_load_per_slot(layout)
             .map_err(|e| format!("flight record: {e}"))?;
-        flight::enable();
-        f.insert(7500, "z1".into()).map_err(|e| e.to_string())?;
-        f.insert(500, "z2".into()).map_err(|e| e.to_string())?;
-        (f, 2)
+        let (res, mut log) = flight::capture(|| {
+            f.insert(7500, "z1".into())?;
+            f.insert(500, "z2".into())
+        });
+        res.map_err(|e| e.to_string())?;
+        log.budget = f.config().flight_budget();
+        (f, 2, log)
     } else {
         let pages: u32 = match flag(args, "--pages") {
             Some(s) => parse(&s, "--pages")?,
@@ -865,6 +861,9 @@ fn flight_record(args: &[String]) -> Result<String, String> {
             config = config.with_j(parse(&j, "--j")?);
         }
         let mut f: Ledger = DenseFile::new(config).map_err(|e| e.to_string())?;
+        // Moment snapshots cost O(M) per flag-stable moment: opt-in here.
+        flight::clear();
+        flight::set_moments(has_flag(args, "--moments"));
         // A 3/5 backbone makes the subsequent inserts trigger real
         // maintenance (same shape as `exp_telemetry`).
         let backbone = f.capacity() * 3 / 5;
@@ -879,13 +878,15 @@ fn flight_record(args: &[String]) -> Result<String, String> {
         };
         let done =
             drive_workload(&mut f, &workload, ops).map_err(|e| format!("flight record: {e}"))?;
-        (f, done)
+        flight::disable();
+        flight::set_moments(false);
+        let log = flight::snapshot_log(f.config().flight_budget());
+        (f, done, log)
     };
-    flight::disable();
-    flight::set_moments(false);
 
-    let budget = ledger.config().flight_budget();
-    flight::save(out, budget).map_err(|e| format!("cannot write `{out}`: {e}"))?;
+    let budget = log.budget;
+    log.save(out)
+        .map_err(|e| format!("cannot write `{out}`: {e}"))?;
     let ring = flight::ring();
     let hist = reg.histogram(
         "dsf_command_page_accesses",
@@ -1122,20 +1123,26 @@ fn explain_command(
     }
     for s in &c.shifts {
         out.push_str(&format!(
-            "  SHIFT(v{}): slot {} → slot {}, {} records\n",
+            "  SHIFT(v{}): slot {} → slot {}, {} records",
             s.node, s.source, s.dest, s.moved
         ));
+        if let Some(nd) = s.new_dest {
+            // A `.flight` file is untrusted input: no overflow on `nd + 1`.
+            let page = nd.saturating_add(1);
+            out.push_str(&format!(", DEST advances to slot {nd} (page {page})"));
+        }
+        out.push('\n');
     }
     if !c.moments.is_empty() {
         out.push_str("  flag-stable moments (per-slot record counts, as in Figure 4):\n");
         for (i, (class, counts)) in c.moments.iter().enumerate() {
-            let label = if *class == 0 {
-                "after step 3 "
-            } else {
-                "after step 4c"
-            };
             let row: Vec<String> = counts.iter().map(u64::to_string).collect();
-            out.push_str(&format!("    m{} {}: [{}]\n", i + 1, label, row.join(", ")));
+            out.push_str(&format!(
+                "    m{} {:<13}: [{}]\n",
+                i + 1,
+                class.label(),
+                row.join(", ")
+            ));
         }
     }
     out

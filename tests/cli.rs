@@ -466,6 +466,28 @@ fn cli_flight_example52_and_bench_gate() {
         .expect("explain states the worst command's page total");
     assert_eq!(worst_total, hist_max, "{exp}");
 
+    // Z₁, the insert into slot 7 (page 8), explained alone: its SHIFT(L8)
+    // (heap node 15) carries the DEST advance fig4_example narrates as
+    // "DEST advances to page 8"; its last SHIFT leaves DEST where it was.
+    let z1_seq = exp
+        .lines()
+        .find_map(|l| {
+            let cols: Vec<&str> = l.split_whitespace().collect();
+            (cols.len() == 11 && cols[1] == "insert" && cols[2] == "7").then(|| cols[0].to_owned())
+        })
+        .expect("the top table lists Z₁");
+    let out = dsf(&dir, &["explain", "ex52.flight", "--seq", &z1_seq]);
+    assert!(out.status.success(), "{out:?}");
+    let z1 = stdout(&out);
+    assert!(
+        z1.contains("SHIFT(v15): slot 7 → slot 6, 6 records, DEST advances to slot 7 (page 8)\n"),
+        "{z1}"
+    );
+    assert!(
+        z1.contains("SHIFT(v3): slot 3 → slot 1, 1 records\n"),
+        "{z1}"
+    );
+
     // bench-gate: identical numbers pass; a doctored 20% regression fails.
     let base =
         "{\n  \"io_call_ratio\": 3.20,\n  \"overhead_ratio\": 1.20,\n  \"max_accesses\": 18\n}\n";

@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use willard_dsf::flight::request::FALLBACK_ID_BIT;
 use willard_dsf::flight::{
     self, AccessKind, Attribution, BoundBudget, CommandKind, FlightEvent, FlightLog, FlightRing,
-    Phase, RequestTimeline, REQUEST_PHASES,
+    Moment, Phase, RequestTimeline, REQUEST_PHASES,
 };
 
 fn arb_phase() -> impl Strategy<Value = Phase> {
@@ -95,15 +95,24 @@ fn arb_command_event() -> impl Strategy<Value = FlightEvent> {
                 pages,
             }
         ),
-        (seq.clone(), 0u64..64, 0u64..256, 0u64..256, 0u64..100).prop_map(
-            |(seq, node, source, dest, moved)| FlightEvent::Shift {
-                seq,
-                node,
-                source,
-                dest,
-                moved,
-            }
-        ),
+        (
+            seq.clone(),
+            0u64..64,
+            0u64..256,
+            0u64..256,
+            0u64..100,
+            prop_oneof![Just(None), any::<u64>().prop_map(Some)],
+        )
+            .prop_map(
+                |(seq, node, source, dest, moved, new_dest)| FlightEvent::Shift {
+                    seq,
+                    node,
+                    source,
+                    dest,
+                    moved,
+                    new_dest,
+                }
+            ),
         (seq.clone(), 0u64..64, 0u64..256).prop_map(|(seq, node, dest)| FlightEvent::Activate {
             seq,
             node,
@@ -118,13 +127,16 @@ fn arb_command_event() -> impl Strategy<Value = FlightEvent> {
         }),
         (seq.clone(), 0u64..64).prop_map(|(seq, node)| FlightEvent::FlagLowered { seq, node }),
         (seq.clone(), any::<u64>()).prop_map(|(seq, bytes)| FlightEvent::WalFrame { seq, bytes }),
-        (seq, 0u8..2, prop::collection::vec(0u64..100, 0..16)).prop_map(|(seq, moment, counts)| {
-            FlightEvent::Moment {
+        (
+            seq,
+            prop_oneof![Just(Moment::AfterStep3), Just(Moment::AfterStep4c)],
+            prop::collection::vec(0u64..100, 0..16)
+        )
+            .prop_map(|(seq, moment, counts)| FlightEvent::Moment {
                 seq,
                 moment,
                 counts,
-            }
-        }),
+            }),
     ]
 }
 

@@ -5,7 +5,7 @@
 //! path (left-son shifts, roll-back rule 0, take-from-back/put-at-front)
 //! through the paper's own gauntlet.
 
-use willard_dsf::core_::{Moment, StepEvent};
+use willard_dsf::flight::{self, FlightEvent, Moment};
 use willard_dsf::{DenseFile, DenseFileConfig, MacroBlocking};
 
 const FIGURE_4: [[u64; 8]; 9] = [
@@ -40,19 +40,20 @@ fn mirrored_example_5_2_reproduces_mirrored_figure_4() {
         .map(|(s, &n)| (0..n).map(|i| (s as u64 * 1000 + i + 1, ())).collect())
         .collect();
     f.bulk_load_per_slot(layout).unwrap();
-    f.enable_step_trace();
 
-    // Z₁ mirrored: the paper inserts into page 8 (the dense right end);
-    // here the dense end is page 1, so insert a key below page 1's keys.
-    f.insert(0, ()).unwrap();
-    // Z₂ mirrored: the paper inserts into page 1; here insert into page 8
-    // (above its minimum so it lands inside the last slot).
-    f.insert(7_500, ()).unwrap();
+    let ((), log) = flight::capture(|| {
+        // Z₁ mirrored: the paper inserts into page 8 (the dense right end);
+        // here the dense end is page 1, so insert a key below page 1's keys.
+        f.insert(0, ()).unwrap();
+        // Z₂ mirrored: the paper inserts into page 1; here insert into page 8
+        // (above its minimum so it lands inside the last slot).
+        f.insert(7_500, ()).unwrap();
+    });
 
     let mut rows: Vec<Vec<u64>> = vec![t0];
-    for ev in f.take_step_trace() {
-        if let StepEvent::FlagStable { slot_counts, .. } = ev {
-            rows.push(slot_counts);
+    for ev in log.events {
+        if let FlightEvent::Moment { counts, .. } = ev {
+            rows.push(counts);
         }
     }
     assert_eq!(rows.len(), 9, "t0 plus eight flag-stable moments");
@@ -76,22 +77,23 @@ fn mirrored_moments_follow_the_same_rhythm() {
         .map(|(s, &n)| (0..n).map(|i| (s as u64 * 1000 + i + 1, ())).collect())
         .collect();
     f.bulk_load_per_slot(layout).unwrap();
-    f.enable_step_trace();
-    f.insert(0, ()).unwrap();
-    f.insert(7_500, ()).unwrap();
-    let evs = f.take_step_trace();
+    let ((), log) = flight::capture(|| {
+        f.insert(0, ()).unwrap();
+        f.insert(7_500, ()).unwrap();
+    });
+    let evs = log.events;
 
     // Exactly one roll-back fires (rule 0, the mirror of the paper's rule-1
     // event), and the per-command moment rhythm matches the original.
     let rollbacks = evs
         .iter()
-        .filter(|e| matches!(e, StepEvent::RolledBack { .. }))
+        .filter(|e| matches!(e, FlightEvent::Rollback { .. }))
         .count();
     assert_eq!(rollbacks, 1);
     let moments: Vec<Moment> = evs
         .iter()
         .filter_map(|e| match e {
-            StepEvent::FlagStable { moment, .. } => Some(*moment),
+            FlightEvent::Moment { moment, .. } => Some(*moment),
             _ => None,
         })
         .collect();
@@ -113,7 +115,7 @@ fn mirrored_moments_follow_the_same_rhythm() {
     let moved: Vec<u64> = evs
         .iter()
         .filter_map(|e| match e {
-            StepEvent::Shifted { moved, .. } => Some(*moved),
+            FlightEvent::Shift { moved, .. } => Some(*moved),
             _ => None,
         })
         .collect();

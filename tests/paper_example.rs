@@ -5,7 +5,7 @@
 //!
 //! These same rows are printed by `cargo run -p dsf-bench --bin fig4_example`.
 
-use willard_dsf::core_::{Moment, StepEvent};
+use willard_dsf::flight::{self, FlightEvent, Moment};
 use willard_dsf::{DenseFile, DenseFileConfig, MacroBlocking};
 
 /// The paper's Figure 4, rows t₀…t₈ (1-based pages L₁…L₈, left to right).
@@ -41,19 +41,20 @@ pub fn example_file() -> DenseFile<u64, ()> {
 fn figure_4_cell_for_cell() {
     let mut f = example_file();
     assert_eq!(f.slot_counts(), FIGURE_4[0], "t0");
-    f.enable_step_trace();
 
-    // Z₁: insert into page 8 — any key above page 8's current keys.
-    f.insert(7_500, ()).unwrap();
-    // Z₂: insert into page 1 — any key below page 1's keys... the paper
-    // inserts *into page 1*; key 500 sits between page 1's existing keys
-    // (1..=16) and page 2's (1001), hence lands on page 1.
-    f.insert(500, ()).unwrap();
+    let ((), log) = flight::capture(|| {
+        // Z₁: insert into page 8 — any key above page 8's current keys.
+        f.insert(7_500, ()).unwrap();
+        // Z₂: insert into page 1 — any key below page 1's keys... the paper
+        // inserts *into page 1*; key 500 sits between page 1's existing keys
+        // (1..=16) and page 2's (1001), hence lands on page 1.
+        f.insert(500, ()).unwrap();
+    });
 
     let mut rows: Vec<Vec<u64>> = vec![FIGURE_4[0].to_vec()];
-    for ev in f.take_step_trace() {
-        if let StepEvent::FlagStable { slot_counts, .. } = ev {
-            rows.push(slot_counts);
+    for ev in log.events {
+        if let FlightEvent::Moment { counts, .. } = ev {
+            rows.push(counts);
         }
     }
     assert_eq!(rows.len(), 9, "t0 plus eight flag-stable moments t1..t8");
@@ -65,14 +66,15 @@ fn figure_4_cell_for_cell() {
 #[test]
 fn moments_alternate_step3_then_three_step4c_per_command() {
     let mut f = example_file();
-    f.enable_step_trace();
-    f.insert(7_500, ()).unwrap();
-    f.insert(500, ()).unwrap();
-    let moments: Vec<Moment> = f
-        .take_step_trace()
+    let ((), log) = flight::capture(|| {
+        f.insert(7_500, ()).unwrap();
+        f.insert(500, ()).unwrap();
+    });
+    let moments: Vec<Moment> = log
+        .events
         .into_iter()
         .filter_map(|e| match e {
-            StepEvent::FlagStable { moment, .. } => Some(moment),
+            FlightEvent::Moment { moment, .. } => Some(moment),
             _ => None,
         })
         .collect();
