@@ -7,10 +7,19 @@
 //! `[lo, hi]` splits at `mid = ⌊(lo+hi)/2⌋` into `[lo, mid]` and
 //! `[mid+1, hi]`; a leaf covers exactly one page.
 //!
+//! The shape is [`Geometry`]: a node's range follows from `M` and its heap
+//! index alone, so none of it is stored. `M_v` is `O(1)` arithmetic,
+//! `RANGE(v)` one register step per level, and ancestry a shift of heap
+//! indices. The one geometric table kept is the slot-to-leaf map (4 bytes
+//! per slot), since a lookup there is an order of magnitude cheaper than
+//! the descent that recomputes it.
+//!
 //! On top of the paper's counters this implementation keeps:
 //!
 //! * a `min_key` per node — the concretization (DESIGN.md §3.1) that lets
-//!   the calibrator act as the binary search tree of step 1;
+//!   the calibrator act as the binary search tree of step 1. It is stored
+//!   untagged: a node's counter says whether it is empty, and an empty
+//!   node's key is a placeholder that no reader looks at;
 //! * per-node `WARNING` flags and `DEST` pointers for CONTROL 2, plus two
 //!   subtree aggregates (`warn_count`, `max_warn_depth`) that make the
 //!   paper's SELECT subroutine an `O(log M)` walk;
@@ -24,7 +33,11 @@
 //!   stepping to the next occupied page: an occupied neighbour costs
 //!   `O(1)` (its own leaf counter), any other `O(log distance)` levels
 //!   for a typical start, climbing from the start's leaf instead of
-//!   descending from the root.
+//!   descending from the root. The read view runs the same search over
+//!   its published copy of the counters' emptiness.
+//!
+//! Per heap entry that is 26 bytes for `u64` keys (counter 8, key 8, flag
+//! 1, `DEST` 4, `warn_count` 4, `max_warn_depth` 1), plus the leaf map.
 //!
 //! The calibrator is an in-memory structure; consulting or updating it
 //! charges no page accesses, exactly as in the paper's cost model.
@@ -62,26 +75,180 @@ impl NodeId {
         self.0 > 1 && self.0 & 1 == 1
     }
 
-    fn left(self) -> NodeId {
+    /// Whether `self` is `x` or one of its ancestors: `x`'s heap index
+    /// shifted up to `self`'s depth.
+    pub fn is_ancestor_of(self, x: NodeId) -> bool {
+        let (d, dx) = (self.depth(), x.depth());
+        dx >= d && x.0 >> (dx - d) == self.0
+    }
+
+    pub(crate) fn left(self) -> NodeId {
         NodeId(self.0 << 1)
     }
 
-    fn right(self) -> NodeId {
+    pub(crate) fn right(self) -> NodeId {
         NodeId((self.0 << 1) | 1)
     }
 }
 
-const NO_RANGE: u32 = u32::MAX;
-
-/// Step 1's descent over `slots` leaves: into the right son `r` when
-/// `go_right(r)`, else the left, down to one slot. Ranges follow the floor
-/// split, computed on the way down, so a copy of the per-node keys (the
-/// read view's) descends exactly like [`Calibrator::find_slot`].
-pub(crate) fn descend(slots: u32, go_right: impl FnMut(NodeId) -> bool) -> u32 {
-    descend_within(NodeId::ROOT, 0, slots - 1, go_right)
+/// The calibrator's shape over `M` slots, computed rather than stored.
+///
+/// Every split gives the left son `⌈s/2⌉` of its father's `s` slots, so a
+/// node at depth `d` and position `p = v − 2ᵈ` covers
+/// `M_v = (M + rev_d(!p)) >> d` slots, where `rev_d` reverses the low `d`
+/// bits. Nodes past a leaf have `M_v ≤ 1`, which is how [`exists`]
+/// tells them apart. Heap indices are `u32`, so every node has one while
+/// `M ≤ 2^31`; past that, only nodes above depth 32.
+///
+/// [`exists`]: Geometry::exists
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Geometry {
+    slots: u32,
 }
 
-/// [`descend`] from node `n`, whose range is `[lo, hi]`.
+impl Geometry {
+    /// The shape of a calibrator over `slots` pages.
+    pub fn new(slots: u32) -> Self {
+        assert!(slots > 0, "calibrator needs at least one slot");
+        Geometry { slots }
+    }
+
+    /// Number of slots (`M`).
+    pub fn slots(self) -> u32 {
+        self.slots
+    }
+
+    /// Length of per-node arrays in heap layout, `2^(⌈log₂M⌉+1)` (index 0
+    /// unused).
+    pub fn heap_len(self) -> usize {
+        1usize << (ceil_log2(self.slots) + 1)
+    }
+
+    /// `M_v`, in `O(1)`.
+    pub fn width(self, n: NodeId) -> u64 {
+        let d = n.depth();
+        // The low `d` bits of `!n` are `!p`; reversed into the top of a
+        // `u32`, then brought down to `d` bits (zero for the root).
+        let rev = u64::from((!n.0).reverse_bits()) << d >> 32;
+        (u64::from(self.slots) + rev) >> d
+    }
+
+    /// Whether `n` is a node of this tree: the root, or a son of a node
+    /// of two or more slots.
+    pub fn exists(self, n: NodeId) -> bool {
+        n.0 == 1 || (n.0 > 1 && self.width(NodeId(n.0 >> 1)) >= 2)
+    }
+
+    /// Whether `n` is a leaf (covers a single slot).
+    pub fn is_leaf(self, n: NodeId) -> bool {
+        self.width(n) == 1
+    }
+
+    /// `RANGE(v)` in 0-based slot addresses, following `v`'s bits from the
+    /// root: each right step passes over the left son's `⌈s/2⌉` slots.
+    /// Branch-free, one step per level.
+    pub fn range(self, n: NodeId) -> (u32, u32) {
+        debug_assert!(self.exists(n));
+        let (mut lo, mut w) = (0u64, u64::from(self.slots));
+        for i in (0..n.depth()).rev() {
+            let right = u64::from(n.0 >> i & 1);
+            lo += (w + 1) >> 1 & right.wrapping_neg();
+            w = (w + 1 - right) >> 1;
+        }
+        (lo as u32, (lo + w - 1) as u32)
+    }
+
+    /// The leaf covering `slot`, by descent from the root (`O(log M)`;
+    /// the calibrator keeps these in a table).
+    pub fn leaf_of(self, slot: u32) -> NodeId {
+        debug_assert!(slot < self.slots);
+        let (mut n, mut lo, mut hi) = (NodeId::ROOT, 0, self.slots - 1);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if slot > mid {
+                (n, lo) = (n.right(), mid + 1);
+            } else {
+                (n, hi) = (n.left(), mid);
+            }
+        }
+        n
+    }
+
+    /// Every node in heap order (so by depth, shallowest first).
+    pub(crate) fn nodes(self) -> impl Iterator<Item = NodeId> {
+        let last = u32::try_from(self.heap_len() - 1).unwrap_or(u32::MAX);
+        (1..=last).map(NodeId).filter(move |&n| self.exists(n))
+    }
+
+    /// Step 1's descent: into the right son `r` when `go_right(r)`, else
+    /// the left, down to one slot. Ranges follow the floor split, computed
+    /// on the way down, so a copy of the per-node keys (the read view's)
+    /// descends exactly like [`Calibrator::find_slot`].
+    pub(crate) fn descend(self, go_right: impl FnMut(NodeId) -> bool) -> u32 {
+        descend_within(NodeId::ROOT, 0, self.slots - 1, go_right)
+    }
+
+    /// The slot nearest `from` on its `forward` (else backward) side,
+    /// `from` and `bound` included, whose leaf is `nonempty`; `leaf` is
+    /// `from`'s leaf. A finger search: an occupied `from` answers at its
+    /// own leaf; otherwise the search climbs from that leaf to the first
+    /// `nonempty` sibling on the search side, or stops at the first
+    /// sibling wholly past `bound`, and descends inside that sibling to its
+    /// nearest `nonempty` leaf. It reads flags only below the lowest common
+    /// ancestor of `from` and the answer: O(log distance) levels for a
+    /// typical `from`, `2·log M` at worst (a neighbour across a high
+    /// split). Whatever `nonempty` answers, the result is `from` or lies
+    /// strictly past it, so a reader of racing flags still makes progress.
+    pub(crate) fn nearest_nonempty(
+        self,
+        from: u32,
+        leaf: NodeId,
+        bound: u32,
+        forward: bool,
+        nonempty: impl Fn(NodeId) -> bool,
+    ) -> Option<u32> {
+        let mut n = leaf;
+        if nonempty(n) {
+            return Some(from);
+        }
+        // `edge` ends `n`'s range on the search side; every slot from
+        // `from` to `edge` is empty.
+        let mut edge = from;
+        let (sib, near, far) = loop {
+            let parent = n.parent()?;
+            if n.is_right_child() != forward {
+                // The sibling on the search side starts just past `edge`.
+                let sib = NodeId(n.0 ^ 1);
+                let near = if forward { edge + 1 } else { edge - 1 };
+                let past = if forward { near > bound } else { near < bound };
+                if past {
+                    return None;
+                }
+                let span = (self.width(sib) - 1) as u32;
+                let far = if forward { near + span } else { near - span };
+                if nonempty(sib) {
+                    break (sib, near, far);
+                }
+                edge = far;
+            }
+            n = parent;
+        };
+        // Into the nearer son whenever it holds a record.
+        let found = if forward {
+            descend_within(sib, near, far, |r| !nonempty(NodeId(r.0 - 1)))
+        } else {
+            descend_within(sib, far, near, &nonempty)
+        };
+        let within = if forward {
+            found <= bound
+        } else {
+            found >= bound
+        };
+        within.then_some(found)
+    }
+}
+
+/// [`Geometry::descend`] from node `n`, whose range is `[lo, hi]`.
 fn descend_within(
     mut n: NodeId,
     mut lo: u32,
@@ -102,23 +269,25 @@ fn descend_within(
 /// The calibrator tree over `slots` logical pages.
 #[derive(Debug, Clone)]
 pub struct Calibrator<K> {
-    slots: u32,
+    geo: Geometry,
     /// `L = max(1, ⌈log₂ slots⌉)` — the threshold denominator.
     log_slots: u32,
     /// Per-slot lower density `d#`.
     dmin: u64,
     /// Per-slot upper density `D#`.
     dmax: u64,
-    lo: Vec<u32>,
-    hi: Vec<u32>,
     count: Vec<u64>,
-    min_key: Vec<Option<K>>,
+    /// Each node's minimum key, meaningful only where its count is
+    /// non-zero. Empty until the first key arrives, which then fills every
+    /// entry as the placeholder (see [`Calibrator::store_min`]).
+    min_key: Vec<K>,
     warning: Vec<bool>,
     dest: Vec<u32>,
     /// Number of warned nodes in the subtree (including the node itself).
     warn_count: Vec<u32>,
     /// Maximum depth of a warned node in the subtree, or -1.
-    max_warn_depth: Vec<i32>,
+    max_warn_depth: Vec<i8>,
+    /// Slot to leaf (heap index).
     leaf: Vec<u32>,
     total: u64,
 }
@@ -127,49 +296,48 @@ impl<K: Key> Calibrator<K> {
     /// Builds the calibrator for `slots` pages with per-slot densities
     /// `dmin < dmax`.
     pub fn new(slots: u32, dmin: u64, dmax: u64) -> Self {
-        assert!(slots > 0, "calibrator needs at least one slot");
         assert!(dmin < dmax, "calibrator needs dmin < dmax");
-        let l = ceil_log2(slots);
-        let size = 1usize << (l + 1);
-        let mut cal = Calibrator {
-            slots,
-            log_slots: l.max(1),
-            dmin,
-            dmax,
-            lo: vec![NO_RANGE; size],
-            hi: vec![NO_RANGE; size],
-            count: vec![0; size],
-            min_key: vec![None; size],
-            warning: vec![false; size],
-            dest: vec![0; size],
-            warn_count: vec![0; size],
-            max_warn_depth: vec![-1; size],
-            leaf: vec![0; slots as usize],
-            total: 0,
-        };
-        // Iterative construction of the range decomposition.
+        let geo = Geometry::new(slots);
+        let size = geo.heap_len();
+        let mut leaf = vec![0; slots as usize];
         let mut stack = vec![(NodeId::ROOT, 0u32, slots - 1)];
         while let Some((n, lo, hi)) = stack.pop() {
-            cal.lo[n.0 as usize] = lo;
-            cal.hi[n.0 as usize] = hi;
             if lo == hi {
-                cal.leaf[lo as usize] = n.0;
+                leaf[lo as usize] = n.0;
             } else {
                 let mid = lo + (hi - lo) / 2; // == ⌊(lo+hi)/2⌋ without overflow
                 stack.push((n.left(), lo, mid));
                 stack.push((n.right(), mid + 1, hi));
             }
         }
-        cal
+        Calibrator {
+            geo,
+            log_slots: ceil_log2(slots).max(1),
+            dmin,
+            dmax,
+            count: vec![0; size],
+            min_key: Vec::new(),
+            warning: vec![false; size],
+            dest: vec![0; size],
+            warn_count: vec![0; size],
+            max_warn_depth: vec![-1; size],
+            leaf,
+            total: 0,
+        }
     }
 
     // ------------------------------------------------------------------
     // Geometry.
     // ------------------------------------------------------------------
 
+    /// The tree's shape.
+    pub(crate) fn geometry(&self) -> Geometry {
+        self.geo
+    }
+
     /// Number of slots (the calibrator's `M`).
     pub fn slots(&self) -> u32 {
-        self.slots
+        self.geo.slots
     }
 
     /// The threshold denominator `L = max(1, ⌈log₂ slots⌉)`.
@@ -184,30 +352,27 @@ impl<K: Key> Calibrator<K> {
 
     /// Length of the per-node arrays in heap layout (index 0 unused).
     pub(crate) fn heap_len(&self) -> usize {
-        self.lo.len()
+        self.count.len()
     }
 
     /// Whether `n` is a node of this tree.
     pub fn exists(&self, n: NodeId) -> bool {
-        (n.0 as usize) < self.lo.len() && self.lo[n.0 as usize] != NO_RANGE
+        self.geo.exists(n)
     }
 
     /// `RANGE(v) = [A⁻ᵥ, A⁺ᵥ]` in 0-based slot addresses.
     pub fn range(&self, n: NodeId) -> (u32, u32) {
-        debug_assert!(self.exists(n));
-        (self.lo[n.0 as usize], self.hi[n.0 as usize])
+        self.geo.range(n)
     }
 
     /// `M_v`: the number of slots in `RANGE(v)`.
     pub fn width(&self, n: NodeId) -> u64 {
-        let (lo, hi) = self.range(n);
-        u64::from(hi - lo) + 1
+        self.geo.width(n)
     }
 
     /// Whether `n` is a leaf (covers a single slot).
     pub fn is_leaf(&self, n: NodeId) -> bool {
-        let (lo, hi) = self.range(n);
-        lo == hi
+        self.geo.is_leaf(n)
     }
 
     /// The children of an internal node.
@@ -226,8 +391,7 @@ impl<K: Key> Calibrator<K> {
 
     /// Whether `slot ∈ RANGE(n)`.
     pub fn contains(&self, n: NodeId, slot: u32) -> bool {
-        let (lo, hi) = self.range(n);
-        lo <= slot && slot <= hi
+        n.is_ancestor_of(self.leaf_of(slot))
     }
 
     // ------------------------------------------------------------------
@@ -246,26 +410,65 @@ impl<K: Key> Calibrator<K> {
 
     /// Minimum key stored in `RANGE(n)`, if any.
     pub fn min_key(&self, n: NodeId) -> Option<K> {
-        self.min_key[n.0 as usize]
+        self.min_at(n.0 as usize)
+    }
+
+    /// Node `i`'s minimum: its stored key where its count says non-empty.
+    fn min_at(&self, i: usize) -> Option<K> {
+        if self.count[i] > 0 {
+            self.min_key.get(i).copied()
+        } else {
+            None
+        }
+    }
+
+    /// Records `m` as node `i`'s minimum. The first key ever stored fills
+    /// every entry: a count of 0 masks whatever an empty node holds, so
+    /// any key is a valid placeholder, and none needs a default.
+    fn store_min(&mut self, i: usize, m: K) {
+        if self.min_key.is_empty() {
+            self.min_key = vec![m; self.count.len()];
+        }
+        self.min_key[i] = m;
+    }
+
+    /// The minimum of internal node `p`'s sons.
+    fn sons_min(&self, p: NodeId) -> Option<K> {
+        match (
+            self.min_at(p.left().0 as usize),
+            self.min_at(p.right().0 as usize),
+        ) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
+    /// Recomputes internal node `p`'s minimum from its sons (an empty `p`
+    /// keeps its placeholder).
+    fn pull_min(&mut self, p: NodeId) {
+        if let Some(m) = self.sons_min(p) {
+            self.store_min(p.0 as usize, m);
+        }
+    }
+
+    /// Adds `delta` to node `i`'s counter, returning the old value.
+    fn bump(&mut self, i: usize, delta: i64) -> u64 {
+        let old = self.count[i];
+        self.count[i] = old
+            .checked_add_signed(delta)
+            .expect("calibrator count underflow");
+        old
     }
 
     /// The leaf-to-root path of `slot`, leaf first.
     pub fn path_to_root(&self, slot: u32) -> impl Iterator<Item = NodeId> {
-        let mut cur = Some(self.leaf_of(slot));
-        std::iter::from_fn(move || {
-            let n = cur?;
-            cur = n.parent();
-            Some(n)
-        })
+        std::iter::successors(Some(self.leaf_of(slot)), |n| n.parent())
     }
 
     /// Applies a record-count delta along the leaf-to-root path of `slot`.
     pub fn add_count(&mut self, slot: u32, delta: i64) {
         for n in self.path_to_root(slot) {
-            let c = &mut self.count[n.0 as usize];
-            *c = c
-                .checked_add_signed(delta)
-                .expect("calibrator count underflow");
+            self.bump(n.0 as usize, delta);
         }
         self.total = self
             .total
@@ -273,85 +476,92 @@ impl<K: Key> Calibrator<K> {
             .expect("calibrator total underflow");
     }
 
-    /// Refreshes the cached minimum key along the leaf-to-root path of
-    /// `slot`, given the slot's new minimum.
+    /// Recomputes the cached minimum key along the leaf-to-root path of
+    /// `slot`, given the slot's new minimum, against the current counts.
     pub fn refresh_min(&mut self, slot: u32, slot_min: Option<K>) {
         let leaf = self.leaf_of(slot);
-        self.min_key[leaf.0 as usize] = slot_min;
+        if let Some(m) = slot_min {
+            self.store_min(leaf.0 as usize, m);
+        }
         let mut n = leaf;
         while let Some(p) = n.parent() {
-            let (l, r) = (p.left(), p.right());
-            let lm = self.min_key[l.0 as usize];
-            let rm = if self.exists(r) {
-                self.min_key[r.0 as usize]
-            } else {
-                None
-            };
-            let new = match (lm, rm) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, None) => a,
-                (None, b) => b,
-            };
-            if self.min_key[p.0 as usize] == new {
-                break; // ancestors unchanged
-            }
-            self.min_key[p.0 as usize] = new;
+            self.pull_min(p);
             n = p;
         }
+    }
+
+    /// Step 1's calibrator update after `slot` gained (lost) `delta`
+    /// records and now has minimum `slot_min`: counts and minima in one
+    /// climb. Counts go to the root; minima stop at the first ancestor that
+    /// was non-empty before and keeps its minimum, since every node above
+    /// it then keeps both its emptiness and its minimum.
+    ///
+    /// Emptiness is read from the counts, so the calibrator must hold every
+    /// other slot as it was: a command that changes two slots (SHIFT)
+    /// updates one, then the other.
+    pub(crate) fn update_slot(&mut self, slot: u32, delta: i64, slot_min: Option<K>) {
+        let mut n = self.leaf_of(slot);
+        self.bump(n.0 as usize, delta);
+        if let Some(m) = slot_min {
+            self.store_min(n.0 as usize, m);
+        }
+        let mut mins = true;
+        while let Some(p) = n.parent() {
+            let i = p.0 as usize;
+            let was = self.bump(i, delta);
+            if mins {
+                if let Some(m) = self.sons_min(p) {
+                    if was > 0 && self.min_key.get(i) == Some(&m) {
+                        mins = false;
+                    } else {
+                        self.store_min(i, m);
+                    }
+                }
+            }
+            n = p;
+        }
+        self.total = self
+            .total
+            .checked_add_signed(delta)
+            .expect("calibrator total underflow");
     }
 
     /// Sets a leaf's counter and minimum without propagating (bulk-load /
     /// redistribution helper; pair with [`Calibrator::recompute_subtree`]).
     pub fn set_leaf_raw(&mut self, slot: u32, count: u64, min: Option<K>) {
-        let leaf = self.leaf_of(slot);
-        self.count[leaf.0 as usize] = count;
-        self.min_key[leaf.0 as usize] = min;
+        let leaf = self.leaf_of(slot).0 as usize;
+        self.count[leaf] = count;
+        if let Some(m) = min {
+            self.store_min(leaf, m);
+        }
     }
 
     /// Recomputes counters and minimum keys of every internal node in the
     /// subtree of `n` from its leaves, then refreshes `total`.
     pub fn recompute_subtree(&mut self, n: NodeId) {
-        self.recompute_inner(n);
+        self.recompute_inner(n, self.width(n));
         // Propagate count/min deltas above n: ancestors sum their children.
         let mut cur = n;
         while let Some(p) = cur.parent() {
-            let (l, r) = (p.left(), p.right());
-            let rc = if self.exists(r) {
-                self.count[r.0 as usize]
-            } else {
-                0
-            };
-            self.count[p.0 as usize] = self.count[l.0 as usize] + rc;
-            let lm = self.min_key[l.0 as usize];
-            let rm = if self.exists(r) {
-                self.min_key[r.0 as usize]
-            } else {
-                None
-            };
-            self.min_key[p.0 as usize] = match (lm, rm) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, None) => a,
-                (None, b) => b,
-            };
+            self.count[p.0 as usize] =
+                self.count[p.left().0 as usize] + self.count[p.right().0 as usize];
+            self.pull_min(p);
             cur = p;
         }
         self.total = self.count[NodeId::ROOT.0 as usize];
     }
 
-    fn recompute_inner(&mut self, n: NodeId) {
-        if self.is_leaf(n) {
+    /// [`recompute_subtree`](Self::recompute_subtree) below `n`, which
+    /// covers `width` slots.
+    fn recompute_inner(&mut self, n: NodeId, width: u64) {
+        if width == 1 {
             return;
         }
         let (l, r) = (n.left(), n.right());
-        self.recompute_inner(l);
-        self.recompute_inner(r);
+        self.recompute_inner(l, width.div_ceil(2));
+        self.recompute_inner(r, width / 2);
         self.count[n.0 as usize] = self.count[l.0 as usize] + self.count[r.0 as usize];
-        let (lm, rm) = (self.min_key[l.0 as usize], self.min_key[r.0 as usize]);
-        self.min_key[n.0 as usize] = match (lm, rm) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, None) => a,
-            (None, b) => b,
-        };
+        self.pull_min(n);
     }
 
     // ------------------------------------------------------------------
@@ -427,11 +637,8 @@ impl<K: Key> Calibrator<K> {
     /// leftmost descent when no such record exists (inserting there keeps
     /// the file sorted). Returns slot 0 for an empty file.
     pub fn find_slot(&self, key: &K) -> u32 {
-        // A node's min key is `None` exactly when its count is 0
-        // (`check_invariants` pins both), so one array answers each level.
-        descend(self.slots, |r| {
-            self.min_key[r.0 as usize].is_some_and(|m| m <= *key)
-        })
+        self.geo
+            .descend(|r| self.min_at(r.0 as usize).is_some_and(|m| m <= *key))
     }
 
     /// [`find_slot`](Self::find_slot) seeded with a caller-supplied `hint`
@@ -460,16 +667,16 @@ impl<K: Key> Calibrator<K> {
     /// slots almost always, where the leaf-first search finds it in a
     /// level or two.
     fn hint_holds(&self, key: &K, hint: u32) -> bool {
-        hint < self.slots
+        hint < self.slots()
             && self.min_key(self.leaf_of(hint)).is_some_and(|m| m <= *key)
             && self
-                .next_nonempty(hint + 1, self.slots - 1)
+                .next_nonempty(hint + 1, self.slots() - 1)
                 .is_none_or(|s| self.min_key(self.leaf_of(s)).is_some_and(|m| m > *key))
     }
 
     /// Smallest non-empty slot in `[from, hi]`, using the counters only.
     pub fn next_nonempty(&self, from: u32, hi: u32) -> Option<u32> {
-        if from > hi || from >= self.slots {
+        if from > hi || from >= self.slots() {
             return None;
         }
         self.nearest_nonempty(from, hi, true)
@@ -477,64 +684,19 @@ impl<K: Key> Calibrator<K> {
 
     /// Largest non-empty slot in `[lo, upto]`, using the counters only.
     pub fn prev_nonempty(&self, lo: u32, upto: u32) -> Option<u32> {
-        let upto = upto.min(self.slots - 1);
+        let upto = upto.min(self.slots() - 1);
         if lo > upto {
             return None;
         }
         self.nearest_nonempty(upto, lo, false)
     }
 
-    /// The non-empty slot nearest `from` on its `forward` (else backward)
-    /// side, `from` and `bound` included. A finger search: an occupied
-    /// `from` answers at its own leaf; otherwise the search climbs from
-    /// that leaf to the first non-empty sibling on the search side, or
-    /// stops at the first sibling wholly past `bound`, and descends inside
-    /// that sibling to its nearest non-empty leaf. It reads counters only
-    /// below the lowest common ancestor of `from` and the answer: O(log
-    /// distance) levels for a typical `from`, `2·log M` at worst (a
-    /// neighbour across a high split).
+    /// [`Geometry::nearest_nonempty`] over the counters.
     fn nearest_nonempty(&self, from: u32, bound: u32, forward: bool) -> Option<u32> {
-        let mut n = self.leaf_of(from);
-        if self.count(n) > 0 {
-            return Some(from);
-        }
-        // `edge` ends `n`'s range on the search side; every slot from
-        // `from` to `edge` is empty.
-        let mut edge = from;
-        let (sib, near, far) = loop {
-            let parent = n.parent()?;
-            if n.is_right_child() != forward {
-                // The sibling on the search side starts just past `edge`.
-                let sib = NodeId(n.0 ^ 1);
-                let near = if forward { edge + 1 } else { edge - 1 };
-                let past = if forward { near > bound } else { near < bound };
-                if past {
-                    return None;
-                }
-                let far = if forward {
-                    self.hi[sib.0 as usize]
-                } else {
-                    self.lo[sib.0 as usize]
-                };
-                if self.count(sib) > 0 {
-                    break (sib, near, far);
-                }
-                edge = far;
-            }
-            n = parent;
-        };
-        // Into the nearer son whenever it holds a record.
-        let found = if forward {
-            descend_within(sib, near, far, |r| self.count(NodeId(r.0 - 1)) == 0)
-        } else {
-            descend_within(sib, far, near, |r| self.count(r) > 0)
-        };
-        let within = if forward {
-            found <= bound
-        } else {
-            found >= bound
-        };
-        within.then_some(found)
+        self.geo
+            .nearest_nonempty(from, self.leaf_of(from), bound, forward, |n| {
+                self.count(n) > 0
+            })
     }
 
     // ------------------------------------------------------------------
@@ -553,6 +715,8 @@ impl<K: Key> Calibrator<K> {
             return;
         }
         self.warning[n.0 as usize] = on;
+        // Only `n` itself may be a leaf; its ancestors are internal.
+        let mut internal = !self.is_leaf(n);
         let mut cur = n;
         loop {
             let i = cur.0 as usize;
@@ -563,21 +727,21 @@ impl<K: Key> Calibrator<K> {
             }
             // Recompute max warned depth from self + children.
             let mut mwd = if self.warning[i] {
-                cur.depth() as i32
+                cur.depth() as i8
             } else {
                 -1
             };
-            if let Some((l, r)) = self.children(cur) {
-                mwd = mwd.max(self.max_warn_depth[l.0 as usize]);
-                if self.exists(r) {
-                    mwd = mwd.max(self.max_warn_depth[r.0 as usize]);
-                }
+            if internal {
+                mwd = mwd
+                    .max(self.max_warn_depth[cur.left().0 as usize])
+                    .max(self.max_warn_depth[cur.right().0 as usize]);
             }
             self.max_warn_depth[i] = mwd;
             match cur.parent() {
                 Some(p) => cur = p,
                 None => break,
             }
+            internal = true;
         }
     }
 
@@ -605,25 +769,21 @@ impl<K: Key> Calibrator<K> {
     /// Returns `None` when no node in the tree is warned.
     pub fn select(&self, slot: u32) -> Option<NodeId> {
         let a = self.lowest_ancestor_with_warned_descendant(slot)?;
-        // Deepest warned proper descendant of `a`.
-        let (l, r) = self
-            .children(a)
-            .expect("α has a proper descendant, so is internal");
+        // Deepest warned proper descendant of `a` (an internal node).
+        let (l, r) = (a.left(), a.right());
         let lm = self.max_warn_depth[l.0 as usize];
-        let rm = if self.exists(r) {
-            self.max_warn_depth[r.0 as usize]
-        } else {
-            -1
-        };
+        let rm = self.max_warn_depth[r.0 as usize];
         let target = lm.max(rm);
         debug_assert!(target >= 0);
         let mut cur = if lm >= rm { l } else { r };
-        while cur.depth() as i32 != target || !self.warning[cur.0 as usize] {
-            let (l, r) = self
-                .children(cur)
-                .expect("descent invariant: a deep-enough warned node exists below");
-            let lm = self.max_warn_depth[l.0 as usize];
-            cur = if lm == target { l } else { r };
+        while cur.depth() as i8 != target || !self.warning[cur.0 as usize] {
+            // A deep-enough warned node lies below, so `cur` is internal.
+            let l = cur.left();
+            cur = if self.max_warn_depth[l.0 as usize] == target {
+                l
+            } else {
+                cur.right()
+            };
         }
         Some(cur)
     }
@@ -646,12 +806,7 @@ impl<K: Key> Calibrator<K> {
     /// descendant of the paper's `α`, breadth-first, instead of the deepest.
     pub fn select_shallowest(&self, slot: u32) -> Option<NodeId> {
         let a = self.lowest_ancestor_with_warned_descendant(slot)?;
-        let mut queue = std::collections::VecDeque::new();
-        let (l, r) = self.children(a).expect("α is internal");
-        queue.push_back(l);
-        if self.exists(r) {
-            queue.push_back(r);
-        }
+        let mut queue = std::collections::VecDeque::from([a.left(), a.right()]);
         while let Some(n) = queue.pop_front() {
             if self.warn_count[n.0 as usize] == 0 {
                 continue;
@@ -660,10 +815,7 @@ impl<K: Key> Calibrator<K> {
                 return Some(n);
             }
             if let Some((l, r)) = self.children(n) {
-                queue.push_back(l);
-                if self.exists(r) {
-                    queue.push_back(r);
-                }
+                queue.extend([l, r]);
             }
         }
         None
@@ -671,32 +823,26 @@ impl<K: Key> Calibrator<K> {
 
     /// Every warned node (checker/diagnostics; `O(size)`).
     pub fn warned_nodes(&self) -> Vec<NodeId> {
-        (1..self.lo.len() as u32)
-            .map(NodeId)
-            .filter(|&n| self.exists(n) && self.warning[n.0 as usize])
+        self.geo
+            .nodes()
+            .filter(|&n| self.warning[n.0 as usize])
             .collect()
     }
 
     /// Every node of the tree in heap order (checker/diagnostics).
     pub fn all_nodes(&self) -> Vec<NodeId> {
-        (1..self.lo.len() as u32)
-            .map(NodeId)
-            .filter(|&n| self.exists(n))
-            .collect()
+        self.geo.nodes().collect()
     }
 
     /// The nodes of `UP(v)` for a shift from `source` towards `dest`: every
     /// node containing `dest` but not `source`, i.e. the path from the leaf
-    /// of `dest` up to (excluding) the least common ancestor.
-    pub fn up_path(&self, dest: u32, source: u32) -> Vec<NodeId> {
+    /// of `dest` up to (excluding) the least common ancestor. Deepest
+    /// first; computed on the fly, with no allocation.
+    pub fn up_path(&self, dest: u32, source: u32) -> impl Iterator<Item = NodeId> + Clone {
         debug_assert_ne!(dest, source);
-        let mut out = Vec::with_capacity(self.log_slots as usize + 1);
-        let mut n = self.leaf_of(dest);
-        while !self.contains(n, source) {
-            out.push(n);
-            n = n.parent().expect("root contains every slot");
-        }
-        out
+        let src = self.leaf_of(source);
+        std::iter::successors(Some(self.leaf_of(dest)), |n| n.parent())
+            .take_while(move |n| !n.is_ancestor_of(src))
     }
 }
 
@@ -936,10 +1082,70 @@ mod tests {
         let cal = example_cal();
         // dest slot 1, source slot 4 (the t7→t8 shift): LCA is the root;
         // UP = {L2, v4, v2} = heap {9, 4, 2}.
-        let up = cal.up_path(1, 4);
+        let up: Vec<NodeId> = cal.up_path(1, 4).collect();
         assert_eq!(up, vec![NodeId(9), NodeId(4), NodeId(2)]);
         // dest 6, source 7: UP = {L7} = {14}.
-        assert_eq!(cal.up_path(6, 7), vec![NodeId(14)]);
+        assert_eq!(cal.up_path(6, 7).collect::<Vec<_>>(), vec![NodeId(14)]);
+    }
+
+    /// The calibrator's heap bytes. The pattern names every field, so a
+    /// field added later fails to compile here until it is counted.
+    fn heap_bytes(cal: &Calibrator<u64>) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        let Calibrator {
+            geo: _,
+            log_slots: _,
+            dmin: _,
+            dmax: _,
+            count,
+            min_key,
+            warning,
+            dest,
+            warn_count,
+            max_warn_depth,
+            leaf,
+            total: _,
+        } = cal;
+        bytes(count)
+            + bytes(min_key)
+            + bytes(warning)
+            + bytes(dest)
+            + bytes(warn_count)
+            + bytes(max_warn_depth)
+            + bytes(leaf)
+    }
+
+    #[test]
+    fn footprint_is_at_most_26_bytes_per_node_plus_the_leaf_map() {
+        let slots = 1u32 << 20;
+        let mut cal: Calibrator<u64> = Calibrator::new(slots, 8, 80);
+        let nodes = cal.heap_len();
+        let leaf_map = 4 * slots as usize;
+        // Keys are stored from the first one on; before it, 18 bytes.
+        assert_eq!(heap_bytes(&cal), 18 * nodes + leaf_map);
+        cal.update_slot(slots / 2, 1, Some(7));
+        let per_node = (heap_bytes(&cal) - leaf_map) as f64 / nodes as f64;
+        assert!(per_node <= 26.0, "{per_node} bytes per node");
+        assert_eq!(cal.min_key(NodeId::ROOT), Some(7));
+    }
+
+    #[test]
+    fn empty_nodes_hold_placeholders_that_counts_mask() {
+        let mut cal: Calibrator<u64> = Calibrator::new(8, 1, 100);
+        assert_eq!(cal.min_key(NodeId::ROOT), None);
+        cal.update_slot(5, 1, Some(50));
+        cal.update_slot(5, -1, None);
+        // Slot 5's path keeps 50 as its placeholder, masked by a zero count.
+        for n in cal.path_to_root(5) {
+            assert_eq!((cal.count(n), cal.min_key(n)), (0, None));
+        }
+        assert_eq!(cal.find_slot(&60), 0);
+        cal.update_slot(2, 1, Some(90));
+        assert_eq!(cal.min_key(NodeId::ROOT), Some(90));
+        assert_eq!(cal.min_key(NodeId(3)), None);
+        assert_eq!(cal.find_slot(&95), 2);
     }
 
     #[test]

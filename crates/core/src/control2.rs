@@ -109,17 +109,12 @@ impl<K: Key, V> DenseFile<K, V> {
     /// `p(w) ≥ g(w,⅔)`, shallowest first so that deeper activations roll
     /// back the pointers their ancestors just received.
     fn activate_on_path(&mut self, slot: u32) {
-        let mut path = Vec::with_capacity(self.cal.log_slots() as usize + 1);
-        let mut n = self.cal.leaf_of(slot);
-        loop {
-            path.push(n);
-            match n.parent() {
-                Some(p) => n = p,
-                None => break,
-            }
-        }
-        for &w in path.iter().rev() {
-            if w != NodeId::ROOT && !self.cal.is_warned(w) && self.cal.p_ge(w, 2) {
+        // The path's nodes are the leaf's heap index shifted up: depth 1
+        // (the root's sons) first, the leaf last.
+        let leaf = self.cal.leaf_of(slot);
+        for up in (0..leaf.depth()).rev() {
+            let w = NodeId(leaf.0 >> up);
+            if !self.cal.is_warned(w) && self.cal.p_ge(w, 2) {
                 self.activate(w);
             }
         }
@@ -147,9 +142,9 @@ impl<K: Key, V> DenseFile<K, V> {
         }
         let mut anc = fw.parent();
         while let Some(a) = anc {
-            let (l, r) = self.cal.children(a).expect("ancestors are internal");
-            for y in [l, r] {
-                if !self.cal.exists(y) || !self.cal.is_warned(y) {
+            // Ancestors are internal, so both sons exist.
+            for y in [a.left(), a.right()] {
+                if !self.cal.is_warned(y) {
                     continue;
                 }
                 let dy = self.cal.dest(y);
@@ -211,8 +206,8 @@ impl<K: Key, V> DenseFile<K, V> {
         //    g(·,0). UP(v) = nodes containing DEST but not SOURCE.
         let up = self.cal.up_path(dest, source);
         let quota = up
-            .iter()
-            .map(|&x| self.cal.records_until_ge(x, 0))
+            .clone()
+            .map(|x| self.cal.records_until_ge(x, 0))
             .min()
             .expect("UP is non-empty");
         let n = quota.min(self.store.len(source) as u64);
@@ -227,23 +222,21 @@ impl<K: Key, V> DenseFile<K, V> {
                 let recs = self.store.take(source, n_usize, End::Back);
                 self.store.put(dest, recs, End::Front);
             }
-            self.cal.add_count(source, -(n as i64));
-            self.cal.add_count(dest, n as i64);
-            self.cal.refresh_min(source, self.store.min_key(source));
-            self.cal.refresh_min(dest, self.store.min_key(dest));
+            // One slot at a time: the counts decide which minima are
+            // real, so DEST's count must not rise before SOURCE's climb
+            // has read DEST's (possibly placeholder) minimum.
+            self.cal
+                .update_slot(source, -(n as i64), self.store.min_key(source));
+            self.cal
+                .update_slot(dest, n as i64, self.store.min_key(dest));
             self.stats.records_shifted += n;
         } else {
             self.stats.empty_shifts += 1;
         }
 
         // 3. Advance DEST past the least-deep saturated UP(v) node, if any.
-        let mut xstar: Option<NodeId> = None;
-        for &x in &up {
-            // `up` is ordered deepest-first; the last match is the least deep.
-            if self.cal.p_ge(x, 0) {
-                xstar = Some(x);
-            }
-        }
+        // `up` is ordered deepest-first; the last match is the least deep.
+        let xstar = up.filter(|&x| self.cal.p_ge(x, 0)).last();
         let new_dest = xstar.map(|xs| {
             let (xlo, xhi) = self.cal.range(xs);
             if rightwards_source {
@@ -687,5 +680,48 @@ mod tests {
         // Deletions (plus the shifts they trigger, which only drain v3's
         // range further) push p(v3) under g(v3,1/3) = 10 → flag lowered.
         assert!(!f.cal.is_warned(NodeId(3)));
+    }
+
+    /// SHIFT into an empty DEST whose path holds placeholders left by
+    /// earlier contents: slot 8's leaf and father hold SOURCE's minimum,
+    /// its grandfather another key. The counts decide which minima are
+    /// real, so SHIFT must finish SOURCE's update before DEST's count rises;
+    /// updating both counts first lets SOURCE's climb read the grandfather's
+    /// placeholder as real, and DEST's climb then stops at the father,
+    /// whose placeholder already equals the new minimum.
+    #[test]
+    fn shift_into_an_empty_dest_over_placeholders_keeps_every_minimum() {
+        let cfg = DenseFileConfig::control2(16, 9, 18).with_macro_blocking(MacroBlocking::Disabled);
+        let mut f: DenseFile<u64, ()> = DenseFile::new(cfg).unwrap();
+        // Two records in each of slots 0–7, four in slot 15, none between.
+        let layout = (0..16u64)
+            .map(|s| {
+                let n = match s {
+                    0..=7 => 2,
+                    15 => 4,
+                    _ => 0,
+                };
+                (0..n).map(|i| (s * 1000 + i + 1, ())).collect()
+            })
+            .collect();
+        f.bulk_load_per_slot(layout).unwrap();
+        assert_eq!(f.cal.warned_total(), 0);
+        for (slot, key) in [(8, 15_001), (10, 10_001)] {
+            f.cal.update_slot(slot, 1, Some(key));
+            f.cal.update_slot(slot, -1, None);
+        }
+        // The right son over slots 12–15, aimed at its father's far end.
+        let v = NodeId(7);
+        f.cal.set_warning(v, true);
+        f.cal.set_dest(v, 8);
+        let out = f.shift(v);
+        assert_eq!((out.source, out.dest, out.moved), (Some(15), 8, 4));
+        for n in f.cal.all_nodes() {
+            let (lo, hi) = f.cal.range(n);
+            let count: u64 = (lo..=hi).map(|s| f.store.len(s) as u64).sum();
+            let min = (lo..=hi).filter_map(|s| f.store.min_key(s)).min();
+            assert_eq!((f.cal.count(n), f.cal.min_key(n)), (count, min), "{n:?}");
+        }
+        assert_eq!(f.cal.min_key(NodeId(6)), Some(15_001));
     }
 }

@@ -309,8 +309,7 @@ impl<K: Key, V> DenseFile<K, V> {
                     });
                 }
                 self.store.insert_searched(slot, idx, key, value);
-                self.cal.add_count(slot, 1);
-                self.cal.refresh_min(slot, self.store.min_key(slot));
+                self.cal.update_slot(slot, 1, self.store.min_key(slot));
                 self.after_update(slot);
                 let accesses = self.store.stats().since(snap).accesses();
                 self.stats.record_command(accesses);
@@ -354,8 +353,7 @@ impl<K: Key, V> DenseFile<K, V> {
                 return (None, Some(slot));
             }
         };
-        self.cal.add_count(slot, -1);
-        self.cal.refresh_min(slot, self.store.min_key(slot));
+        self.cal.update_slot(slot, -1, self.store.min_key(slot));
         self.after_update(slot);
         let accesses = self.store.stats().since(snap).accesses();
         self.stats.record_command(accesses);
@@ -455,7 +453,7 @@ impl<K: Key, V> DenseFile<K, V> {
         let dmin = self.cfg.slot_min as f64;
         let gap = (self.cfg.slot_max - self.cfg.slot_min) as f64;
         let mut worst = 0.0f64;
-        for n in self.cal.all_nodes() {
+        for n in self.cal.geometry().nodes() {
             // g(v,1) = d# + depth(v)·(D#−d#)/L, the Theorem 5.5 bound.
             let g1 = if l > 0.0 {
                 dmin + f64::from(n.depth()) * gap / l
@@ -572,12 +570,7 @@ impl<K: Key, V> DenseFile<K, V> {
             self.cal.set_leaf_raw(s as u32, slot_recs.len() as u64, min);
         }
         self.cal.recompute_subtree(NodeId::ROOT);
-        if let Some(bad) = self
-            .cal
-            .all_nodes()
-            .into_iter()
-            .find(|&n| self.cal.p_gt(n, 3))
-        {
+        if let Some(bad) = self.cal.geometry().nodes().find(|&n| self.cal.p_gt(n, 3)) {
             for s in 0..self.cfg.slots {
                 self.cal.set_leaf_raw(s, 0, None);
             }
@@ -619,7 +612,7 @@ impl<K: Key, V> DenseFile<K, V> {
     /// epilogue of whole-file offline passes, whose even spread invalidates
     /// any in-flight evolution.
     pub(crate) fn reset_flags_after_offline_pass(&mut self) {
-        for n in self.cal.all_nodes() {
+        for n in self.cal.geometry().nodes() {
             self.cal.set_warning(n, false);
         }
         self.post_load_activation_scan();
@@ -632,9 +625,8 @@ impl<K: Key, V> DenseFile<K, V> {
         if self.cfg.algorithm != Algorithm::Control2 {
             return;
         }
-        let mut nodes = self.cal.all_nodes();
-        nodes.sort_by_key(|n| n.depth());
-        for n in nodes {
+        // Heap order is depth order.
+        for n in self.cal.geometry().nodes() {
             if n != NodeId::ROOT && !self.cal.is_warned(n) && self.cal.p_ge(n, 2) {
                 self.activate(n);
             }

@@ -212,7 +212,7 @@ impl<K: Key, V> DenseFile<K, V> {
 
     fn check_calibrator(&self, out: &mut Vec<InvariantViolation>) {
         let control2 = self.cfg.algorithm == Algorithm::Control2;
-        for n in self.cal.all_nodes() {
+        for n in self.cal.geometry().nodes() {
             let (lo, hi) = self.cal.range(n);
             let actual: u64 = (lo..=hi).map(|s| self.store.len(s) as u64).sum();
             let cached = self.cal.count(n);

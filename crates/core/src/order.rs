@@ -26,47 +26,25 @@ impl<K: Key, V> DenseFile<K, V> {
     /// assert_eq!(f.rank(&101), 51);  // ...and 100 itself
     /// ```
     pub fn rank(&self, key: &K) -> u64 {
-        if self.is_empty() {
-            return 0;
-        }
-        // Descend the calibrator accumulating left-sibling counts.
-        let mut n = NodeId::ROOT;
-        let mut before = 0u64;
-        while let Some((l, r)) = self.cal.children(n) {
-            let go_right = self.cal.count(r) > 0 && self.cal.min_key(r).is_some_and(|m| m <= *key);
-            if go_right {
-                before += self.cal.count(l);
-                n = r;
-            } else {
-                n = l;
-            }
-        }
-        let slot = self.cal.range(n).0;
-        let within = match self.store.search(slot, key) {
-            Ok(i) => i,
-            Err(i) => i,
-        };
-        before + within as u64
+        self.rank_and_contains(key).0
     }
 
     /// `(rank, is-resident)` from a single search — the membership bit falls
-    /// out of the same probe that computes the rank.
+    /// out of the same probe that computes the rank. Step 1's descent,
+    /// adding up the counts of the left sons it passes.
     fn rank_and_contains(&self, key: &K) -> (u64, bool) {
         if self.is_empty() {
             return (0, false);
         }
-        let mut n = NodeId::ROOT;
+        let cal = &self.cal;
         let mut before = 0u64;
-        while let Some((l, r)) = self.cal.children(n) {
-            let go_right = self.cal.count(r) > 0 && self.cal.min_key(r).is_some_and(|m| m <= *key);
+        let slot = cal.geometry().descend(|r| {
+            let go_right = cal.min_key(r).is_some_and(|m| m <= *key);
             if go_right {
-                before += self.cal.count(l);
-                n = r;
-            } else {
-                n = l;
+                before += cal.count(NodeId(r.0 - 1));
             }
-        }
-        let slot = self.cal.range(n).0;
+            go_right
+        });
         match self.store.search(slot, key) {
             Ok(i) => (before + i as u64, true),
             Err(i) => (before + i as u64, false),
@@ -88,18 +66,16 @@ impl<K: Key, V> DenseFile<K, V> {
         if rank >= self.len() {
             return None;
         }
-        let mut n = NodeId::ROOT;
+        let cal = &self.cal;
         let mut remaining = rank;
-        while let Some((l, r)) = self.cal.children(n) {
-            let lc = self.cal.count(l);
-            if remaining < lc {
-                n = l;
-            } else {
+        let slot = cal.geometry().descend(|r| {
+            let lc = cal.count(NodeId(r.0 - 1));
+            let go_right = remaining >= lc;
+            if go_right {
                 remaining -= lc;
-                n = r;
             }
-        }
-        let slot = self.cal.range(n).0;
+            go_right
+        });
         let page = (remaining / u64::from(self.cfg.page_capacity)) as u32;
         let recs = self.store.read_page(slot, page.min(self.cfg.k - 1));
         // Index within the page (the last page absorbs any overflow).

@@ -58,7 +58,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use dsf_pagestore::{Key, PagedStore, Record, SlotId};
 use dsf_telemetry::Counter;
 
-use crate::calibrator::{descend, Calibrator, NodeId};
+use crate::calibrator::{Calibrator, Geometry, NodeId};
 use crate::config::ResolvedConfig;
 
 /// Attempts (1 initial + retries) before an optimistic read gives up.
@@ -360,6 +360,11 @@ impl<K: Key, V: Clone> ReadView<K, V> {
         self.inner.cfg.slots
     }
 
+    /// The calibrator's shape, for routing over the published nodes.
+    fn geometry(&self) -> Geometry {
+        Geometry::new(self.inner.cfg.slots)
+    }
+
     /// Clones `slot`'s published image. Called only inside an
     /// [`attempt`](Self::attempt): the cell lock orders this clone against
     /// the publisher's swap, which happens inside the odd epoch window, so
@@ -454,15 +459,30 @@ impl<K: Key + Into<u64>, V: Clone> ReadView<K, V> {
     /// a wrong slot; the caller's epoch validation rejects that attempt.
     fn route(&self, key: u64) -> SlotId {
         let nodes = &self.inner.nodes;
-        descend(self.inner.cfg.slots, |r| nodes[r.0 as usize].reaches(key))
+        self.geometry()
+            .descend(|r| nodes[r.0 as usize].reaches(key))
     }
 
     /// The first occupied slot of the published generation, by the same
     /// descent: into the right son only when the left one is empty.
     fn first_occupied(&self) -> SlotId {
         let nodes = &self.inner.nodes;
-        descend(self.inner.cfg.slots, |r| {
-            !nodes[r.0 as usize - 1].nonempty()
+        self.geometry()
+            .descend(|r| !nodes[r.0 as usize - 1].nonempty())
+    }
+
+    /// The first occupied slot in `[from, last]` of the published
+    /// generation: the calibrator's leaf-first search over the published
+    /// nonempty flags, from `from`'s leaf (found by descent). A racing
+    /// publication can make the answer wrong, never smaller than `from`.
+    fn next_occupied(&self, from: SlotId, last: SlotId) -> Option<SlotId> {
+        if from > last {
+            return None;
+        }
+        let geo = self.geometry();
+        let nodes = &self.inner.nodes;
+        geo.nearest_nonempty(from, geo.leaf_of(from), last, true, |n| {
+            nodes[n.0 as usize].nonempty()
         })
     }
 
@@ -497,7 +517,9 @@ impl<K: Key + Into<u64>, V: Clone> ReadView<K, V> {
     /// Collects the cell images the range touches inside one validated
     /// window (cheap `Arc` clones), stopping at the first cell that brings
     /// the in-range count to `limit`, then clones at most `limit` records
-    /// out of them. Declines when that would collect more than
+    /// out of them. A run of empty slots costs one cell read and a climb
+    /// over the published nonempty flags (the calibrator's leaf-first
+    /// search), not a cell read per slot. Declines when that would collect more than
     /// `SCAN_SLOT_LIMIT` (1024) occupied slots, or when a limit the whole
     /// generation cannot fill meets a range wider than that many slots.
     pub fn try_collect_range_limited(
@@ -530,9 +552,16 @@ impl<K: Key + Into<u64>, V: Clone> ReadView<K, V> {
             }
             let mut arcs = Vec::new();
             let mut found = 0;
-            for s in first..=last {
+            let mut s = first;
+            while s <= last {
                 let a = view.read_cell(s);
                 if a.is_empty() {
+                    // A hollow: jump it by the published flags, not cell by
+                    // cell. Past `s`, so a torn flag cannot stall the walk.
+                    match view.next_occupied(s + 1, last) {
+                        Some(t) => s = t,
+                        None => break,
+                    }
                     continue;
                 }
                 if arcs.len() as u64 == SCAN_SLOT_LIMIT {
@@ -543,6 +572,7 @@ impl<K: Key + Into<u64>, V: Clone> ReadView<K, V> {
                 if found >= limit {
                     break;
                 }
+                s += 1;
             }
             Ok(arcs)
         })?;

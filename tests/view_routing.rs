@@ -183,3 +183,57 @@ fn a_preload_packed_8192_slot_shard_never_declines() {
         check(&f, &view, &format!("preload seed {seed}"), &mut rng);
     }
 }
+
+/// A collection that crosses a hollow of 4096 empty slots jumps it by the
+/// published nonempty flags, and still answers exactly the locked scan:
+/// with limits that stop just past the hollow or run to the range's end,
+/// and from starts before, inside and after it.
+#[test]
+fn a_collection_across_a_4096_slot_hollow_equals_the_locked_scan() {
+    let cfg = DenseFileConfig::control2(1 << 14, 8, 48);
+    let slots = cfg.resolve().unwrap().slots as u64;
+    assert_eq!(slots, 8192);
+    let (lo, hi) = (2048, 2048 + 4096);
+    let layout: Vec<Vec<(u64, u64)>> = (0..slots)
+        .map(|s| {
+            let n = if (lo..hi).contains(&s) { 0 } else { 3 };
+            (0..n).map(|i| (s * 10 + i, value(s * 10 + i))).collect()
+        })
+        .collect();
+    let mut f = File::new(cfg).unwrap();
+    f.bulk_load_per_slot(layout).unwrap();
+    let view = f.enable_optimistic_reads();
+    let last_before = lo * 10 - 8;
+    let starts = [
+        last_before - 30,
+        last_before,
+        lo * 10,
+        (lo + hi) * 5,
+        hi * 10 - 1,
+        hi * 10,
+    ];
+    for k in starts {
+        for start in [Bound::Included(k), Bound::Excluded(k)] {
+            for limit in [1, 4, 64, 600] {
+                let want: Vec<(u64, u64)> = f
+                    .range((start, Bound::Included(hi * 10 + 200)))
+                    .take(limit)
+                    .map(|(k, v)| (*k, *v))
+                    .collect();
+                assert_eq!(
+                    view.try_collect_range_limited(start, Bound::Included(hi * 10 + 200), limit),
+                    Ok(want),
+                    "collect({start:?}..={}, {limit})",
+                    hi * 10 + 200
+                );
+            }
+        }
+    }
+    // A whole-file collection with no limit spans the hollow too.
+    let all: Vec<(u64, u64)> = f.iter().map(|(k, v)| (*k, *v)).collect();
+    assert_eq!(all.len(), 3 * 4096);
+    assert_eq!(
+        view.try_collect_range_limited(Bound::Unbounded, Bound::Unbounded, 600),
+        Ok(all[..600].to_vec())
+    );
+}
