@@ -68,7 +68,9 @@ impl<K: Key, V> DenseFile<K, V> {
         for s in lo..=hi {
             all.append(&mut self.store.take_all(s));
         }
-        self.respread(all, lo, hi - lo + 1);
+        let n = all.len() as u64;
+        self.respread(all, n, lo, hi - lo + 1)
+            .expect("a Vec yields exactly its length");
         self.cal.recompute_subtree(f);
     }
 }

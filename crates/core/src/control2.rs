@@ -212,16 +212,14 @@ impl<K: Key, V> DenseFile<K, V> {
             .expect("UP is non-empty");
         let n = quota.min(self.store.len(source) as u64);
         if n > 0 {
-            let n_usize = n as usize;
-            if rightwards_source {
-                // DEST < SOURCE: the lowest keys of SOURCE append to DEST.
-                let recs = self.store.take(source, n_usize, End::Front);
-                self.store.put(dest, recs, End::Back);
+            // DEST < SOURCE: the lowest keys of SOURCE append to DEST.
+            // SOURCE < DEST: the highest keys of SOURCE prepend to DEST.
+            let from = if rightwards_source {
+                End::Front
             } else {
-                // SOURCE < DEST: the highest keys of SOURCE prepend to DEST.
-                let recs = self.store.take(source, n_usize, End::Back);
-                self.store.put(dest, recs, End::Front);
-            }
+                End::Back
+            };
+            self.store.move_records(source, dest, n as usize, from);
             // One slot at a time: the counts decide which minima are
             // real, so DEST's count must not rise before SOURCE's climb
             // has read DEST's (possibly placeholder) minimum.

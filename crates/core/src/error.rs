@@ -36,6 +36,16 @@ pub enum BulkLoadError {
         /// The file capacity.
         capacity: u64,
     },
+    /// The input's exact [`size_hint`](Iterator::size_hint) promised a
+    /// length it did not keep; bulk loads trust that length to size their
+    /// spread, so the load is refused rather than laid out wrongly.
+    LengthMismatch {
+        /// The length the hint promised.
+        hinted: u64,
+        /// Records drawn before the mismatch showed: the whole input when it
+        /// ran short, `hinted + 1` when it ran long (no more is drawn).
+        yielded: u64,
+    },
     /// A per-slot layout had the wrong number of slots.
     LayoutWidth {
         /// Slots supplied.
@@ -102,6 +112,10 @@ impl std::fmt::Display for BulkLoadError {
                     "{records} records exceed the file capacity of {capacity}"
                 )
             }
+            BulkLoadError::LengthMismatch { hinted, yielded } => write!(
+                f,
+                "input's size hint promised exactly {hinted} records, {yielded} were drawn"
+            ),
             BulkLoadError::LayoutWidth { got, expected } => {
                 write!(f, "layout has {got} slots, file has {expected}")
             }
@@ -132,5 +146,12 @@ mod tests {
         assert!(matches!(e, DsfError::Config(_)));
         let e: DsfError = BulkLoadError::NotEmpty.into();
         assert!(e.to_string().contains("already contains"));
+        let e = BulkLoadError::LengthMismatch {
+            hinted: 999,
+            yielded: 1000,
+        };
+        assert!(e
+            .to_string()
+            .contains("exactly 999 records, 1000 were drawn"));
     }
 }

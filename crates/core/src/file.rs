@@ -482,6 +482,26 @@ impl<K: Key, V> DenseFile<K, V> {
     /// Loads strictly-ascending records into an empty file, spread with
     /// uniform density over the address space — the initial condition of
     /// Theorem 5.5.
+    ///
+    /// Each record moves once, from `items` straight into its final slot,
+    /// so the load needs memory for the loaded file and no more — provided
+    /// `items` reports an exact [`size_hint`](Iterator::size_hint) (lower
+    /// bound equal to upper), as ranges, arrays, `Vec`s and `map`s over
+    /// them do. That length is trusted to size the spread; an input that
+    /// breaks its promise is refused. Any other input is first collected
+    /// into a `Vec`, which holds a second copy of the records until the
+    /// spread ends.
+    ///
+    /// # Errors
+    ///
+    /// [`BulkLoadError::NotEmpty`]; [`BulkLoadError::TooMany`], checked
+    /// against the exact length before any record is drawn (after collecting
+    /// otherwise); [`BulkLoadError::NotSorted`] at the first record not above
+    /// its predecessor; [`BulkLoadError::LengthMismatch`] if the input yields
+    /// more or fewer records than its exact hint promised. A failed load
+    /// leaves the file as it was: empty, every calibrator counter zero, no
+    /// page access charged, and ready for another load. Records already
+    /// drawn from `items` are dropped.
     pub fn bulk_load<I>(&mut self, items: I) -> Result<(), DsfError>
     where
         I: IntoIterator<Item = (K, V)>,
@@ -489,16 +509,23 @@ impl<K: Key, V> DenseFile<K, V> {
         if !self.is_empty() {
             return Err(BulkLoadError::NotEmpty.into());
         }
-        let mut recs: Vec<Record<K, V>> = Vec::new();
-        for (i, (k, v)) in items.into_iter().enumerate() {
-            if let Some(prev) = recs.last() {
-                if prev.key >= k {
-                    return Err(BulkLoadError::NotSorted { index: i }.into());
-                }
+        let items = items.into_iter();
+        match items.size_hint() {
+            (lo, Some(hi)) if lo == hi => self.load_exact(items, lo as u64),
+            _ => {
+                let all: Vec<(K, V)> = items.collect();
+                let n = all.len() as u64;
+                self.load_exact(all, n)
             }
-            recs.push(Record::new(k, v));
         }
-        let n = recs.len() as u64;
+    }
+
+    /// [`bulk_load`](Self::bulk_load) into this empty file once the record
+    /// count `n` is known.
+    fn load_exact<I>(&mut self, items: I, n: u64) -> Result<(), DsfError>
+    where
+        I: IntoIterator<Item = (K, V)>,
+    {
         if n > self.capacity() {
             return Err(BulkLoadError::TooMany {
                 records: n,
@@ -506,8 +533,30 @@ impl<K: Key, V> DenseFile<K, V> {
             }
             .into());
         }
-        // Even spread: slot i receives records [n·i/M, n·(i+1)/M).
-        self.respread(recs, 0, self.cfg.slots);
+        // Order is checked as the spread draws each record. The first
+        // record out of order ends the stream, which the spread then refuses
+        // as short; records past the `n`-th pass unchecked, so that the
+        // spread sees an overlong input as overlong.
+        let mut prev: Option<K> = None;
+        let mut unsorted = None;
+        let checked = items.into_iter().enumerate().map_while(|(index, (k, v))| {
+            if (index as u64) < n && prev.is_some_and(|p| p >= k) {
+                unsorted = Some(index);
+                return None;
+            }
+            prev = Some(k);
+            Some(Record::new(k, v))
+        });
+        if let Err(yielded) = self.respread(checked, n, 0, self.cfg.slots) {
+            return Err(match unsorted {
+                Some(index) => BulkLoadError::NotSorted { index },
+                None => BulkLoadError::LengthMismatch {
+                    hinted: n,
+                    yielded: yielded as u64,
+                },
+            }
+            .into());
+        }
         self.cal.recompute_subtree(NodeId::ROOT);
         self.post_load_activation_scan();
         self.publish_view();
@@ -589,23 +638,34 @@ impl<K: Key, V> DenseFile<K, V> {
         Ok(())
     }
 
-    /// Writes `records` evenly across the `width` slots starting at `lo`
-    /// (slot `lo+i` receives records `[n·i/width, n·(i+1)/width)`) and
-    /// refreshes the touched leaves. The shared kernel of every offline
-    /// redistribution: bulk load, CONTROL 1's step B, vacuum, merge, retain.
-    /// Counters above the leaves are the caller's to recompute.
-    pub(crate) fn respread(&mut self, records: Vec<Record<K, V>>, lo: u32, width: u32) {
-        let n = records.len() as u64;
-        let w = u64::from(width);
-        let mut rest = records;
-        for i in (0..width).rev() {
-            let start = (n * u64::from(i) / w) as usize;
-            let chunk = rest.split_off(start);
-            let slot = lo + i;
-            self.store.replace(slot, chunk);
+    /// Spreads exactly `n` ascending records evenly over the empty `width`
+    /// slots starting at `lo` — slot `lo+i` receives records
+    /// `[n·i/width, n·(i+1)/width)` — and refreshes their leaves. The shared
+    /// kernel of every offline redistribution: bulk load, CONTROL 1's step
+    /// B, vacuum, merge, retain. Each record moves once, from `records`
+    /// straight into its slot ([`PagedStore::spread`]), so the spread holds
+    /// no copy of its input; the callers that stage records in a `Vec` pass
+    /// it by value. Counters above the leaves are the caller's to recompute.
+    ///
+    /// `Err` (with the number of records drawn) if `records` does not yield
+    /// exactly `n`: the slots stay empty, their leaves untouched, and
+    /// nothing is charged.
+    pub(crate) fn respread<I>(
+        &mut self,
+        records: I,
+        n: u64,
+        lo: u32,
+        width: u32,
+    ) -> Result<(), usize>
+    where
+        I: IntoIterator<Item = Record<K, V>>,
+    {
+        self.store.spread(lo, width, n as usize, records)?;
+        for slot in lo..lo + width {
             self.cal
                 .set_leaf_raw(slot, self.store.len(slot) as u64, self.store.min_key(slot));
         }
+        Ok(())
     }
 
     /// Clears every warning flag and re-derives a legal flag state — the
@@ -639,7 +699,9 @@ impl<K: Key, V> DenseFile<K, V> {
 
     /// Drains this file into a new one with a different configuration,
     /// spreading the records uniformly — the standard answer to capacity
-    /// exhaustion (`DsfError::CapacityExceeded`).
+    /// exhaustion (`DsfError::CapacityExceeded`). Records stream from the
+    /// old slots straight into the new ones, as in
+    /// [`bulk_load`](Self::bulk_load), so the peak is the two files.
     ///
     /// Charges a full sequential read of the old file plus a full
     /// sequential write of the new one (`O(M)` page accesses — rebuilds are
@@ -655,15 +717,11 @@ impl<K: Key, V> DenseFile<K, V> {
                 capacity: resolved.capacity(),
             }));
         }
-        let mut all: Vec<(K, V)> = Vec::with_capacity(self.len() as usize);
-        for s in 0..self.cfg.slots {
-            for rec in self.store.take_all(s) {
-                let (k, v) = rec.into_parts();
-                all.push((k, v));
-            }
-        }
+        let n = self.len();
         let mut new = DenseFile::new(config)?;
-        new.bulk_load(all)?;
+        let drained = (0..self.cfg.slots)
+            .flat_map(|s| self.store.take_all(s).into_iter().map(Record::into_parts));
+        new.load_exact(drained, n)?;
         Ok(new)
     }
 }

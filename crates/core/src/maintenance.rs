@@ -113,7 +113,9 @@ impl<K: Key, V> DenseFile<K, V> {
         debug_assert!(merged.len() as u64 <= self.capacity());
 
         // Even spread, exactly like bulk_load.
-        self.respread(merged, 0, self.cfg.slots);
+        let n = merged.len() as u64;
+        self.respread(merged, n, 0, self.cfg.slots)
+            .expect("a Vec yields exactly its length");
         self.cal.recompute_subtree(NodeId::ROOT);
         self.reset_flags_after_offline_pass();
         self.publish_view();
@@ -148,7 +150,9 @@ impl<K: Key, V> DenseFile<K, V> {
                 }
             }
         }
-        self.respread(kept, 0, self.cfg.slots);
+        let n = kept.len() as u64;
+        self.respread(kept, n, 0, self.cfg.slots)
+            .expect("a Vec yields exactly its length");
         self.cal.recompute_subtree(NodeId::ROOT);
         self.reset_flags_after_offline_pass();
         self.publish_view();

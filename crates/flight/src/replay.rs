@@ -14,7 +14,7 @@
 //!   the at most `J` SHIFTs reads its source slot, rewrites the source's
 //!   packed span, and writes its destination slot: at most `3K` pages
 //!   (the store packs records densely, so removal rewrites the source —
-//!   the same accounting `take`/`put` charge). With
+//!   the accounting `PagedStore::move_records` charges). With
 //!   `J = Θ(log²M/(D−d))` this budget *is* the paper's `O(log²M/(D−d))`
 //!   worst-case bound, stated in physical pages.
 //!

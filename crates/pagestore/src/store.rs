@@ -7,6 +7,13 @@
 //! slot operation charges the physical pages it actually touches, which is
 //! what makes macro-block operations "K times as costly" exactly as the
 //! paper requires.
+//!
+//! Records move once. SHIFT's transfer is one
+//! [`PagedStore::move_records`] call, which drains SOURCE's end straight
+//! into DEST (it replaced a `take` that returned the records in a new `Vec`
+//! and a `put` that appended them); an even spread is one
+//! [`PagedStore::spread`] call, which moves each record from its input
+//! stream straight into its final slot.
 
 use crate::record::{Key, Record};
 use crate::stats::IoStats;
@@ -43,7 +50,7 @@ impl std::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-/// Which end of a slot a bulk take/put addresses.
+/// Which end of SOURCE a [`PagedStore::move_records`] takes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum End {
     /// The low-key end.
@@ -355,82 +362,78 @@ impl<K: Key, V> PagedStore<K, V> {
         }
     }
 
-    /// Removes up to `n` records from one end of `slot` and returns them in
-    /// ascending key order.
+    /// Moves up to `n` records from one end of `source` to the facing end
+    /// of `dest` — SHIFT's data movement — straight from slot to slot, with
+    /// no buffer in between. Returns the number moved (`n` clamped to
+    /// `source`'s length; moving none charges nothing).
     ///
-    /// `Front` takes the lowest keys (the whole slot is rewritten — the
-    /// packed layout shifts left); `Back` takes the highest keys (only the
-    /// tail pages are touched). Both charge a read of the pages the departing
-    /// records occupied.
-    pub fn take(&mut self, slot: SlotId, n: usize, end: End) -> Vec<Record<K, V>> {
-        let len = self.slots[slot as usize].len();
-        let n = n.min(len);
-        if n == 0 {
-            return Vec::new();
-        }
-        let out = match end {
-            End::Front => {
-                self.charge_span(slot, 0, n, AccessKind::Read);
-                self.charge_span(slot, 0, len, AccessKind::Write);
-                let rest = self.slots[slot as usize].split_off(n);
-                std::mem::replace(&mut self.slots[slot as usize], rest)
-            }
-            End::Back => {
-                self.charge_span(slot, len - n, len, AccessKind::Read);
-                self.charge_span(slot, len - n, len, AccessKind::Write);
-                self.slots[slot as usize].split_off(len - n)
-            }
-        };
-        self.total -= out.len();
-        self.mark_dirty(slot);
-        out
-    }
-
-    /// Appends `recs` (ascending, pre-sorted) to one end of `slot`.
+    /// `Front` moves `source`'s lowest keys onto the back of `dest`, whose
+    /// keys must all be smaller; `Back` moves its highest keys onto the
+    /// front of `dest`, whose keys must all be larger. The charges come in
+    /// this order:
     ///
-    /// `Back` requires every new key to exceed the slot's current maximum
-    /// and touches only the tail pages; `Front` requires every new key to
-    /// precede the current minimum and rewrites the whole packed slot.
+    /// 1. a read of the pages the departing records occupied;
+    /// 2. a write of `source`'s rewritten pages — the whole packed slot for
+    ///    `Front` (the remaining records shift left), only the vacated tail
+    ///    pages for `Back`;
+    /// 3. a write of `dest`'s rewritten pages — from the page holding its
+    ///    current last record to its new end for `Front` (that page may be
+    ///    appended into), the whole packed slot for `Back` (the existing
+    ///    records shift right).
+    ///
+    /// `dest` reallocates only when its capacity runs out.
     ///
     /// # Panics
     ///
-    /// In debug builds, panics if the ordering precondition is violated.
-    pub fn put(&mut self, slot: SlotId, recs: Vec<Record<K, V>>, end: End) {
-        if recs.is_empty() {
-            return;
+    /// If `source == dest`; in debug builds, if the moved keys do not fit
+    /// `dest`'s order.
+    pub fn move_records(&mut self, source: SlotId, dest: SlotId, n: usize, from: End) -> usize {
+        let len = self.slots[source as usize].len();
+        let n = n.min(len);
+        if n == 0 {
+            return 0;
         }
-        debug_assert!(
-            recs.windows(2).all(|w| w[0].key < w[1].key),
-            "put: input not sorted"
-        );
-        let old_len = self.slots[slot as usize].len();
-        let new_len = old_len + recs.len();
-        self.total += recs.len();
-        self.mark_dirty(slot);
-        match end {
-            End::Back => {
-                debug_assert!(
-                    self.max_key(slot).is_none_or(|m| m < recs[0].key),
-                    "put(Back): keys must exceed slot maximum"
+        let dest_len = self.slots[dest as usize].len();
+        match from {
+            End::Front => {
+                self.charge_span(source, 0, n, AccessKind::Read);
+                self.charge_span(source, 0, len, AccessKind::Write);
+                self.charge_span(
+                    dest,
+                    dest_len.saturating_sub(1),
+                    dest_len + n,
+                    AccessKind::Write,
                 );
-                // The page holding the current last record may be appended
-                // into, so include it in the charged span.
-                let from = old_len.saturating_sub(1);
-                self.charge_span(slot, from, new_len, AccessKind::Write);
-                self.slots[slot as usize].extend(recs);
             }
+            End::Back => {
+                self.charge_span(source, len - n, len, AccessKind::Read);
+                self.charge_span(source, len - n, len, AccessKind::Write);
+                self.charge_span(dest, 0, dest_len + n, AccessKind::Write);
+            }
+        }
+        let [src, dst] = self
+            .slots
+            .get_disjoint_mut([source as usize, dest as usize])
+            .expect("move_records: source and dest must be distinct slots");
+        match from {
             End::Front => {
                 debug_assert!(
-                    self.min_key(slot)
-                        .is_none_or(|m| recs.last().unwrap().key < m),
-                    "put(Front): keys must precede slot minimum"
+                    dst.last().is_none_or(|m| m.key < src[0].key),
+                    "move_records(Front): keys must exceed dest's maximum"
                 );
-                self.charge_span(slot, 0, new_len, AccessKind::Write);
-                let mut new = recs;
-                new.append(&mut self.slots[slot as usize]);
-                self.slots[slot as usize] = new;
+                dst.extend(src.drain(..n));
+            }
+            End::Back => {
+                debug_assert!(
+                    dst.first().is_none_or(|m| src[len - 1].key < m.key),
+                    "move_records(Back): keys must precede dest's minimum"
+                );
+                dst.splice(0..0, src.drain(len - n..));
             }
         }
+        self.mark_dirty(source);
+        self.mark_dirty(dest);
+        n
     }
 
     /// Reads and removes every record of `slot`, charging one read per
@@ -444,6 +447,62 @@ impl<K: Key, V> PagedStore<K, V> {
         std::mem::take(&mut self.slots[slot as usize])
     }
 
+    /// Spreads exactly `n` ascending records evenly over the empty slots
+    /// `first..first + width`: slot `first + i` receives records
+    /// `[n·i/width, n·(i+1)/width)`, moved straight from `records` into a
+    /// `Vec` of exactly that length, lowest slot first. Then charges, lowest
+    /// slot first, one write per page each slot's new contents cover — what
+    /// [`PagedStore::replace`] charges on an empty slot.
+    ///
+    /// All or nothing: if `records` yields fewer or more than `n` records,
+    /// the slots are left empty, nothing is charged, and `Err` carries the
+    /// number drawn (`n + 1` when the input ran long; no more is drawn).
+    pub fn spread<I>(
+        &mut self,
+        first: SlotId,
+        width: u32,
+        n: usize,
+        records: I,
+    ) -> Result<(), usize>
+    where
+        I: IntoIterator<Item = Record<K, V>>,
+    {
+        let mut records = records.into_iter();
+        let span = first as usize..first as usize + width as usize;
+        debug_assert!(
+            self.slots[span.clone()].iter().all(Vec::is_empty),
+            "spread: slots must start empty"
+        );
+        let mut drawn = 0usize;
+        for i in 0..width {
+            let end = (n as u64 * u64::from(i + 1) / u64::from(width)) as usize;
+            let mut chunk = Vec::with_capacity(end - drawn);
+            chunk.extend(records.by_ref().take(end - drawn));
+            drawn += chunk.len();
+            debug_assert!(
+                chunk.windows(2).all(|w| w[0].key < w[1].key),
+                "spread: input not sorted"
+            );
+            self.slots[(first + i) as usize] = chunk;
+            if drawn < end {
+                break;
+            }
+        }
+        if drawn == n && records.next().is_some() {
+            drawn += 1;
+        }
+        if drawn != n {
+            self.slots[span].fill_with(Vec::new);
+            return Err(drawn);
+        }
+        self.total += n;
+        for slot in first..first + width {
+            self.charge_span(slot, 0, self.slots[slot as usize].len(), AccessKind::Write);
+            self.mark_dirty(slot);
+        }
+        Ok(())
+    }
+
     /// Replaces the contents of `slot` with `recs` (ascending, pre-sorted),
     /// charging one write per page covered by the new contents or vacated
     /// from the old ones.
@@ -455,8 +514,8 @@ impl<K: Key, V> PagedStore<K, V> {
         let old_len = self.slots[slot as usize].len();
         // Charge every page the replacement touches: the pages the new
         // contents cover plus any previously-occupied tail pages that must
-        // be vacated (symmetric with take(Front), which rewrites the whole
-        // packed span).
+        // be vacated (symmetric with a front move_records, which rewrites
+        // the whole packed span).
         let touched = old_len.max(recs.len());
         if touched > 0 {
             self.charge_span(slot, 0, touched.max(1), AccessKind::Write);
@@ -586,61 +645,139 @@ mod tests {
         assert_eq!((d.reads, d.writes), (1, 1));
     }
 
-    #[test]
-    fn take_put_preserve_order_and_totals() {
-        let mut st = store(2, 1, 16);
-        for k in [10u64, 20, 30, 40, 50] {
-            st.insert(0, k, k as u32);
-        }
-        let low = st.take(0, 2, End::Front);
-        assert_eq!(low.iter().map(|r| r.key).collect::<Vec<_>>(), vec![10, 20]);
-        let high = st.take(0, 2, End::Back);
-        assert_eq!(high.iter().map(|r| r.key).collect::<Vec<_>>(), vec![40, 50]);
-        assert_eq!(st.len(0), 1);
-
-        st.put(1, high, End::Back);
-        st.put(1, low, End::Front);
-        assert_eq!(st.min_key(1), Some(10));
-        assert_eq!(st.max_key(1), Some(50));
-        assert_eq!(st.total_records(), 5);
+    fn keys(st: &PagedStore<u64, u32>, slot: SlotId) -> Vec<u64> {
+        st.peek_slot(slot).iter().map(|r| r.key).collect()
     }
 
     #[test]
-    fn take_clamps_to_len_and_zero_is_free() {
-        let mut st = store(1, 1, 8);
+    fn move_records_preserves_order_and_totals() {
+        let mut st = store(3, 1, 16);
+        for k in [10u64, 20, 30, 40, 50] {
+            st.insert(1, k, k as u32);
+        }
+        // Front: SOURCE's lowest keys append to the DEST on its left.
+        assert_eq!(st.move_records(1, 0, 2, End::Front), 2);
+        assert_eq!(keys(&st, 0), vec![10, 20]);
+        // Back: SOURCE's highest keys prepend to the DEST on its right.
+        st.insert(2, 60, 0);
+        assert_eq!(st.move_records(1, 2, 2, End::Back), 2);
+        assert_eq!(keys(&st, 2), vec![40, 50, 60]);
+        assert_eq!(keys(&st, 1), vec![30]);
+        // Both ends again, into non-empty slots.
+        assert_eq!(st.move_records(1, 0, 1, End::Front), 1);
+        assert_eq!(keys(&st, 0), vec![10, 20, 30]);
+        assert_eq!(st.move_records(0, 2, 3, End::Back), 3);
+        assert_eq!(keys(&st, 2), vec![10, 20, 30, 40, 50, 60]);
+        assert_eq!(st.peek_slot(2)[1].value, 20, "values travel with keys");
+        assert_eq!(st.total_records(), 6);
+    }
+
+    #[test]
+    fn move_records_clamps_to_len_and_zero_is_free() {
+        let mut st = store(2, 1, 8);
         st.insert(0, 1, 0);
         let snap = st.stats().snapshot();
-        assert!(st.take(0, 0, End::Front).is_empty());
+        assert_eq!(st.move_records(0, 1, 0, End::Front), 0);
         assert_eq!(st.stats().since(snap).accesses(), 0);
-        let got = st.take(0, 99, End::Back);
-        assert_eq!(got.len(), 1);
-        assert_eq!(st.total_records(), 0);
+        assert_eq!(st.move_records(0, 1, 99, End::Back), 1);
+        assert_eq!((st.len(0), st.len(1)), (0, 1));
+        assert_eq!(st.total_records(), 1);
+        // An empty SOURCE moves nothing and charges nothing.
+        let snap = st.stats().snapshot();
+        assert_eq!(st.move_records(0, 1, 5, End::Front), 0);
+        assert_eq!(st.stats().since(snap).accesses(), 0);
     }
 
     #[test]
     fn macro_block_charges_scale_with_pages_touched() {
         // K = 4 pages of capacity 4 → slot capacity 16.
-        let mut st = store(2, 4, 4);
-        let recs: Vec<Record<u64, u32>> = (0..12).map(|k| Record::new(k, 0)).collect();
+        let mut st = store(3, 4, 4);
+        let recs: Vec<Record<u64, u32>> = (100..112).map(|k| Record::new(k, 0)).collect();
         let snap = st.stats().snapshot();
-        st.replace(0, recs);
+        st.replace(1, recs);
         // 12 records cover pages 0,1,2 → 3 writes.
         assert_eq!(st.stats().since(snap).writes, 3);
 
-        // Taking from the front rewrites the whole packed prefix: reads of the
-        // departing span (page 0) + writes of all 3 occupied pages.
+        // Moving from the front rewrites SOURCE's whole packed prefix: a
+        // read of the departing span (page 0) + writes of its 3 occupied
+        // pages; the empty DEST is written from its page 0 (1 page).
         let snap = st.stats().snapshot();
-        let out = st.take(0, 4, End::Front);
-        assert_eq!(out.len(), 4);
+        assert_eq!(st.move_records(1, 0, 4, End::Front), 4);
         let d = st.stats().since(snap);
-        assert_eq!((d.reads, d.writes), (1, 3));
+        assert_eq!((d.reads, d.writes), (1, 3 + 1));
 
-        // Taking from the back touches only the tail page.
+        // Moving from the back touches only SOURCE's tail page; the empty
+        // DEST is written from its page 0.
         let snap = st.stats().snapshot();
-        let out = st.take(0, 2, End::Back);
-        assert_eq!(out.len(), 2);
+        assert_eq!(st.move_records(1, 2, 2, End::Back), 2);
         let d = st.stats().since(snap);
-        assert_eq!((d.reads, d.writes), (1, 1));
+        assert_eq!((d.reads, d.writes), (1, 1 + 1));
+    }
+
+    /// In the macro-block regime, a move's page trace — the per-page event
+    /// log and the coalesced run log — is exactly that of taking the
+    /// records out of SOURCE and then putting them into DEST: SOURCE's read
+    /// span, SOURCE's write span, then DEST's write span.
+    #[test]
+    fn macro_block_move_traces_take_then_put() {
+        use crate::coalesce::PageRun;
+        let ev = |page, kind| crate::trace::AccessEvent { page, kind };
+        let run = |start, len, kind| PageRun { start, len, kind };
+        let (r, w) = (AccessKind::Read, AccessKind::Write);
+        // K = 4 pages of capacity 4; slot s spans global pages 4s..4s+4.
+        let loaded = || {
+            let mut st = store(3, 4, 4);
+            st.replace(0, (0..6).map(|k| Record::new(k, 0)).collect());
+            st.replace(1, (100..110).map(|k| Record::new(k, 0)).collect());
+            st.replace(2, (200..206).map(|k| Record::new(k, 0)).collect());
+            st.trace().set_enabled(true);
+            st
+        };
+
+        // Front, slot 1 → slot 0: take reads SOURCE's records 0..5 (its
+        // pages 0,1) and rewrites all 10 (pages 0..2); put appends at DEST's
+        // records 5..11, from the page holding its last record (1) to 2.
+        let mut st = loaded();
+        st.move_records(1, 0, 5, End::Front);
+        assert_eq!(
+            st.trace().take(),
+            vec![
+                ev(4, r),
+                ev(5, r),
+                ev(4, w),
+                ev(5, w),
+                ev(6, w),
+                ev(1, w),
+                ev(2, w)
+            ]
+        );
+        assert_eq!(
+            st.trace().take_runs(),
+            vec![run(4, 2, r), run(4, 3, w), run(1, 2, w)]
+        );
+        assert_eq!(keys(&st, 0), (0..6).chain(100..105).collect::<Vec<_>>());
+
+        // Back, slot 1 → slot 2: take reads and rewrites SOURCE's records
+        // 5..10 (pages 1,2); put rewrites DEST's whole packed 0..11 (0..2).
+        let mut st = loaded();
+        st.move_records(1, 2, 5, End::Back);
+        assert_eq!(
+            st.trace().take(),
+            vec![
+                ev(5, r),
+                ev(6, r),
+                ev(5, w),
+                ev(6, w),
+                ev(8, w),
+                ev(9, w),
+                ev(10, w)
+            ]
+        );
+        assert_eq!(
+            st.trace().take_runs(),
+            vec![run(5, 2, r), run(5, 2, w), run(8, 3, w)]
+        );
+        assert_eq!(keys(&st, 2), (105..110).chain(200..206).collect::<Vec<_>>());
     }
 
     #[test]
@@ -777,9 +914,14 @@ mod tests {
         st.replace(2, vec![Record::new(1u64, 0u32), Record::new(2, 0)]);
         assert_eq!(drained(&mut st), vec![2]);
 
-        let recs = st.take(2, 1, End::Back);
-        st.put(3, recs, End::Back);
+        st.move_records(2, 3, 1, End::Back);
         assert_eq!(drained(&mut st), vec![2, 3]);
+        st.move_records(7, 3, 1, End::Front); // Empty SOURCE: no dirty mark.
+        assert!(drained(&mut st).is_empty());
+
+        st.spread(5, 2, 3, (7..10u64).map(|k| Record::new(k, 0)))
+            .unwrap();
+        assert_eq!(drained(&mut st), vec![5, 6]);
 
         st.take_all(3);
         assert_eq!(drained(&mut st), vec![3]);

@@ -2,7 +2,7 @@
 //! with a plain sorted-`Vec` model, and the page-access accounting must
 //! obey its documented bounds.
 
-use dsf_pagestore::{End, PagedStore, Record, StoreConfig};
+use dsf_pagestore::{AccessKind, End, PagedStore, Record, StoreConfig};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -29,7 +29,9 @@ fn op_strategy() -> impl Strategy<Value = SlotOp> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// One slot, arbitrary op sequences, checked against a Vec model.
+    /// One slot, arbitrary op sequences, checked against a Vec model. Moves
+    /// go to an empty neighbour (slot 0 for `Front`, slot 2 for `Back`),
+    /// which is then drained to compare what left.
     #[test]
     fn slot_ops_match_model(
         k in 1u32..5,
@@ -37,7 +39,7 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..120),
     ) {
         let mut st: PagedStore<u16, u8> = PagedStore::new(StoreConfig {
-            slots: 1,
+            slots: 3,
             pages_per_slot: k,
             page_capacity: cap,
         }).unwrap();
@@ -45,7 +47,7 @@ proptest! {
         for op in &ops {
             match *op {
                 SlotOp::Insert(key, v) => {
-                    let got = st.insert(0, key, v);
+                    let got = st.insert(1, key, v);
                     let want = match model.binary_search_by(|r| r.key.cmp(&key)) {
                         Ok(i) => Some(std::mem::replace(&mut model[i].value, v)),
                         Err(i) => {
@@ -56,7 +58,7 @@ proptest! {
                     prop_assert_eq!(got, want);
                 }
                 SlotOp::Remove(key) => {
-                    let got = st.remove(0, &key);
+                    let got = st.remove(1, &key);
                     let want = match model.binary_search_by(|r| r.key.cmp(&key)) {
                         Ok(i) => Some(model.remove(i).value),
                         Err(_) => None,
@@ -68,38 +70,42 @@ proptest! {
                         .binary_search_by(|r| r.key.cmp(&key))
                         .ok()
                         .map(|i| model[i].value);
-                    prop_assert_eq!(st.get(0, &key).copied(), want);
+                    prop_assert_eq!(st.get(1, &key).copied(), want);
                 }
                 SlotOp::TakeFront(n) => {
                     let n = n as usize;
-                    let got = st.take(0, n, End::Front);
                     let take = n.min(model.len());
+                    prop_assert_eq!(st.move_records(1, 0, n, End::Front), take);
+                    prop_assert_eq!(st.total_records(), model.len());
+                    let got = st.take_all(0);
                     let want: Vec<Record<u16, u8>> = model.drain(..take).collect();
                     prop_assert_eq!(got, want);
                 }
                 SlotOp::TakeBack(n) => {
                     let n = n as usize;
-                    let got = st.take(0, n, End::Back);
                     let split = model.len() - n.min(model.len());
+                    prop_assert_eq!(st.move_records(1, 2, n, End::Back), model.len() - split);
+                    prop_assert_eq!(st.total_records(), model.len());
+                    let got = st.take_all(2);
                     let want: Vec<Record<u16, u8>> = model.split_off(split);
                     prop_assert_eq!(got, want);
                 }
                 SlotOp::TakeAll => {
-                    let got = st.take_all(0);
+                    let got = st.take_all(1);
                     let want: Vec<Record<u16, u8>> = std::mem::take(&mut model);
                     prop_assert_eq!(got, want);
                 }
             }
             // Metadata always agrees with the model.
-            prop_assert_eq!(st.len(0), model.len());
-            prop_assert_eq!(st.min_key(0), model.first().map(|r| r.key));
-            prop_assert_eq!(st.max_key(0), model.last().map(|r| r.key));
+            prop_assert_eq!(st.len(1), model.len());
+            prop_assert_eq!(st.min_key(1), model.first().map(|r| r.key));
+            prop_assert_eq!(st.max_key(1), model.last().map(|r| r.key));
             prop_assert_eq!(st.total_records(), model.len());
         }
         // read_page partitions the slot exactly.
         let mut reassembled: Vec<Record<u16, u8>> = Vec::new();
         for p in 0..k {
-            reassembled.extend(st.read_page(0, p).iter().cloned());
+            reassembled.extend(st.read_page(1, p).iter().cloned());
         }
         prop_assert_eq!(reassembled, model);
     }
@@ -127,21 +133,85 @@ proptest! {
                 "an insert touches at most the slot: {:?}", d
             );
         }
-        // A full take(front) reads ≤ k pages and writes ≤ k pages.
+        // Moving all of slot 0 into slot 1: SOURCE is read and written on
+        // ≤ k pages each, DEST written on between 1 and k pages and never
+        // read. The trace splits the charges by slot (slot 0 is pages 0..k).
         let snap = st.stats().snapshot();
         let n = st.len(0);
-        let all = st.take(0, n, End::Front);
-        prop_assert_eq!(all.len(), n);
+        st.trace().set_enabled(true);
+        prop_assert_eq!(st.move_records(0, 1, n, End::Front), n);
+        let evs = st.trace().take();
+        let count = |source: bool, kind: AccessKind| {
+            evs.iter().filter(|e| (e.page < u64::from(k)) == source && e.kind == kind).count() as u64
+        };
+        prop_assert!(count(true, AccessKind::Read) <= u64::from(k));
+        prop_assert!(count(true, AccessKind::Write) <= u64::from(k));
+        prop_assert!(count(false, AccessKind::Write) >= u64::from(n > 0));
+        prop_assert!(count(false, AccessKind::Write) <= u64::from(k));
+        prop_assert_eq!(count(false, AccessKind::Read), 0);
         let d = st.stats().since(snap);
-        prop_assert!(d.reads <= u64::from(k));
-        prop_assert!(d.writes <= u64::from(k));
-        // Putting them into the other slot writes ≤ k pages.
-        let snap = st.stats().snapshot();
-        st.put(1, all, End::Back);
-        let d = st.stats().since(snap);
-        prop_assert!(d.writes >= u64::from(n > 0));
-        prop_assert!(d.writes <= u64::from(k));
-        prop_assert_eq!(d.reads, 0);
+        prop_assert_eq!(d.accesses(), evs.len() as u64);
+        prop_assert_eq!(st.len(1), n);
+    }
+
+    /// Moves between two adjacent slots in both directions, against a
+    /// model of one sorted sequence split at a boundary: a `Front` move of
+    /// slot 1's lowest keys into slot 0 raises the boundary, a `Back` move
+    /// of slot 0's highest keys into slot 1 lowers it. Each move charges
+    /// SOURCE's read span, SOURCE's write span, then DEST's write span.
+    #[test]
+    fn moves_between_neighbours_match_model(
+        k in 1u32..5,
+        cap in 1u32..8,
+        keys in prop::collection::btree_set(any::<u16>(), 0..60),
+        start in 0usize..61,
+        moves in prop::collection::vec((any::<bool>(), 0usize..20), 1..40),
+    ) {
+        let mut st: PagedStore<u16, u8> = PagedStore::new(StoreConfig {
+            slots: 2,
+            pages_per_slot: k,
+            page_capacity: cap,
+        }).unwrap();
+        let all: Vec<u16> = keys.into_iter().collect();
+        let mut b = start.min(all.len());
+        st.replace(0, all[..b].iter().map(|&x| Record::new(x, 0)).collect());
+        st.replace(1, all[b..].iter().map(|&x| Record::new(x, 0)).collect());
+        // Distinct physical pages spanned by record indices lo..hi of a slot.
+        let pages = |lo: usize, hi: usize| -> u64 {
+            if lo >= hi {
+                return 0;
+            }
+            let page = |i: usize| (i as u64 / u64::from(cap)).min(u64::from(k) - 1);
+            page(hi - 1) - page(lo) + 1
+        };
+        for (front, n) in moves {
+            let (left, right) = (b, all.len() - b);
+            let snap = st.stats().snapshot();
+            let (m, got) = if front {
+                let m = n.min(right);
+                (m, st.move_records(1, 0, n, End::Front))
+            } else {
+                let m = n.min(left);
+                (m, st.move_records(0, 1, n, End::Back))
+            };
+            prop_assert_eq!(got, m);
+            let (reads, writes) = match (front, m) {
+                (_, 0) => (0, 0),
+                (true, m) => (pages(0, m), pages(0, right) + pages(left.saturating_sub(1), left + m)),
+                (false, m) => (pages(left - m, left), pages(left - m, left) + pages(0, right + m)),
+            };
+            if front {
+                b += m;
+            } else {
+                b -= m;
+            }
+            let d = st.stats().since(snap);
+            prop_assert_eq!((d.reads, d.writes), (reads, writes));
+            let slot = |s: u32| st.peek_slot(s).iter().map(|r| r.key).collect::<Vec<_>>();
+            prop_assert_eq!(slot(0), all[..b].to_vec());
+            prop_assert_eq!(slot(1), all[b..].to_vec());
+            prop_assert_eq!(st.total_records(), all.len());
+        }
     }
 
     /// Transient overflow: the last page absorbs records beyond k·cap and
