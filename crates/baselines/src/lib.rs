@@ -19,7 +19,12 @@
 //!   gapped segments with height-interpolated density thresholds and
 //!   smallest-legal-window rebalancing. Amortized `O(log²N)` element moves,
 //!   but — like CONTROL 1 and unlike CONTROL 2 — individual updates can
-//!   trigger an `O(M)`-page rebalance.
+//!   trigger an `O(M)`-page rebalance. Its segments live in a
+//!   [`dsf_pagestore::PagedStore`], and a rebalance is the store's
+//!   `redistribute`, the same kernel (and the same charges) as CONTROL 1's
+//!   step B. So the store's rules decide two charges: an insert into an
+//!   empty PMA reads no page (an empty segment is metadata), and
+//!   `bulk_load` charges a write per segment it fills.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -16,8 +16,18 @@
 //! redistribution, `O(window)` page accesses. Amortized this is
 //! `O(log²N/B)`-ish; worst case it is `O(M)`, the exact spike CONTROL 2
 //! de-amortizes. The `exp_amortized_vs_worstcase` experiment plots both.
+//!
+//! The segments live in a [`PagedStore`] with one single-page slot per
+//! segment, and a rebalance is [`PagedStore::redistribute`], the kernel
+//! CONTROL 1 uses too: the PMA's page charges come from the same code as
+//! the dense file's. A lookup, insert or remove charges one read of its
+//! segment (the store's binary search) plus one write when it changes it;
+//! a rebalance reads every non-empty segment of its window and writes
+//! every segment it fills; a scan reads each non-empty segment it visits.
+//! The store treats an empty segment as metadata, so an insert into an
+//! empty array charges no read.
 
-use dsf_pagestore::{AccessKind, IoStats, Key, Record, TraceBuffer};
+use dsf_pagestore::{IoStats, Key, PagedStore, Record, StoreConfig, TraceBuffer};
 use std::collections::BTreeMap;
 
 /// Sizing and thresholds of an [`AmortizedPma`].
@@ -82,54 +92,45 @@ impl std::error::Error for PmaError {}
 pub struct AmortizedPma<K, V> {
     cfg: PmaConfig,
     height: u32,
-    segs: Vec<Vec<Record<K, V>>>,
+    /// One slot per segment, one page per slot.
+    store: PagedStore<K, V>,
     /// In-memory routing index: segment minimum key → segment (uncounted,
     /// like the paper's calibrator).
     index: BTreeMap<K, u32>,
-    len: u64,
-    stats: IoStats,
-    trace: TraceBuffer,
 }
 
 impl<K: Key, V> AmortizedPma<K, V> {
     /// Creates an empty array.
     pub fn new(cfg: PmaConfig) -> Result<Self, PmaError> {
-        if cfg.segments == 0 {
-            return Err(PmaError::InvalidConfig("segments must be non-zero"));
-        }
-        if cfg.segment_capacity == 0 {
-            return Err(PmaError::InvalidConfig("segment_capacity must be non-zero"));
-        }
         if !(cfg.tau_root > 0.0 && cfg.tau_root <= cfg.tau_leaf && cfg.tau_leaf <= 1.0) {
             return Err(PmaError::InvalidConfig("need 0 < τ_root ≤ τ_leaf ≤ 1"));
         }
         if !(cfg.rho_leaf >= 0.0 && cfg.rho_leaf <= cfg.rho_root && cfg.rho_root < cfg.tau_root) {
             return Err(PmaError::InvalidConfig("need 0 ≤ ρ_leaf ≤ ρ_root < τ_root"));
         }
-        let height = if cfg.segments <= 1 {
-            0
-        } else {
-            32 - (cfg.segments - 1).leading_zeros()
-        };
+        let store = PagedStore::new(StoreConfig {
+            slots: cfg.segments,
+            pages_per_slot: 1,
+            page_capacity: cfg.segment_capacity,
+        })
+        .map_err(|_| PmaError::InvalidConfig("segments and segment_capacity must be non-zero"))?;
         Ok(AmortizedPma {
             cfg,
-            height,
-            segs: (0..cfg.segments).map(|_| Vec::new()).collect(),
+            // ⌈log₂ segments⌉; the store refused zero segments.
+            height: u32::BITS - (cfg.segments - 1).leading_zeros(),
+            store,
             index: BTreeMap::new(),
-            len: 0,
-            stats: IoStats::new(),
-            trace: TraceBuffer::new(),
         })
     }
 
     /// Records stored.
     pub fn len(&self) -> u64 {
-        self.len
+        self.store.total_records() as u64
     }
 
     /// Whether the array is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// The fixed capacity `N = ⌊τ_root · segments · segment_capacity⌋`.
@@ -138,24 +139,14 @@ impl<K: Key, V> AmortizedPma<K, V> {
             .floor() as u64
     }
 
-    /// Page-access counters.
+    /// Page-access counters (the store's).
     pub fn stats(&self) -> &IoStats {
-        &self.stats
+        self.store.stats()
     }
 
-    /// Optional physical access trace.
+    /// Optional physical access trace (the store's).
     pub fn trace(&self) -> &TraceBuffer {
-        &self.trace
-    }
-
-    fn read_seg(&self, s: u32) {
-        self.stats.charge_reads(1);
-        self.trace.record(u64::from(s), AccessKind::Read);
-    }
-
-    fn write_seg(&self, s: u32) {
-        self.stats.charge_writes(1);
-        self.trace.record(u64::from(s), AccessKind::Write);
+        self.store.trace()
     }
 
     /// Routes `key` to the segment holding its predecessor (or the first
@@ -171,175 +162,106 @@ impl<K: Key, V> AmortizedPma<K, V> {
     }
 
     fn refresh_index(&mut self, s: u32, old_min: Option<K>) {
-        let new_min = self.segs[s as usize].first().map(|r| r.key);
+        let new_min = self.store.min_key(s);
         if old_min == new_min {
             return;
         }
         if let Some(k) = old_min {
-            if self.index.get(&k) == Some(&s) {
-                self.index.remove(&k);
-            }
+            self.index.remove(&k);
         }
         if let Some(k) = new_min {
             self.index.insert(k, s);
         }
     }
 
-    /// The aligned window of `2^h` segments containing `s`, clamped to the
-    /// array.
-    fn window(&self, s: u32, h: u32) -> (u32, u32) {
-        let size = 1u64 << h.min(31);
-        let start = (u64::from(s) / size) * size;
-        let end = (start + size).min(u64::from(self.cfg.segments));
-        (start as u32, end as u32)
-    }
-
-    fn window_count(&self, lo: u32, hi: u32) -> u64 {
-        (lo..hi).map(|s| self.segs[s as usize].len() as u64).sum()
-    }
-
-    fn tau(&self, h: u32) -> f64 {
-        if self.height == 0 {
-            return self.cfg.tau_root;
-        }
-        let t = f64::from(h) / f64::from(self.height);
-        self.cfg.tau_leaf + (self.cfg.tau_root - self.cfg.tau_leaf) * t
-    }
-
-    fn rho(&self, h: u32) -> f64 {
-        if self.height == 0 {
-            return self.cfg.rho_root;
-        }
-        let t = f64::from(h) / f64::from(self.height);
-        self.cfg.rho_leaf + (self.cfg.rho_root - self.cfg.rho_leaf) * t
-    }
-
-    fn density(&self, lo: u32, hi: u32) -> f64 {
-        let cells = u64::from(hi - lo) * u64::from(self.cfg.segment_capacity);
-        self.window_count(lo, hi) as f64 / cells as f64
-    }
-
-    /// Evenly redistributes the records of segments `[lo, hi)`, charging a
-    /// read and a write per segment.
-    fn rebalance(&mut self, lo: u32, hi: u32) {
-        let mut all: Vec<Record<K, V>> = Vec::new();
+    /// Indexes the minimum of every non-empty segment in `[lo, hi)`.
+    fn index_segments(&mut self, lo: u32, hi: u32) {
         for s in lo..hi {
-            let old_min = self.segs[s as usize].first().map(|r| r.key);
-            if !self.segs[s as usize].is_empty() {
-                self.read_seg(s);
-            }
-            let mut recs = std::mem::take(&mut self.segs[s as usize]);
-            all.append(&mut recs);
-            if let Some(k) = old_min {
-                if self.index.get(&k) == Some(&s) {
-                    self.index.remove(&k);
-                }
+            if let Some(k) = self.store.min_key(s) {
+                self.index.insert(k, s);
             }
         }
-        let n = all.len() as u64;
-        let w = u64::from(hi - lo);
-        let mut rest = all;
-        for i in (0..w).rev() {
-            let start = (n * i / w) as usize;
-            let chunk = rest.split_off(start);
-            let s = lo + i as u32;
-            if !chunk.is_empty() {
-                self.write_seg(s);
-                self.index.insert(chunk[0].key, s);
+    }
+
+    /// Evenly redistributes the smallest aligned window of `2^h` segments
+    /// around segment `s` (clamped to the array) whose density `d` is
+    /// `in_band(d, t)` for its height's threshold `t`, interpolated from
+    /// `leaf` to `root` (a one-segment array is all root). The move is one
+    /// [`PagedStore::redistribute`]: a read per non-empty segment, then a
+    /// write per filled one. Nothing moves if that window is `s` alone, or
+    /// if no window up to the root is in band.
+    fn rebalance_around(&mut self, s: u32, leaf: f64, root: f64, in_band: fn(f64, f64) -> bool) {
+        for h in 0..=self.height {
+            let t = if self.height == 0 {
+                root
+            } else {
+                leaf + (root - leaf) * (f64::from(h) / f64::from(self.height))
+            };
+            let size = 1u64 << h;
+            let lo = u64::from(s) / size * size;
+            let hi = (lo + size).min(u64::from(self.cfg.segments));
+            let (lo, hi) = (lo as u32, hi as u32);
+            let count: usize = (lo..hi).map(|seg| self.store.len(seg)).sum();
+            let cells = u64::from(hi - lo) * u64::from(self.cfg.segment_capacity);
+            if !in_band(count as f64 / cells as f64, t) {
+                continue;
             }
-            self.segs[s as usize] = chunk;
+            if h > 0 {
+                for seg in lo..hi {
+                    if let Some(k) = self.store.min_key(seg) {
+                        self.index.remove(&k);
+                    }
+                }
+                self.store.redistribute(lo, hi - lo);
+                self.index_segments(lo, hi);
+            }
+            return;
         }
     }
 
     /// Inserts a record, returning the previous value on key collision.
     pub fn insert(&mut self, key: K, value: V) -> Result<Option<V>, PmaError> {
         let s = self.route(&key);
-        self.read_seg(s);
-        let capacity = self.capacity();
-        match self.segs[s as usize].binary_search_by(|r| r.key.cmp(&key)) {
-            Ok(i) => {
-                let old = std::mem::replace(&mut self.segs[s as usize][i].value, value);
-                self.write_seg(s);
-                return Ok(Some(old));
-            }
+        match self.store.search(s, &key) {
+            Ok(i) => return Ok(Some(self.store.replace_at(s, i, value))),
             Err(i) => {
-                if self.len >= capacity {
+                let capacity = self.capacity();
+                if self.len() >= capacity {
                     return Err(PmaError::Full { capacity });
                 }
-                let old_min = self.segs[s as usize].first().map(|r| r.key);
-                self.segs[s as usize].insert(i, Record::new(key, value));
-                self.write_seg(s);
-                self.len += 1;
+                let old_min = self.store.min_key(s);
+                self.store.insert_searched(s, i, key, value);
                 self.refresh_index(s, old_min);
             }
         }
-        // Rebalance the smallest enclosing window back inside its band.
-        let mut h = 0;
-        loop {
-            let (lo, hi) = self.window(s, h);
-            if self.density(lo, hi) <= self.tau(h) {
-                if h > 0 {
-                    self.rebalance(lo, hi);
-                }
-                break;
-            }
-            debug_assert!(
-                h <= self.height,
-                "capacity gate keeps the root within τ_root"
-            );
-            h += 1;
-        }
+        // Rebalance the smallest enclosing window back under its τ (the
+        // capacity gate keeps the root there).
+        let c = self.cfg;
+        self.rebalance_around(s, c.tau_leaf, c.tau_root, |d, tau| d <= tau);
         Ok(None)
     }
 
     /// Deletes a key, returning its value if present.
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        if self.len == 0 {
-            return None;
-        }
         let s = self.route(key);
-        self.read_seg(s);
-        let seg = &mut self.segs[s as usize];
-        let i = seg.binary_search_by(|r| r.key.cmp(key)).ok()?;
-        let old_min = seg.first().map(|r| r.key);
-        let rec = seg.remove(i);
-        self.write_seg(s);
-        self.len -= 1;
+        let old_min = self.store.min_key(s);
+        let value = self.store.remove(s, key)?;
         self.refresh_index(s, old_min);
         // Rebalance the smallest enclosing window that is still dense
         // enough; a root below ρ_root is left alone (fixed footprint).
-        let mut h = 0;
-        loop {
-            let (lo, hi) = self.window(s, h);
-            if self.density(lo, hi) >= self.rho(h) {
-                if h > 0 {
-                    self.rebalance(lo, hi);
-                }
-                break;
-            }
-            if h >= self.height {
-                break;
-            }
-            h += 1;
-        }
-        Some(rec.value)
+        let c = self.cfg;
+        self.rebalance_around(s, c.rho_leaf, c.rho_root, |d, rho| d >= rho);
+        Some(value)
     }
 
     /// Looks up a key.
     pub fn get(&self, key: &K) -> Option<&V> {
-        if self.len == 0 {
-            return None;
-        }
-        let s = self.route(key);
-        self.read_seg(s);
-        let seg = &self.segs[s as usize];
-        seg.binary_search_by(|r| r.key.cmp(key))
-            .ok()
-            .map(|i| &seg[i].value)
+        self.store.get(self.route(key), key)
     }
 
-    /// Bulk-loads strictly-ascending records at even density (offline
-    /// build; free).
+    /// Bulk-loads strictly-ascending records at even density: one
+    /// [`PagedStore::spread`] over every segment, charging a write per
+    /// filled segment, as `DenseFile::bulk_load` charges its pages.
     ///
     /// # Panics
     ///
@@ -348,7 +270,7 @@ impl<K: Key, V> AmortizedPma<K, V> {
     where
         I: IntoIterator<Item = (K, V)>,
     {
-        assert!(self.len == 0, "bulk_load requires an empty array");
+        assert!(self.is_empty(), "bulk_load requires an empty array");
         let mut recs: Vec<Record<K, V>> = Vec::new();
         for (k, v) in items {
             if let Some(prev) = recs.last() {
@@ -356,37 +278,26 @@ impl<K: Key, V> AmortizedPma<K, V> {
             }
             recs.push(Record::new(k, v));
         }
-        let n = recs.len() as u64;
-        assert!(n <= self.capacity(), "bulk_load exceeds capacity");
-        self.len = n;
-        let w = u64::from(self.cfg.segments);
-        let mut rest = recs;
-        for i in (0..w).rev() {
-            let start = (n * i / w) as usize;
-            let chunk = rest.split_off(start);
-            let s = i as u32;
-            if let Some(first) = chunk.first() {
-                self.index.insert(first.key, s);
-            }
-            self.segs[s as usize] = chunk;
-        }
+        let n = recs.len();
+        assert!(n as u64 <= self.capacity(), "bulk_load exceeds capacity");
+        self.store
+            .spread(0, self.cfg.segments, n, recs)
+            .expect("a Vec yields exactly its length");
+        self.index_segments(0, self.cfg.segments);
     }
 
     /// Streams up to `limit` records with keys ≥ `start` in key order,
     /// charging one read per populated segment visited.
     pub fn scan_from<F: FnMut(&K, &V)>(&self, start: &K, limit: usize, mut f: F) {
         let mut emitted = 0usize;
-        let first = self.route(start);
-        for s in first..self.cfg.segments {
+        for s in self.route(start)..self.cfg.segments {
             if emitted >= limit {
                 return;
             }
-            let seg = &self.segs[s as usize];
-            if seg.is_empty() {
+            if self.store.is_empty(s) {
                 continue; // emptiness is index metadata
             }
-            self.read_seg(s);
-            for rec in seg {
+            for rec in self.store.read_page(s, 0) {
                 if rec.key < *start {
                     continue;
                 }
@@ -404,7 +315,9 @@ impl<K: Key, V> AmortizedPma<K, V> {
     pub fn check_structure(&self) -> Result<(), String> {
         let mut prev: Option<K> = None;
         let mut total = 0u64;
-        for (s, seg) in self.segs.iter().enumerate() {
+        let mut populated = 0;
+        for s in 0..self.cfg.segments {
+            let seg = self.store.peek_slot(s);
             if seg.len() > self.cfg.segment_capacity as usize {
                 return Err(format!("segment {s} over capacity: {}", seg.len()));
             }
@@ -418,15 +331,16 @@ impl<K: Key, V> AmortizedPma<K, V> {
                 total += 1;
             }
             if let Some(first) = seg.first() {
-                if self.index.get(&first.key) != Some(&(s as u32)) {
+                populated += 1;
+                if self.index.get(&first.key) != Some(&s) {
                     return Err(format!("index missing/incorrect for segment {s}"));
                 }
             }
         }
-        if total != self.len {
-            return Err(format!("len {} but segments hold {total}", self.len));
+        if total != self.len() {
+            return Err(format!("len {} but segments hold {total}", self.len()));
         }
-        if self.index.len() != self.segs.iter().filter(|s| !s.is_empty()).count() {
+        if self.index.len() != populated {
             return Err("index size mismatch".into());
         }
         Ok(())

@@ -26,9 +26,10 @@
 //!   central trade-off measured per scenario.
 //!
 //! Writes `BENCH_scenarios.json` (flat, `dsf bench-gate`-compatible) into
-//! the current directory; per-scenario `max_accesses_<name>` keys are
-//! gated by `bench-gate` at **0% slack** since the streams and structures
-//! are fully deterministic.
+//! the current directory; per-scenario `max_accesses_<name>` keys and the
+//! head-to-head `hh_<scenario>_<structure>_{update,retrieval}_mean` page
+//! means are gated by `bench-gate` at **0% slack** since the streams and
+//! structures are fully deterministic.
 //!
 //! Run: `cargo run --release -p dsf-bench --bin exp_scenario_matrix`
 //! (add `--quick` for the CI profile).

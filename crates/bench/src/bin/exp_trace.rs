@@ -34,7 +34,7 @@
 //! Run: `cargo run --release -p dsf-bench --bin exp_trace`
 //! (add `--quick` for the CI profile).
 
-use dsf_bench::{f, Table};
+use dsf_bench::{f, median, Table};
 use dsf_core::DenseFileConfig;
 use dsf_durable::{Durability, StdFs, SyncPolicy, Vfs, VfsFile};
 use dsf_flight::request::{Phase, TraceReport};
@@ -264,12 +264,6 @@ fn stop_and_snapshot() -> FlightLog {
     dsf_flight::disable();
     let rc = shard_config().resolve().expect("valid config");
     dsf_flight::snapshot_log(rc.flight_budget())
-}
-
-/// The middle value of `v` (sorted in place; `v` has odd length).
-fn median<T: Copy + PartialOrd>(v: &mut [T]) -> T {
-    v.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-    v[v.len() / 2]
 }
 
 /// One run of the workload on a fresh store, with the recorder on or

@@ -610,6 +610,13 @@ pub fn replay_ops<D: Driver + ?Sized>(d: &mut D, ops: &[dsf_workloads::Op]) -> O
     }
 }
 
+/// The middle value of `v` (sorted in place; `v` has odd length): the
+/// statistic of the experiments that time alternating pairs of runs.
+pub fn median<T: Copy + PartialOrd>(v: &mut [T]) -> T {
+    v.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+    v[v.len() / 2]
+}
+
 /// Formats a float with a sensible width for tables.
 pub fn f(x: f64) -> String {
     if x >= 100.0 {

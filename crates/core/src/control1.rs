@@ -9,7 +9,7 @@
 //! `O(M)` pages — the spike CONTROL 2 exists to remove. The
 //! `exp_amortized_vs_worstcase` experiment measures exactly that contrast.
 
-use dsf_pagestore::{Key, Record};
+use dsf_pagestore::Key;
 
 use crate::calibrator::NodeId;
 use crate::file::DenseFile;
@@ -60,17 +60,11 @@ impl<K: Key, V> DenseFile<K, V> {
     /// `p(w) ≤ p(f) + 1` for every descendant `w` of `f`.
     pub(crate) fn redistribute(&mut self, f: NodeId) {
         let (lo, hi) = self.cal.range(f);
-        let w = u64::from(hi - lo) + 1;
+        let w = hi - lo + 1;
         self.stats.redistributions += 1;
-        self.stats.redistributed_slots += w;
-
-        let mut all: Vec<Record<K, V>> = Vec::new();
-        for s in lo..=hi {
-            all.append(&mut self.store.take_all(s));
-        }
-        let n = all.len() as u64;
-        self.respread(all, n, lo, hi - lo + 1)
-            .expect("a Vec yields exactly its length");
+        self.stats.redistributed_slots += u64::from(w);
+        self.store.redistribute(lo, w);
+        self.refresh_leaves(lo, w);
         self.cal.recompute_subtree(f);
     }
 }

@@ -641,11 +641,14 @@ impl<K: Key, V> DenseFile<K, V> {
     /// Spreads exactly `n` ascending records evenly over the empty `width`
     /// slots starting at `lo` — slot `lo+i` receives records
     /// `[n·i/width, n·(i+1)/width)` — and refreshes their leaves. The shared
-    /// kernel of every offline redistribution: bulk load, CONTROL 1's step
-    /// B, vacuum, merge, retain. Each record moves once, from `records`
-    /// straight into its slot ([`PagedStore::spread`]), so the spread holds
-    /// no copy of its input; the callers that stage records in a `Vec` pass
-    /// it by value. Counters above the leaves are the caller's to recompute.
+    /// kernel of the offline passes that bring their own records: bulk
+    /// load, merge, retain. (CONTROL 1's step B and vacuum even out records
+    /// already in place with [`PagedStore::redistribute`], as does the PMA
+    /// baseline, which charges through a `PagedStore` too.) Each record
+    /// moves once, from `records` straight into its slot
+    /// ([`PagedStore::spread`]), so the spread holds no copy of its input;
+    /// the callers that stage records in a `Vec` pass it by value. Counters
+    /// above the leaves are the caller's to recompute.
     ///
     /// `Err` (with the number of records drawn) if `records` does not yield
     /// exactly `n`: the slots stay empty, their leaves untouched, and
@@ -661,11 +664,17 @@ impl<K: Key, V> DenseFile<K, V> {
         I: IntoIterator<Item = Record<K, V>>,
     {
         self.store.spread(lo, width, n as usize, records)?;
+        self.refresh_leaves(lo, width);
+        Ok(())
+    }
+
+    /// Copies the counts and minima of slots `lo..lo + width` into their
+    /// calibrator leaves.
+    pub(crate) fn refresh_leaves(&mut self, lo: u32, width: u32) {
         for slot in lo..lo + width {
             self.cal
                 .set_leaf_raw(slot, self.store.len(slot) as u64, self.store.min_key(slot));
         }
-        Ok(())
     }
 
     /// Clears every warning flag and re-derives a legal flag state — the

@@ -13,7 +13,10 @@
 //! into DEST (it replaced a `take` that returned the records in a new `Vec`
 //! and a `put` that appended them); an even spread is one
 //! [`PagedStore::spread`] call, which moves each record from its input
-//! stream straight into its final slot.
+//! stream straight into its final slot. [`PagedStore::redistribute`]
+//! evens out a range of slots (drains it into one `Vec`, then spreads
+//! that): it is the one rebalance of both amortized structures, CONTROL 1
+//! and the PMA baseline, so their page charges come from the same code.
 
 use crate::record::{Key, Record};
 use crate::stats::IoStats;
@@ -437,8 +440,10 @@ impl<K: Key, V> PagedStore<K, V> {
     }
 
     /// Reads and removes every record of `slot`, charging one read per
-    /// non-empty page (used by one-shot redistribution in CONTROL 1 and the
-    /// baselines).
+    /// non-empty page. This is the read half of [`PagedStore::redistribute`],
+    /// the rebalance of CONTROL 1 and of the PMA baseline (which keeps its
+    /// segments in a `PagedStore` and charges through it), and how the
+    /// offline passes drain slots.
     pub fn take_all(&mut self, slot: SlotId) -> Vec<Record<K, V>> {
         let len = self.slots[slot as usize].len();
         self.charge_span(slot, 0, len, AccessKind::Read);
@@ -501,6 +506,22 @@ impl<K: Key, V> PagedStore<K, V> {
             self.mark_dirty(slot);
         }
         Ok(())
+    }
+
+    /// Evenly redistributes the records of slots `first..first + width` —
+    /// the one-shot rebalance of the amortized algorithms (CONTROL 1's step
+    /// B and vacuum, the PMA's window rebalance). Drains the slots lowest
+    /// first, charging what [`PagedStore::take_all`] charges on each, then
+    /// [`PagedStore::spread`]s the records back, charging its writes.
+    pub fn redistribute(&mut self, first: SlotId, width: u32) {
+        let span = first as usize..first as usize + width as usize;
+        let n = self.slots[span].iter().map(Vec::len).sum();
+        let mut all = Vec::with_capacity(n);
+        for slot in first..first + width {
+            all.append(&mut self.take_all(slot));
+        }
+        self.spread(first, width, n, all)
+            .expect("a Vec yields exactly its length");
     }
 
     /// Replaces the contents of `slot` with `recs` (ascending, pre-sorted),

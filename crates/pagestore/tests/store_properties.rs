@@ -242,4 +242,76 @@ proptest! {
             prop_assert_eq!(st.read_page(0, k - 1).len() as u32, cap + extra);
         }
     }
+
+    /// `redistribute(first, width)` leaves the same records in the same
+    /// order, evenly spread (slot `first + i` holds `n·(i+1)/w − n·i/w`),
+    /// touches no slot outside the range, and charges, event for event,
+    /// what `take_all` on each slot followed by `spread` charges.
+    #[test]
+    fn redistribute_is_take_all_then_spread(
+        k in 1u32..5,
+        cap in 1u32..8,
+        keys in prop::collection::btree_set(any::<u16>(), 0..120),
+        cuts in prop::collection::vec(0usize..121, 5..6),
+        first in 0u32..6,
+        width in 1u32..7,
+    ) {
+        let width = width.min(6 - first);
+        let all: Vec<u16> = keys.into_iter().collect();
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(all.len())).collect();
+        cuts.sort_unstable();
+        let bounds: Vec<usize> = std::iter::once(0)
+            .chain(cuts)
+            .chain(std::iter::once(all.len()))
+            .collect();
+        let build = || {
+            let mut st: PagedStore<u16, u16> = PagedStore::new(StoreConfig {
+                slots: 6,
+                pages_per_slot: k,
+                page_capacity: cap,
+            }).unwrap();
+            for (s, w) in bounds.windows(2).enumerate() {
+                st.replace(s as u32, all[w[0]..w[1]].iter().map(|&x| Record::new(x, x ^ 7)).collect());
+            }
+            st.trace().set_enabled(true);
+            st
+        };
+        let span = first..first + width;
+        let contents = |st: &PagedStore<u16, u16>, s: u32| {
+            st.peek_slot(s).iter().map(|r| (r.key, r.value)).collect::<Vec<_>>()
+        };
+
+        let mut by_hand = build();
+        let snap = by_hand.stats().snapshot();
+        let mut drained = Vec::new();
+        for s in span.clone() {
+            drained.extend(by_hand.take_all(s));
+        }
+        let n = drained.len();
+        by_hand.spread(first, width, n, drained).unwrap();
+        let want = by_hand.stats().since(snap);
+
+        let mut st = build();
+        let before: Vec<_> = (0..6).map(|s| contents(&st, s)).collect();
+        let snap = st.stats().snapshot();
+        st.redistribute(first, width);
+        let got = st.stats().since(snap);
+
+        prop_assert_eq!((got.reads, got.writes), (want.reads, want.writes));
+        prop_assert_eq!(st.trace().take(), by_hand.trace().take());
+        prop_assert_eq!(st.trace().take_runs(), by_hand.trace().take_runs());
+        let mut spread = Vec::new();
+        for (i, s) in span.clone().enumerate() {
+            let i = i as u64;
+            let w = u64::from(width);
+            prop_assert_eq!(st.len(s) as u64, n as u64 * (i + 1) / w - n as u64 * i / w);
+            spread.extend(contents(&st, s));
+        }
+        let expected: Vec<_> = span.clone().flat_map(|s| before[s as usize].clone()).collect();
+        prop_assert_eq!(spread, expected);
+        for s in (0..6).filter(|s| !span.contains(s)) {
+            prop_assert_eq!(contents(&st, s), before[s as usize].clone());
+        }
+        prop_assert_eq!(st.total_records(), all.len());
+    }
 }

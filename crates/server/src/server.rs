@@ -76,7 +76,9 @@ struct Inner {
     /// Signals the embedding process that a client asked for shutdown.
     shutdown_requested: Mutex<bool>,
     shutdown_cv: Condvar,
+    /// Live connection threads: each accept joins the finished ones.
     conns: Mutex<Vec<JoinHandle<()>>>,
+    conn_panicked: AtomicBool,
     next_client: AtomicU64,
 }
 
@@ -102,11 +104,18 @@ impl Inner {
         // handles is still a list of handles.
         let conns = std::mem::take(&mut *self.conns.lock().unwrap_or_else(|e| e.into_inner()));
         for c in conns {
-            if c.join().is_err() {
-                result = Err("connection thread panicked".to_string());
-            }
+            self.join_conn(c);
+        }
+        if self.conn_panicked.load(Ordering::Relaxed) {
+            result = Err("connection thread panicked".to_string());
         }
         result
+    }
+
+    fn join_conn(&self, conn: JoinHandle<()>) {
+        if conn.join().is_err() {
+            self.conn_panicked.store(true, Ordering::Relaxed);
+        }
     }
 }
 
@@ -138,6 +147,7 @@ impl Server {
             shutdown_requested: Mutex::new(false),
             shutdown_cv: Condvar::new(),
             conns: Mutex::new(Vec::new()),
+            conn_panicked: AtomicBool::new(false),
             next_client: AtomicU64::new(0),
         });
         let accept = {
@@ -211,11 +221,18 @@ fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) {
                 inner.tel.connections.inc();
                 let id = inner.next_client.fetch_add(1, Ordering::Relaxed);
                 let conn_inner = Arc::clone(inner);
-                let handle = std::thread::Builder::new()
+                let spawned = std::thread::Builder::new()
                     .name(format!("dsf-conn-{id}"))
-                    .spawn(move || serve_connection(&conn_inner, &stream, id))
-                    .expect("spawn connection thread");
-                inner.conns.lock().expect("conns poisoned").push(handle);
+                    .spawn(move || serve_connection(&conn_inner, &stream, id));
+                let mut conns = inner.conns.lock().expect("conns poisoned");
+                // A finished thread keeps its stack mapped until joined.
+                for done in conns.extract_if(.., |c| c.is_finished()) {
+                    inner.join_conn(done);
+                }
+                // A failed spawn drops its connection; accepting goes on.
+                if let Ok(handle) = spawned {
+                    conns.push(handle);
+                }
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(10));
@@ -536,5 +553,42 @@ impl RecvBuf {
             needed: 4 + len - got,
             got,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+    use dsf_concurrent::ShardedFile;
+    use dsf_core::DenseFileConfig;
+
+    /// Connections opened and closed one after another leave no handles
+    /// behind: the accept loop joins each finished one on a later accept.
+    /// At most the accept thread and two connection threads run at once.
+    #[test]
+    fn finished_connections_are_joined_on_accept() {
+        let file = ShardedFile::new(2, DenseFileConfig::control2(32, 8, 48)).expect("store");
+        let server =
+            Server::bind(Arc::new(file), ServerConfig::default(), "127.0.0.1:0").expect("bind");
+        let ping = || {
+            let mut c = Client::connect(server.local_addr()).expect("connect");
+            assert!(matches!(c.call(&Request::Ping).unwrap(), Response::Pong));
+        };
+        for _ in 0..300 {
+            ping();
+        }
+        // The last few threads may still be ending when the last accept
+        // reaps; a few more accepts, spaced out, collect them.
+        let live = || server.inner.conns.lock().unwrap().len();
+        for _ in 0..50 {
+            if live() <= 4 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+            ping();
+        }
+        assert!(live() <= 4, "{} connection handles kept", live());
+        server.shutdown().expect("clean shutdown");
     }
 }

@@ -106,9 +106,10 @@ usage:
   dsf bench-gate <baseline.json> <candidate.json> [--threshold T] [--report path]
       fails (exit 1) when a gated metric (io/fsync/wall ratios, p99_speedup,
       overhead_ratio, max_accesses, read/serve throughput ratios) regresses
-      > T (default 0.15); any max_accesses_<scenario> or get_lock_wait_p50
-      key in the baseline gates at 0% slack (deterministic — one extra page
-      or one lock-wait stamp on the served read path fails)";
+      > T (default 0.15); any max_accesses_<scenario>, hh_<scenario>_* or
+      get_lock_wait_p50 key in the baseline gates at 0% slack (deterministic
+      — one extra page, a higher head-to-head page mean, or one lock-wait
+      stamp on the served read path fails)";
 
 fn run(args: &[String]) -> Result<String, String> {
     let cmd = args.first().ok_or("missing command")?;
@@ -1410,12 +1411,15 @@ fn bench_gate(args: &[String]) -> Result<String, String> {
     }
     // Exact (0%-slack) gates. E17's per-scenario worst cases are fully
     // deterministic — one extra page on any scenario's worst command fails.
+    // So are its head-to-head means (`hh_<scenario>_<structure>_*_mean`):
+    // page counts per command or retrieval, printed to three decimals.
     // E20's served `get_lock_wait_p50` is deterministically zero: an
     // optimistic hit never stamps a LockWait phase, so any nonzero
     // candidate means gets fell back to the shard lock. A key present in
     // the baseline but missing from the candidate also fails (a silently
     // dropped scenario must not pass).
     let mut exact_keys = json_keys_with_prefix(&base, "max_accesses_");
+    exact_keys.extend(json_keys_with_prefix(&base, "hh_"));
     exact_keys.extend(json_keys_with_prefix(&base, "get_lock_wait_p50"));
     let mut dynamic: Vec<String> = Vec::new();
     for key in exact_keys {
@@ -1426,7 +1430,7 @@ fn bench_gate(args: &[String]) -> Result<String, String> {
         let line = match json_number(&cand, &key) {
             None => {
                 dynamic.push(key.clone());
-                format!("  {key:<34} baseline {b:>6.0}  candidate    MISSING  REGRESSION\n")
+                format!("  {key:<46} baseline {b:>7}  candidate MISSING  REGRESSION\n")
             }
             Some(c) => {
                 let regressed = c > b;
@@ -1434,7 +1438,7 @@ fn bench_gate(args: &[String]) -> Result<String, String> {
                     dynamic.push(key.clone());
                 }
                 format!(
-                    "  {key:<34} baseline {b:>6.0}  candidate {c:>6.0}  exact  {}\n",
+                    "  {key:<46} baseline {b:>7}  candidate {c:>7}  exact  {}\n",
                     if regressed { "REGRESSION" } else { "ok" }
                 )
             }
@@ -1453,7 +1457,7 @@ fn bench_gate(args: &[String]) -> Result<String, String> {
              serve_group_commit, serve_fsync_amortization, trace_overhead_ratio, \
              trace_reconcile_ok, trace_fsync_dominant, read_scaling_ratio, \
              serve_read_ratio, read_independence_ratio, max_accesses_<scenario>, \
-             get_lock_wait_p50) appear \
+             hh_<scenario>_<structure>_*_mean, get_lock_wait_p50) appear \
              in both `{baseline_path}` and `{candidate_path}`"
         ));
     }

@@ -548,6 +548,28 @@ fn cli_flight_example52_and_bench_gate() {
     assert!(!out.status.success(), "dropped scenario must fail");
     let err = String::from_utf8_lossy(&out.stderr).into_owned();
     assert!(err.contains("regression in max_accesses_zipfian"), "{err}");
+
+    // E17's head-to-head page means gate at 0% slack too: one thousandth
+    // of a page more per command fails.
+    let hb = "{\n  \"hh_adversarial_pma_update_mean\": 3.364\n}\n";
+    std::fs::write(dir.join("hh_base.json"), hb).unwrap();
+    std::fs::write(
+        dir.join("hh_bump.json"),
+        "{\n  \"hh_adversarial_pma_update_mean\": 3.365\n}\n",
+    )
+    .unwrap();
+    let out = dsf(&dir, &["bench-gate", "hh_base.json", "hh_base.json"]);
+    assert!(out.status.success(), "{out:?}");
+    let out = dsf(&dir, &["bench-gate", "hh_base.json", "hh_bump.json"]);
+    assert!(
+        !out.status.success(),
+        "a higher head-to-head mean must fail"
+    );
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(
+        err.contains("regression in hh_adversarial_pma_update_mean"),
+        "{err}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
